@@ -70,15 +70,15 @@ def load_recording(path: str | Path) -> Recording:
         raise ChannelCountMismatchError(
             f"{path}: header declares {n_channels} channels but names {len(names)}"
         )
-    payload = raw[sep + len(_HEADER_END) :]
+    start = sep + len(_HEADER_END)
     expected = 4 * n_channels * n_samples
-    if len(payload) < expected:
+    if len(raw) - start < expected:
         raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
+            f"{path}: payload holds {len(raw) - start} bytes, expected {expected}"
         )
-    samples = np.frombuffer(payload[:expected], dtype="<f4").reshape(
-        n_channels, n_samples
-    )
+    samples = np.frombuffer(
+        raw, dtype="<f4", count=n_channels * n_samples, offset=start
+    ).reshape(n_channels, n_samples)
     return Recording(
         sample_rate_hz=fs,
         channel_names=names,

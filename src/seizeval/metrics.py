@@ -81,9 +81,9 @@ def eventize(
     """
     scores = np.asarray(scores, dtype=np.float64)
     decisions = scores >= opts.threshold
-    shift = window.shift_s
+    shift = float(window.shift_s)
     events: list[list[float]] = []
-    for k in np.flatnonzero(decisions):
+    for k in np.flatnonzero(decisions).tolist():
         start, stop = k * shift, (k + 1) * shift
         if events and start - events[-1][1] <= opts.gap_merge_s + 1e-12:
             events[-1][1] = stop

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.fft import rfft
 
 import seizeval as sv
 from seizeval import features as ft
-from seizeval.errors import InvalidArgumentError
+from seizeval.errors import InvalidArgumentError, TruncatedPayloadError
 
 from oracles import dft_magnitude
 
@@ -115,6 +116,86 @@ class TestFrequencyBands:
         # absolute slack for the near-zero high bands, where leakage makes
         # relative comparisons meaningless
         np.testing.assert_allclose(a, b, rtol=0.05, atol=0.02 * a.max())
+
+
+def rfft_stft_oracle(x, params):
+    """Zero-padded per-frame rfft of the Hann-tapered frames, (channels, bins, frames)."""
+    frame, nfft = params.frame_samples(FS), params.nfft(FS)
+    frames = ft._frame_signal(x, frame, params.hop(FS), params.pad_to_frames)
+    taper = ft.sps.get_window("hann", frame, fftbins=True)
+    return np.transpose(np.abs(rfft(frames * taper, n=nfft, axis=2)), (0, 2, 1))
+
+
+def bands_oracle(x, params, bands, power):
+    spec = rfft_stft_oracle(x, params)
+    if power:
+        spec = spec**2
+    freqs = ft.stft_bin_freqs(params, FS)
+    return np.stack(
+        [spec[:, (freqs >= lo) & (freqs < hi), :].mean(axis=1) for lo, hi in bands.edges],
+        axis=1,
+    )
+
+
+def assert_matches_oracle(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+PRESETS = {
+    "shape_compat": (
+        ft.StftParams.shape_compat(),
+        ft.BandSpec(((0.5, 3), (3, 9.5), (20, 45), (60, 99.9))),
+    ),
+    # 8 Hz bins: the default (1, 4) band would cover none of them
+    "literal": (ft.StftParams.literal(), ft.BandSpec(((0, 10), (10, 40), (40, 100)))),
+}
+
+
+class TestDftBasis:
+    @pytest.mark.parametrize("n_channels", [1, 20])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_stft_matches_rfft_oracle(self, preset, n_channels):
+        params, _ = PRESETS[preset]
+        x = 30 * np.random.default_rng(n_channels).normal(size=(n_channels, 800))
+        got = sv.stft(x, params).data
+        want = rfft_stft_oracle(x, params)
+        assert got.shape == want.shape
+        assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("power", [False, True])
+    @pytest.mark.parametrize("n_channels", [1, 20])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bands_match_rfft_oracle(self, preset, n_channels, power):
+        params, bands = PRESETS[preset]
+        x = 30 * np.random.default_rng(n_channels).normal(size=(n_channels, 800))
+        got = sv.frequency_bands(x, params, bands, power=power).data
+        want = bands_oracle(x, params, bands, power)
+        assert got.shape == want.shape
+        assert_matches_oracle(got, want)
+
+    def test_default_bands_match_rfft_oracle(self):
+        x = np.random.default_rng(5).normal(size=(20, 800))
+        params = ft.StftParams.shape_compat()
+        assert_matches_oracle(
+            sv.frequency_bands(x).data, bands_oracle(x, params, ft.BandSpec(), False)
+        )
+
+    def test_repeated_calls_bit_identical(self):
+        x = np.random.default_rng(6).normal(size=(20, 800))
+        assert sv.stft(x).data.tobytes() == sv.stft(x).data.tobytes()
+        assert sv.frequency_bands(x).data.tobytes() == sv.frequency_bands(x).data.tobytes()
+
+    def test_basis_cached_and_read_only(self):
+        basis = ft._dft_basis(25, 198)
+        assert basis is ft._dft_basis(25, 198)
+        assert basis.shape == (25, 2 * 100)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+    def test_band_covering_no_bin(self):
+        with pytest.raises(InvalidArgumentError, match="covers no STFT bin"):
+            sv.frequency_bands(np.zeros((1, 800)), ft.StftParams.literal())
 
 
 class TestLfcc:
@@ -234,3 +315,16 @@ class TestDeterminismAndDump:
             loaded.data, tensor.data.astype(np.float32) if binary else tensor.data,
             rtol=rtol, atol=1e-9,
         )
+
+    # bytes cut from the end: "23\n" is the last text value, 1 byte leaves a
+    # partial f32 value behind
+    @pytest.mark.parametrize(
+        "binary,cut", [(False, 3), (False, 40), (True, 1), (True, 4), (True, 40)]
+    )
+    def test_truncated_payload_typed_error(self, tmp_path, binary, cut):
+        tensor = sv.FeatureTensor(np.arange(24.0).reshape(2, 3, 4), extractor_id="raw")
+        path = tmp_path / "tensor.dump"
+        ft.save_tensor(tensor, path, binary=binary)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(TruncatedPayloadError, match=r"tensor\.dump.*expected 24"):
+            ft.load_tensor(path)

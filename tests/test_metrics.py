@@ -32,6 +32,11 @@ class TestEventize:
         )
         assert ev == [(3.0, 5.0)]
 
+    def test_boundaries_are_python_floats(self):
+        ev = sv.eventize([0, 1, 1, 0, 1], sv.WindowSpec(4, 1), sv.EventizeOpts())
+        assert ev == [(1.0, 3.0), (4.0, 5.0)]
+        assert all(type(t) is float for interval in ev for t in interval)
+
     def test_brute_force_equivalence(self):
         rng = np.random.default_rng(0)
         spec = sv.WindowSpec(4, 1)
