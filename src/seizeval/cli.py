@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import core, detectors, features, io, metrics, rtbench
-from .errors import FileFormatError, InvalidArgumentError, SeizevalError
+from .errors import (
+    DirectoryPathError,
+    FileFormatError,
+    InvalidArgumentError,
+    MalformedReportError,
+    SeizevalError,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -330,7 +336,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    data = json.loads(Path(args.json).read_text())
+    try:
+        data = json.loads(Path(args.json).read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary input
+        raise MalformedReportError(f"{args.json}: not a JSON report: {exc}") from exc
     print(json.dumps(data, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -454,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (InvalidArgumentError, FileFormatError, FileNotFoundError) as exc:
+    except (InvalidArgumentError, FileFormatError, DirectoryPathError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SeizevalError as exc:

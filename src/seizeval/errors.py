@@ -49,6 +49,18 @@ class TruncatedPayloadError(FileFormatError):
     """Sample payload is shorter than the header promises."""
 
 
+class SurplusPayloadError(FileFormatError):
+    """Payload holds more values than the header promises."""
+
+
+class MalformedReportError(FileFormatError):
+    """A report.json file is not valid JSON."""
+
+
+class DirectoryPathError(SeizevalError, IsADirectoryError):
+    """An input path names a directory where a file is expected."""
+
+
 class LabelParseError(FileFormatError):
     """A label or montage file failed to parse; carries the line number."""
 

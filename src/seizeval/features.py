@@ -17,7 +17,12 @@ from scipy import signal as sps
 from scipy.fft import dct, rfft
 
 from .core import PIPELINE_RATE_HZ
-from .errors import InvalidArgumentError, MalformedHeaderError, TruncatedPayloadError
+from .errors import (
+    InvalidArgumentError,
+    MalformedHeaderError,
+    SurplusPayloadError,
+    TruncatedPayloadError,
+)
 
 DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
     (1, 4), (4, 8), (8, 12), (12, 30), (30, 50), (50, 70), (70, 100),
@@ -354,21 +359,59 @@ class SincBank:
             raise InvalidArgumentError("band list length must match n_filters")
 
 
+def _stacked_taps(kernels) -> np.ndarray:
+    """Read-only (kernel_len, n_kernels) matrix of the reversed kernels."""
+    taps = np.stack([k[::-1] for k in kernels], axis=1)
+    taps.flags.writeable = False
+    return taps
+
+
+def _fir_same(x: np.ndarray, taps: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Convolve every row of ``x`` with every kernel, (channels, ceil(N/stride), kernels).
+
+    ``taps`` holds the reversed kernels as columns (``_stacked_taps``). The
+    row is zero-padded and the output centred like ``np.convolve(row, kernel,
+    "same")`` and ``fftconvolve``: the full convolution from sample
+    ``(kernel_len - 1) // 2`` on. Only every ``stride``-th output is computed.
+    One product per channel keeps each temporary small, as in ``_stft_mags``.
+    """
+    kernel_len = taps.shape[0]
+    start = (kernel_len - 1) // 2
+    n = x.shape[1]
+    xp = np.pad(x, ((0, 0), (kernel_len - 1 - start, start)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel_len, axis=1)[:, :n:stride]
+    out = np.empty((x.shape[0], windows.shape[1], taps.shape[1]))
+    for block, y in zip(windows, out):
+        np.matmul(block, taps, out=y)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _sinc_taps(bank: SincBank, sample_rate_hz: int) -> np.ndarray:
+    """Read-only (kernel_len, n_filters) reversed sinc kernels of ``bank``."""
+    return _stacked_taps(
+        design_sinc_kernel(f1, f2, bank.kernel_len, sample_rate_hz) for f1, f2 in bank.bands
+    )
+
+
 def sinc_filterbank(
     samples: np.ndarray,
     bank: SincBank | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
 ) -> FeatureTensor:
-    """Strided band-pass convolution, (n_filters, channels, ceil(N/stride))."""
+    """Strided band-pass convolution, (n_filters, channels, ceil(N/stride)).
+
+    Each band's kernel is convolved with every channel, zero-padded and
+    centred like ``np.convolve(row, kernel, "same")``, keeping every
+    ``stride``-th output. The kernels are designed once per ``(bank, fs)``
+    (``_sinc_taps``) and applied as one direct, strided FIR pass that computes
+    only the kept outputs. Outputs differ from the per-row ``np.convolve``
+    result by under 1e-15 of their largest magnitude.
+    """
     x = _check_window(samples)
     bank = bank or SincBank()
-    outs = []
-    for f1, f2 in bank.bands:
-        kernel = design_sinc_kernel(f1, f2, bank.kernel_len, sample_rate_hz)
-        # zero same-padding so 800 samples at stride 2 give 400 outputs
-        y = sps.fftconvolve(x, kernel[None, :], mode="same", axes=1)
-        outs.append(y[:, :: bank.stride])
-    return FeatureTensor(np.stack(outs), extractor_id="sincnet")
+    out = _fir_same(x, _sinc_taps(bank, sample_rate_hz), bank.stride)
+    return FeatureTensor(np.transpose(out, (2, 0, 1)), extractor_id="sincnet")
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +433,11 @@ def _anti_alias_kernel(cutoff_hz: float, taps: int, sample_rate_hz: int) -> np.n
     return h / h.sum()
 
 
+@lru_cache(maxsize=8)
+def _anti_alias_taps(cutoff_hz: float, taps: int, sample_rate_hz: int) -> np.ndarray:
+    return _stacked_taps([_anti_alias_kernel(cutoff_hz, taps, sample_rate_hz)])
+
+
 def multirate(
     samples: np.ndarray,
     params: MultiRateParams | None = None,
@@ -399,10 +447,10 @@ def multirate(
     x = _check_window(samples)
     params = params or MultiRateParams()
     if params.anti_alias:
-        kernel = _anti_alias_kernel(
+        taps = _anti_alias_taps(
             params.anti_alias_cutoff_hz, params.anti_alias_taps, sample_rate_hz
         )
-        x = sps.fftconvolve(x, kernel[None, :], mode="same", axes=1)
+        x = _fir_same(x, taps)[:, :, 0]
     out = []
     for rate in params.rates_hz:
         if rate <= 0 or sample_rate_hz % rate != 0:
@@ -477,16 +525,24 @@ def load_tensor(path: str | Path) -> FeatureTensor:
         if len(meta) != 5:
             raise MalformedHeaderError(f"{path}: bad tensor metadata line")
         extractor_id, *dims, kind = meta
+        if not all(d.isdigit() and int(d) > 0 for d in dims):
+            raise MalformedHeaderError(
+                f"{path}: tensor dims {' '.join(dims)} must be positive integers"
+            )
         shape = tuple(int(d) for d in dims)
         expected = int(np.prod(shape))
         if kind == "f32":
             payload = fh.read()
+            found = -(-len(payload) // 4)  # a partial trailing value counts as one
             count = min(len(payload) // 4, expected)
             data = np.frombuffer(payload, dtype="<f4", count=count)
         else:
             data = np.array(fh.read().decode("ascii").split(), dtype=np.float64)
+            found = data.size
     if data.size < expected:
         raise TruncatedPayloadError(
             f"{path}: payload holds {data.size} values, expected {expected}"
         )
+    if found > expected:
+        raise SurplusPayloadError(f"{path}: payload holds {found} values, expected {expected}")
     return FeatureTensor(np.asarray(data, dtype=np.float64).reshape(shape), extractor_id)

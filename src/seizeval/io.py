@@ -15,6 +15,7 @@ import numpy as np
 from .core import Event, LabelTrack, Montage, MontageSpec, Recording, SeizureLabel
 from .errors import (
     ChannelCountMismatchError,
+    DirectoryPathError,
     LabelParseError,
     MalformedHeaderError,
     TruncatedPayloadError,
@@ -41,7 +42,10 @@ def save_recording(rec: Recording, path: str | Path) -> None:
 
 
 def load_recording(path: str | Path) -> Recording:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except IsADirectoryError:
+        raise DirectoryPathError(f"{path}: is a directory, expected a recording file") from None
     sep = raw.find(_HEADER_END)
     if sep < 0:
         raise MalformedHeaderError(f"{path}: missing end_header marker")

@@ -162,3 +162,22 @@ def test_report_pretty_print(corpus, capsys):
     capsys.readouterr()
     assert main(["report", "--json", str(out / "report.json")]) == 0
     assert "auroc" in capsys.readouterr().out
+
+
+def test_rec_directory_is_validation_error(corpus, capsys):
+    code = main([
+        "run", "--rec", str(corpus / "test"), "--model", str(corpus / "model.bin"),
+        "--out-hyp", str(corpus / "hyp.txt"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is a directory" in err and str(corpus / "test") in err
+
+
+@pytest.mark.parametrize("content", [b'{"auroc": 0.9', b"\xff\xfe not json"])
+def test_report_malformed_json_is_validation_error(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    assert main(["report", "--json", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "not a JSON report" in err

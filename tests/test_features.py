@@ -4,7 +4,12 @@ from scipy.fft import rfft
 
 import seizeval as sv
 from seizeval import features as ft
-from seizeval.errors import InvalidArgumentError, TruncatedPayloadError
+from seizeval.errors import (
+    InvalidArgumentError,
+    MalformedHeaderError,
+    SurplusPayloadError,
+    TruncatedPayloadError,
+)
 
 from oracles import dft_magnitude
 
@@ -254,6 +259,18 @@ class TestSincKernel:
             sv.design_sinc_kernel(12, 8, 80, FS)
 
 
+def same_convolve(row, kernel):
+    """The centred N samples of the full convolution: np.convolve(row, kernel,
+    "same") whenever N >= len(kernel), and still N samples when it is shorter."""
+    start = (kernel.size - 1) // 2
+    return np.convolve(row, kernel)[start : start + row.size]
+
+
+def sinc_oracle(x, bank, fs):
+    kernels = [ft.design_sinc_kernel(f1, f2, bank.kernel_len, fs) for f1, f2 in bank.bands]
+    return np.stack([[same_convolve(row, k)[:: bank.stride] for row in x] for k in kernels])
+
+
 class TestSincFilterbank:
     def test_default_shape(self):
         out = sv.sinc_filterbank(np.random.default_rng(0).normal(size=(20, 800)))
@@ -273,6 +290,41 @@ class TestSincFilterbank:
         b = sv.sinc_filterbank(3.0 * x).data
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "n_channels,n,bank,fs",
+        [
+            (1, 800, ft.SincBank(), FS),
+            (20, 800, ft.SincBank(), FS),
+            (3, 801, ft.SincBank(), FS),
+            (3, 37, ft.SincBank(), FS),
+            (3, 799, ft.SincBank(stride=1), FS),
+            (3, 800, ft.SincBank(stride=3), FS),
+            (2, 64, ft.SincBank(stride=3), FS),
+            (4, 800, ft.SincBank(3, 64, 2, ((0.5, 3), (3, 13), (40, 99))), FS),
+            (20, 1024, ft.SincBank(), 256),
+        ],
+    )
+    def test_matches_convolve_oracle(self, n_channels, n, bank, fs):
+        x = 30 * np.random.default_rng(n).normal(size=(n_channels, n))
+        got = sv.sinc_filterbank(x, bank, fs).data
+        want = sinc_oracle(x, bank, fs)
+        assert got.shape == want.shape == (bank.n_filters, n_channels, -(-n // bank.stride))
+        assert_matches_oracle(got, want)
+
+    def test_repeated_calls_bit_identical(self):
+        x = np.random.default_rng(7).normal(size=(20, 800))
+        assert sv.sinc_filterbank(x).data.tobytes() == sv.sinc_filterbank(x).data.tobytes()
+
+    def test_taps_cached_and_read_only(self):
+        bank = ft.SincBank()
+        taps = ft._sinc_taps(bank, FS)
+        assert taps is ft._sinc_taps(ft.SincBank(), FS)
+        assert taps.shape == (bank.kernel_len, bank.n_filters)
+        np.testing.assert_array_equal(taps[::-1, 2], ft.design_sinc_kernel(8, 12, 80, FS))
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0, 0] = 1.0
+
 
 class TestMultirate:
     def test_lengths(self):
@@ -289,6 +341,19 @@ class TestMultirate:
         on = sv.multirate(x, ft.MultiRateParams(anti_alias=True))[2].data
         off = sv.multirate(x, ft.MultiRateParams(anti_alias=False))[2].data
         assert np.max(np.abs(on - off)) < 1e-3
+
+    @pytest.mark.parametrize("taps,n", [(101, 800), (64, 801), (101, 40)])
+    def test_anti_alias_matches_convolve_oracle(self, taps, n):
+        params = ft.MultiRateParams(
+            anti_alias=True, anti_alias_cutoff_hz=40.0, anti_alias_taps=taps
+        )
+        x = 30 * np.random.default_rng(taps).normal(size=(5, n))
+        kernel = ft._anti_alias_kernel(40.0, taps, FS)
+        filtered = np.stack([same_convolve(row, kernel) for row in x])
+        for tensor, rate in zip(sv.multirate(x, params), params.rates_hz):
+            want = filtered[:, None, :: FS // rate]
+            assert tensor.shape == want.shape
+            assert_matches_oracle(tensor.data, want)
 
     def test_non_divisor_rate(self):
         with pytest.raises(InvalidArgumentError):
@@ -327,4 +392,28 @@ class TestDeterminismAndDump:
         ft.save_tensor(tensor, path, binary=binary)
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(TruncatedPayloadError, match=r"tensor\.dump.*expected 24"):
+            ft.load_tensor(path)
+
+    @pytest.mark.parametrize("dims", ["2 3 x", "-2 3 4", "2 0 4", "2 3 4.0"])
+    @pytest.mark.parametrize("kind", ["text", "f32"])
+    def test_bad_dims_typed_error(self, tmp_path, dims, kind):
+        path = tmp_path / "tensor.dump"
+        payload = np.arange(24.0, dtype="<f4").tobytes() if kind == "f32" else b"0 " * 24
+        path.write_bytes(f"raw {dims} {kind}\n".encode() + payload)
+        with pytest.raises(MalformedHeaderError, match=r"tensor\.dump.*positive integers"):
+            ft.load_tensor(path)
+
+    # bytes appended: one more text value, one partial and one whole f32 value
+    @pytest.mark.parametrize(
+        "binary,extra,found",
+        [(False, b"24\n", 25), (False, b"7 8 9 10 11 12\n", 30),
+         (True, b"\0\0", 25), (True, b"\0" * 4, 25)],
+    )
+    def test_surplus_payload_typed_error(self, tmp_path, binary, extra, found):
+        tensor = sv.FeatureTensor(np.arange(24.0).reshape(2, 3, 4), extractor_id="raw")
+        path = tmp_path / "tensor.dump"
+        ft.save_tensor(tensor, path, binary=binary)
+        path.write_bytes(path.read_bytes() + extra)
+        match = rf"tensor\.dump.*holds {found} values, expected 24"
+        with pytest.raises(SurplusPayloadError, match=match):
             ft.load_tensor(path)
