@@ -26,8 +26,6 @@ from .detectors import (
     LinearDetector,
     LinearModel,
     TrainConfig,
-    detect_window,
-    reset_state,
     train_linear,
 )
 from .features import (
@@ -61,6 +59,6 @@ from .metrics import (
     ovlp,
     taes,
 )
-from .rtbench import LatencyReport, batch_scores, check_realtime, run_stream
+from .rtbench import LatencyReport, check_realtime, run_stream
 
 __version__ = "0.1.0"

@@ -67,7 +67,8 @@ def _collect_features(
     return [extractor(w.samples) for w in core.slice_windows(rec, spec)]
 
 
-def _build_detector(args, rec=None, labels=None, spec=None) -> detectors.Detector:
+def _build_detector(args, rec, spec, labels, wl=None) -> detectors.Detector:
+    """Load or calibrate the detector; pass ``wl`` when the window labels exist."""
     if args.model:
         model = detectors.load_model(args.model)
         return detectors.LinearDetector(model, smoothing=args.smoothing)
@@ -79,27 +80,22 @@ def _build_detector(args, rec=None, labels=None, spec=None) -> detectors.Detecto
                 scale=args.scale,
                 smoothing=args.smoothing,
             )
-        if rec is None or labels is None or spec is None:
+        if labels is None:
             raise InvalidArgumentError(
                 "energy detector needs --midpoint/--scale or labels to calibrate on"
             )
-        feats = _collect_features(rec, spec, "bands")
-        wl = core.window_labels(rec, labels, spec)
+        if wl is None:
+            wl = core.window_labels(rec, labels, spec)
+        extractor = features.get_extractor("bands", rec.sample_rate_hz)
         bg = [
-            detectors.band_energy(f, args.band_index)
-            for f, y in zip(feats, wl)
+            detectors.band_energy(extractor(w.samples), args.band_index)
+            for w, y in zip(core.slice_windows(rec, spec), wl)
             if not y
         ]
         return detectors.EnergyDetector.calibrate(
             np.array(bg), band_index=args.band_index, smoothing=args.smoothing
         )
     raise InvalidArgumentError("specify --model PATH or --detector energy")
-
-
-def _detector_feature(args) -> str:
-    if args.model:
-        return detectors.load_model(args.model).extractor_id
-    return "bands"
 
 
 def _add_window_args(p: argparse.ArgumentParser) -> None:
@@ -154,17 +150,21 @@ def cmd_ingest(args) -> int:
 
 def cmd_extract(args) -> int:
     rec = io.load_recording(args.rec)
-    spec = _window_spec(args)
     extractor = features.get_extractor(args.feature, rec.sample_rate_hz)
-    for window in core.slice_windows(rec, spec):
-        if args.window_index >= 0 and window.index != args.window_index:
-            continue
-        tensor = extractor(window.samples)
-        suffix = f".{window.index}" if args.window_index < 0 else ""
-        features.save_tensor(tensor, f"{args.out}{suffix}", binary=args.binary)
-        if args.window_index >= 0:
-            print(f"wrote {args.out} shape={tensor.shape}")
-            return EXIT_OK
+    windows = list(core.slice_windows(rec, _window_spec(args)))
+    if not -1 <= args.window_index < len(windows):
+        raise InvalidArgumentError(
+            f"--window-index {args.window_index} is out of range: the recording has "
+            f"{len(windows)} windows (0 to {len(windows) - 1}, or -1 for all)"
+        )
+    if args.window_index == -1:
+        for window in windows:
+            tensor = extractor(window.samples)
+            features.save_tensor(tensor, f"{args.out}.{window.index}", binary=args.binary)
+        return EXIT_OK
+    tensor = extractor(windows[args.window_index].samples)
+    features.save_tensor(tensor, args.out, binary=args.binary)
+    print(f"wrote {args.out} shape={tensor.shape}")
     return EXIT_OK
 
 
@@ -192,11 +192,9 @@ def cmd_train(args) -> int:
 def cmd_run(args) -> int:
     rec = io.load_recording(args.rec)
     spec = _window_spec(args)
-    labels = (
-        io.load_labels(args.labels, rec.duration_s) if args.labels else None
-    )
-    detector = _build_detector(args, rec, labels, spec)
-    extractor = features.get_extractor(_detector_feature(args), rec.sample_rate_hz)
+    labels = io.load_labels(args.labels, rec.duration_s) if args.labels else None
+    detector = _build_detector(args, rec, spec, labels)
+    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
     track, report = rtbench.run_stream(rec, extractor, detector, spec)
     opts = metrics.EventizeOpts(
         threshold=args.threshold,
@@ -210,11 +208,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _evaluate(args, rec, labels, spec, detector, feature_name) -> metrics.MetricsReport:
-    extractor = features.get_extractor(feature_name, rec.sample_rate_hz)
-    track, _ = rtbench.run_stream(rec, extractor, detector, spec)
+def cmd_eval(args) -> int:
+    rec, labels = _load_rec_and_labels(args)
+    spec = _window_spec(args)
     wl = core.window_labels(rec, labels, spec)
-    return metrics.evaluate_track(
+    detector = _build_detector(args, rec, spec, labels, wl)
+    out = Path(args.out_dir) if args.out_dir else _default_run_dir(args.seed)
+    out.mkdir(parents=True, exist_ok=True)
+    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
+    track, _ = rtbench.run_stream(rec, extractor, detector, spec)
+    report = metrics.evaluate_track(
         labels,
         wl,
         track,
@@ -222,21 +225,9 @@ def _evaluate(args, rec, labels, spec, detector, feature_name) -> metrics.Metric
         gap_merge_s=args.gap_merge_sec,
         min_event_s=args.min_event_sec,
     )
-
-
-def cmd_eval(args) -> int:
-    rec, labels = _load_rec_and_labels(args)
-    spec = _window_spec(args)
-    detector = _build_detector(args, rec, labels, spec)
-    feature_name = _detector_feature(args)
-    out = Path(args.out_dir) if args.out_dir else _default_run_dir(args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    report = _evaluate(args, rec, labels, spec, detector, feature_name)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_text())
-    extractor = features.get_extractor(feature_name, rec.sample_rate_hz)
-    track, _ = rtbench.run_stream(rec, extractor, detector, spec)
-    curves = metrics.curve_metrics(core.window_labels(rec, labels, spec), track.scores)
+    curves = metrics.curve_metrics(wl, track.scores)
     rows = ["threshold,tpr,fpr,precision,recall"]
     for t, tp, fp, pr, rc in zip(
         curves.thresholds, curves.tpr, curves.fpr, curves.precision, curves.recall
@@ -261,9 +252,8 @@ def cmd_bench(args) -> int:
     rec = io.load_recording(args.rec)
     spec = _window_spec(args)
     labels = io.load_labels(args.labels, rec.duration_s) if args.labels else None
-    detector = _build_detector(args, rec, labels, spec)
-    feature_name = args.feature or _detector_feature(args)
-    extractor = features.get_extractor(feature_name, rec.sample_rate_hz)
+    detector = _build_detector(args, rec, spec, labels)
+    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
     budget = args.budget_sec if args.budget_sec is not None else spec.shift_s
     _, report = rtbench.run_stream(
         rec,
@@ -430,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     _add_detector_args(p)
     _add_window_args(p)
-    p.add_argument("--feature", choices=features.EXTRACTOR_NAMES)
     p.add_argument("--budget-sec", type=float, help="override the shift budget")
     p.add_argument("--include-warmup", action="store_true")
     p.add_argument("--out", help="key-value report path")

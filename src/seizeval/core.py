@@ -257,14 +257,6 @@ def to_bipolar(rec: Recording, spec: MontageSpec | None = None) -> Recording:
     )
 
 
-def n_windows(duration_s: float, spec: WindowSpec, fs: int) -> int:
-    total = int(round(duration_s * fs))
-    win = spec.window_samples(fs)
-    if total < win:
-        return 0
-    return (total - win) // spec.shift_samples(fs) + 1
-
-
 def slice_windows(rec: Recording, spec: WindowSpec) -> Iterator[Window]:
     """Yield sliding windows; window k starts at k * shift_s."""
     win = spec.window_samples(rec.sample_rate_hz)

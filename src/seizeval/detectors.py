@@ -20,6 +20,7 @@ from .errors import (
     TruncatedPayloadError,
 )
 from .features import FeatureTensor
+from .io import open_input
 
 
 def logistic(z: float | np.ndarray) -> float | np.ndarray:
@@ -39,10 +40,7 @@ class Detector:
     extractor_id: str = "raw"
     smoothing: float = 0.0
 
-    def initial_state(self) -> DetectorState:
-        return DetectorState()
-
-    def reset_state(self, state: DetectorState | None = None) -> DetectorState:
+    def reset_state(self) -> DetectorState:
         return DetectorState()
 
     def _raw_score(self, features: FeatureTensor) -> float:
@@ -64,20 +62,6 @@ class Detector:
             score = self.smoothing * state.prev_score + (1 - self.smoothing) * score
         score = min(1.0, max(0.0, score))
         return score, DetectorState(prev_score=score)
-
-
-def detect_window(
-    detector: "Detector | LinearModel",
-    state: DetectorState,
-    features: FeatureTensor,
-) -> tuple[float, DetectorState]:
-    if isinstance(detector, LinearModel):
-        detector = LinearDetector(detector)
-    return detector.detect(state, features)
-
-
-def reset_state(state: DetectorState | None = None) -> DetectorState:
-    return DetectorState()
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +253,16 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
-    raw = Path(path).read_bytes()
+    with open_input(path, "rb") as fh:
+        raw = fh.read()
     marker = b"end_header\n"
     sep = raw.find(marker)
     if sep < 0:
         raise MalformedHeaderError(f"{path}: missing end_header marker")
-    lines = raw[:sep].decode("ascii").splitlines()
+    try:
+        lines = raw[:sep].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedHeaderError(f"{path}: header is not ASCII") from exc
     if not lines or lines[0] != _MODEL_MAGIC:
         raise MalformedHeaderError(f"{path}: bad magic line")
     fields = dict(line.split("=", 1) for line in lines[1:] if "=" in line)

@@ -53,6 +53,10 @@ class SurplusPayloadError(FileFormatError):
     """Payload holds more values than the header promises."""
 
 
+class MalformedPayloadError(FileFormatError):
+    """A text payload holds a value that is not a number."""
+
+
 class MalformedReportError(FileFormatError):
     """A report.json file is not valid JSON."""
 

@@ -20,9 +20,11 @@ from .core import PIPELINE_RATE_HZ
 from .errors import (
     InvalidArgumentError,
     MalformedHeaderError,
+    MalformedPayloadError,
     SurplusPayloadError,
     TruncatedPayloadError,
 )
+from .io import open_input
 
 DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
     (1, 4), (4, 8), (8, 12), (12, 30), (30, 50), (50, 70), (70, 100),
@@ -58,6 +60,8 @@ def _check_window(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise InvalidArgumentError("window must be 2-D (channels, samples)")
+    if samples.shape[1] == 0:
+        raise InvalidArgumentError("window has no samples")
     if not np.isfinite(samples).all():
         raise InvalidArgumentError("window contains non-finite samples")
     return samples
@@ -520,8 +524,11 @@ def save_tensor(tensor: FeatureTensor, path: str | Path, binary: bool = False) -
 
 
 def load_tensor(path: str | Path) -> FeatureTensor:
-    with open(path, "rb") as fh:
-        meta = fh.readline().decode("ascii").split()
+    with open_input(path, "rb") as fh:
+        try:
+            meta = fh.readline().decode("ascii").split()
+        except UnicodeDecodeError as exc:
+            raise MalformedHeaderError(f"{path}: tensor metadata line is not ASCII") from exc
         if len(meta) != 5:
             raise MalformedHeaderError(f"{path}: bad tensor metadata line")
         extractor_id, *dims, kind = meta
@@ -537,7 +544,10 @@ def load_tensor(path: str | Path) -> FeatureTensor:
             count = min(len(payload) // 4, expected)
             data = np.frombuffer(payload, dtype="<f4", count=count)
         else:
-            data = np.array(fh.read().decode("ascii").split(), dtype=np.float64)
+            try:
+                data = np.array(fh.read().decode("ascii").split(), dtype=np.float64)
+            except ValueError as exc:  # a non-numeric value, or UnicodeDecodeError
+                raise MalformedPayloadError(f"{path}: text payload: {exc}") from exc
             found = data.size
     if data.size < expected:
         raise TruncatedPayloadError(

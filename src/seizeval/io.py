@@ -26,6 +26,14 @@ _VERSION = "1"
 _HEADER_END = b"end_header\n"
 
 
+def open_input(path: str | Path, mode: str = "r", **kwargs):
+    """open() an input file; a directory raises DirectoryPathError naming the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except IsADirectoryError:
+        raise DirectoryPathError(f"{path}: is a directory, expected a file") from None
+
+
 def save_recording(rec: Recording, path: str | Path) -> None:
     header = (
         f"{_MAGIC} v{_VERSION}\n"
@@ -42,10 +50,8 @@ def save_recording(rec: Recording, path: str | Path) -> None:
 
 
 def load_recording(path: str | Path) -> Recording:
-    try:
-        raw = Path(path).read_bytes()
-    except IsADirectoryError:
-        raise DirectoryPathError(f"{path}: is a directory, expected a recording file") from None
+    with open_input(path, "rb") as fh:
+        raw = fh.read()
     sep = raw.find(_HEADER_END)
     if sep < 0:
         raise MalformedHeaderError(f"{path}: missing end_header marker")
@@ -97,7 +103,7 @@ def load_csv_recording(
     montage: Montage = Montage.UNIPOLAR,
 ) -> Recording:
     """Import CSV: header row = channel names, one sample per row."""
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             names = [name.strip() for name in next(reader)]
@@ -134,7 +140,7 @@ def load_labels(path: str | Path, total_duration_s: float) -> LabelTrack:
     """Parse 'start stop label' lines; gaps become implicit background."""
     events: list[Event] = []
     prev_stop = 0.0
-    with open(path) as fh:
+    with open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -166,7 +172,7 @@ def load_labels(path: str | Path, total_duration_s: float) -> LabelTrack:
 def load_montage(path: str | Path) -> MontageSpec:
     """Parse 'ANODE CATHODE' pairs, one per line."""
     pairs: list[tuple[str, str]] = []
-    with open(path) as fh:
+    with open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -128,31 +128,8 @@ def run_stream(
     return track, report
 
 
-def batch_scores(
-    rec: Recording,
-    extractor: Extractor,
-    detector: Detector,
-    spec: WindowSpec | None = None,
-) -> np.ndarray:
-    """Offline scoring: sequential replay from a fresh state, no timing."""
-    spec = spec or WindowSpec()
-    state = detector.reset_state()
-    out = []
-    for window in slice_windows(rec, spec):
-        score, state = detector.detect(state, extractor(window.samples))
-        out.append(score)
-    return np.array(out)
-
-
-def check_realtime(report: LatencyReport, shift_s: float | None = None) -> tuple[bool, str]:
+def check_realtime(report: LatencyReport) -> tuple[bool, str]:
     """Pass iff the slowest measured window fits inside the shift budget."""
     if report.n_windows == 0:
         raise InvalidArgumentError("latency report is empty")
-    if shift_s is not None:
-        report = LatencyReport(
-            extract_s=report.extract_s,
-            detect_s=report.detect_s,
-            shift_budget_s=shift_s,
-            exclude_warmup=report.exclude_warmup,
-        )
     return report.passed, report.summary()

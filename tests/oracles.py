@@ -166,3 +166,22 @@ def random_event_list(rng, duration_s: float, max_events: int, min_len_ms: int =
         if np.all(stops - starts >= min_len_ms):
             return [(s / MS, e / MS) for s, e in zip(starts, stops)]
     return []
+
+
+def batch_replay_scores(rec, extractor, detector, window_s: float = 4.0, shift_s: float = 1.0):
+    """Offline scoring oracle for the streaming pass.
+
+    Windows are cut by index arithmetic, every window is extracted before any
+    is scored, then the detector replays the features from a fresh state.
+    """
+    fs = rec.sample_rate_hz
+    win, shift = int(round(window_s * fs)), int(round(shift_s * fs))
+    feats = [
+        extractor(rec.samples[:, s : s + win])
+        for s in range(0, rec.n_samples - win + 1, shift)
+    ]
+    state, out = detector.reset_state(), []
+    for f in feats:
+        score, state = detector.detect(state, f)
+        out.append(score)
+    return np.array(out)

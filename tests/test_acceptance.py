@@ -19,7 +19,7 @@ from seizeval import features as ft
 from seizeval import io as sio
 from seizeval.cli import main as cli_main
 from seizeval.features import get_extractor
-from seizeval.rtbench import batch_scores, run_stream
+from seizeval.rtbench import run_stream
 
 import oracles
 
@@ -180,12 +180,12 @@ def test_criterion_07_end_to_end():
         list(zip(train_feats, train_wl.astype(int))), sv.TrainConfig(seed=0)
     )
     det = sv.LinearDetector(model)
-    scores = np.array([det.detect(det.initial_state(), f)[0] for f in test_feats])
+    scores = np.array([det.detect(det.reset_state(), f)[0] for f in test_feats])
     assert oracles.pairwise_auroc(test_wl, scores) >= 0.90
 
     energies = np.array([dt.band_energy(f, 0) for f in train_feats])
     edet = sv.EnergyDetector.calibrate(energies[~train_wl], band_index=0)
-    escores = np.array([edet.detect(edet.initial_state(), f)[0] for f in test_feats])
+    escores = np.array([edet.detect(edet.reset_state(), f)[0] for f in test_feats])
     assert oracles.pairwise_auroc(test_wl, escores) >= 0.80
 
     track = sv.HypothesisTrack(scores, spec, rec.duration_s)
@@ -229,7 +229,7 @@ def test_criterion_09_stream_batch_equivalence():
         )
         det = sv.EnergyDetector(band_index=0, midpoint=5.0, scale=2.0, smoothing=0.5)
         streamed, _ = run_stream(rec, get_extractor("bands"), det)
-        batched = batch_scores(rec, get_extractor("bands"), det)
+        batched = oracles.batch_replay_scores(rec, get_extractor("bands"), det)
         assert streamed.scores.tobytes() == batched.tobytes()
     assert time.perf_counter() - t0 < 30.0
 

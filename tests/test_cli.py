@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seizeval import core, detectors, rtbench
 from seizeval.cli import main
 
 
@@ -57,6 +58,19 @@ def test_extract_dump(corpus, tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0].split()
     assert header[0] == "bands" and header[1:4] == ["20", "7", "100"]
+
+
+@pytest.mark.parametrize("index", [99999, -5])
+def test_extract_window_index_out_of_range(corpus, tmp_path, capsys, index):
+    out = tmp_path / "tensor.txt"
+    code = main([
+        "extract", "--rec", str(corpus / "test" / "rec.eeg"),
+        "--window-index", str(index), "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"--window-index {index}" in err and "117 windows" in err
+    assert not list(tmp_path.glob("tensor.txt*"))
 
 
 def test_eval_report_and_determinism(corpus):
@@ -181,3 +195,54 @@ def test_report_malformed_json_is_validation_error(tmp_path, capsys, content):
     assert main(["report", "--json", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "not a JSON report" in err
+
+
+@pytest.mark.parametrize("flag", ["--labels", "--model", "--montage"])
+def test_input_directory_is_validation_error(corpus, capsys, flag):
+    rec, directory = str(corpus / "test" / "rec.eeg"), str(corpus / "test")
+    csv = corpus / "rec.csv"
+    csv.write_text("FP1,F7\n" + "1.0,2.0\n" * 10)
+    argv = {
+        "--labels": ["eval", "--rec", rec, "--labels", directory, "--detector", "energy",
+                     "--out-dir", str(corpus / "eval-dir")],
+        "--model": ["run", "--rec", rec, "--model", directory,
+                    "--out-hyp", str(corpus / "hyp.txt")],
+        "--montage": ["ingest", "--csv", str(csv), "--rate", "200", "--montage", directory,
+                      "--out", str(corpus / "ingested.eeg")],
+    }[flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is a directory" in err and directory in err
+
+
+@pytest.mark.parametrize("detector", ["model", "energy"])
+@pytest.mark.parametrize("command", ["eval", "run", "bench"])
+def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
+    calls = {"run_stream": 0, "load_model": 0, "window_labels": 0}
+    for module, name in (
+        (rtbench, "run_stream"), (detectors, "load_model"), (core, "window_labels")
+    ):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    labels = str(corpus / "test" / "labels.txt")
+    argv = [command, "--rec", str(corpus / "test" / "rec.eeg")]
+    if detector == "model":
+        argv += ["--model", str(corpus / "model.bin")]
+    else:
+        argv += ["--detector", "energy"]
+    if command == "eval" or detector == "energy":
+        argv += ["--labels", labels]
+    argv += {
+        "eval": ["--out-dir", str(corpus / "eval-once")],
+        "run": ["--out-hyp", str(corpus / "hyp.txt")],
+        "bench": [],
+    }[command]
+    assert main(argv) == 0
+    assert calls == {
+        "run_stream": 1,
+        "load_model": int(detector == "model"),
+        "window_labels": int(command == "eval" or detector == "energy"),
+    }

@@ -6,6 +6,7 @@ from seizeval import detectors as dt
 from seizeval.errors import (
     DegenerateDatasetError,
     IncompatibleFeatureError,
+    MalformedHeaderError,
 )
 from seizeval.features import FeatureTensor, frequency_bands
 
@@ -33,13 +34,13 @@ def synth_band_features(seed, duration_s=120, n_events=3):
 class TestEnergyDetector:
     def test_zero_tensor_floor(self):
         det = sv.EnergyDetector(band_index=0, midpoint=2.0, scale=0.5)
-        score, _ = det.detect(det.initial_state(), bands_tensor(np.zeros((3, 7, 10))))
+        score, _ = det.detect(det.reset_state(), bands_tensor(np.zeros((3, 7, 10))))
         expected = 1.0 / (1.0 + np.exp(2.0 / 0.5))
         assert abs(score - expected) < 1e-12
 
     def test_monotone_in_energy(self):
         det = sv.EnergyDetector(band_index=1, midpoint=1.0, scale=1.0)
-        state = det.initial_state()
+        state = det.reset_state()
         lo, _ = det.detect(state, bands_tensor(np.full((2, 7, 5), 0.5)))
         hi, _ = det.detect(state, bands_tensor(np.full((2, 7, 5), 1.0)))
         assert hi >= lo
@@ -48,14 +49,14 @@ class TestEnergyDetector:
         det = sv.EnergyDetector()
         raw = FeatureTensor(np.zeros((2, 1, 10)), extractor_id="raw")
         with pytest.raises(IncompatibleFeatureError):
-            det.detect(det.initial_state(), raw)
+            det.detect(det.reset_state(), raw)
 
     def test_separates_synth_corpus(self):
         feats, wl = synth_band_features(seed=11)
         energies = np.array([dt.band_energy(f, 0) for f in feats])
         det = sv.EnergyDetector.calibrate(energies[~wl], band_index=0)
         scores = np.array(
-            [det.detect(det.initial_state(), f)[0] for f in feats]
+            [det.detect(det.reset_state(), f)[0] for f in feats]
         )
         assert scores[wl].mean() - scores[~wl].mean() > 0.3
 
@@ -77,7 +78,7 @@ class TestTrainLinear:
         model = sv.train_linear(data, sv.TrainConfig(epochs=50, seed=0))
         det = sv.LinearDetector(model)
         correct = sum(
-            (det.detect(det.initial_state(), f)[0] >= 0.5) == bool(y) for f, y in data
+            (det.detect(det.reset_state(), f)[0] >= 0.5) == bool(y) for f, y in data
         )
         assert correct == len(data)
 
@@ -100,7 +101,7 @@ class TestTrainLinear:
             list(zip(feats[:half], shuffled[:half])), sv.TrainConfig(seed=1)
         )
         det = sv.LinearDetector(model)
-        scores = [det.detect(det.initial_state(), f)[0] for f in feats[half:]]
+        scores = [det.detect(det.reset_state(), f)[0] for f in feats[half:]]
         auroc = pairwise_auroc(shuffled[half:].astype(bool), scores)
         assert 0.3 < auroc < 0.7
 
@@ -109,7 +110,7 @@ class TestTrainLinear:
         test_feats, test_wl = synth_band_features(seed=15)
         model = sv.train_linear(list(zip(feats, wl.astype(int))), sv.TrainConfig(seed=0))
         det = sv.LinearDetector(model)
-        scores = [det.detect(det.initial_state(), f)[0] for f in test_feats]
+        scores = [det.detect(det.reset_state(), f)[0] for f in test_feats]
         assert pairwise_auroc(test_wl, scores) >= 0.8
 
     def test_single_class_rejected(self):
@@ -138,20 +139,20 @@ class TestDetectWindow:
 
     def test_zero_model_scores_half(self):
         feat = FeatureTensor(np.random.default_rng(0).normal(size=(1, 1, 4)), "toy")
-        score, _ = sv.detect_window(self.zero_model(), dt.DetectorState(), feat)
+        score, _ = sv.LinearDetector(self.zero_model()).detect(dt.DetectorState(), feat)
         assert score == 0.5
 
     def test_stateless_determinism(self):
         feat = FeatureTensor(np.random.default_rng(1).normal(size=(1, 1, 4)), "toy")
         model = self.zero_model()
-        s1, _ = sv.detect_window(model, dt.DetectorState(), feat)
-        s2, _ = sv.detect_window(model, dt.DetectorState(), feat)
+        s1, _ = sv.LinearDetector(model).detect(dt.DetectorState(), feat)
+        s2, _ = sv.LinearDetector(model).detect(dt.DetectorState(), feat)
         assert s1 == s2
 
     def test_dim_mismatch(self):
         feat = FeatureTensor(np.zeros((1, 1, 6)), "toy")
         with pytest.raises(IncompatibleFeatureError):
-            sv.detect_window(self.zero_model(), dt.DetectorState(), feat)
+            sv.LinearDetector(self.zero_model()).detect(dt.DetectorState(), feat)
 
 
 class TestState:
@@ -166,24 +167,25 @@ class TestState:
     def test_reset_equals_fresh(self):
         det = self.smoothing_detector()
         stream = self.features_stream(0)
-        state = det.initial_state()
+        state = det.reset_state()
         for f in stream:
             _, state = det.detect(state, f)
-        state = det.reset_state(state)
+        assert state.prev_score is not None
+        state = det.reset_state()
         fresh, _ = det.detect(state, stream[0])
-        expect, _ = det.detect(det.initial_state(), stream[0])
+        expect, _ = det.detect(dt.DetectorState(), stream[0])
         assert fresh == expect
 
     def test_reset_idempotent(self):
         det = self.smoothing_detector()
-        assert det.reset_state(det.reset_state()) == det.initial_state()
+        assert det.reset_state() == det.reset_state() == dt.DetectorState()
 
     def test_interleaved_streams_do_not_cross(self):
         det = self.smoothing_detector()
         a, b = self.features_stream(1), self.features_stream(2)
 
         def sequential(stream):
-            out, state = [], det.initial_state()
+            out, state = [], det.reset_state()
             for f in stream:
                 s, state = det.detect(state, f)
                 out.append(s)
@@ -191,7 +193,7 @@ class TestState:
 
         seq_a, seq_b = sequential(a), sequential(b)
         out_a, out_b = [], []
-        sa, sb = det.initial_state(), det.initial_state()
+        sa, sb = det.reset_state(), det.reset_state()
         for fa, fb in zip(a, b):
             s, sa = det.detect(sa, fa)
             out_a.append(s)
@@ -213,3 +215,9 @@ class TestSerialization:
         assert loaded.feature_std.tobytes() == model.feature_std.tobytes()
         assert loaded.extractor_id == model.extractor_id
         assert loaded.feature_shape == model.feature_shape
+
+    def test_non_ascii_header_typed_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes("#SEIZMODEL v1\nextractor_id=b\u00e4nds\nend_header\n".encode())
+        with pytest.raises(MalformedHeaderError, match=r"model\.bin: header is not ASCII"):
+            dt.load_model(path)

@@ -7,6 +7,7 @@ from seizeval import features as ft
 from seizeval.errors import (
     InvalidArgumentError,
     MalformedHeaderError,
+    MalformedPayloadError,
     SurplusPayloadError,
     TruncatedPayloadError,
 )
@@ -417,3 +418,21 @@ class TestDeterminismAndDump:
         match = rf"tensor\.dump.*holds {found} values, expected 24"
         with pytest.raises(SurplusPayloadError, match=match):
             ft.load_tensor(path)
+
+    @pytest.mark.parametrize(
+        "content,error",
+        [(b"raw 1 1 2 text\n1 abc\n", MalformedPayloadError),
+         (b"raw 1 1 2 text\n1 \xff\n", MalformedPayloadError),
+         ("r\u00e4w 1 1 2 text\n1 2\n".encode(), MalformedHeaderError)],
+    )
+    def test_malformed_text_typed_error(self, tmp_path, content, error):
+        path = tmp_path / "tensor.dump"
+        path.write_bytes(content)
+        with pytest.raises(error, match=r"tensor\.dump"):
+            ft.load_tensor(path)
+
+
+@pytest.mark.parametrize("name", ft.EXTRACTOR_NAMES)
+def test_empty_window_rejected(name):
+    with pytest.raises(InvalidArgumentError, match="no samples"):
+        ft.get_extractor(name)(np.ones((2, 0)))

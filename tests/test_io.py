@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 import seizeval as sv
-from seizeval import io
+from seizeval import detectors, features, io
 from seizeval.errors import (
     ChannelCountMismatchError,
+    DirectoryPathError,
     LabelParseError,
     MalformedHeaderError,
     TruncatedPayloadError,
@@ -122,3 +125,20 @@ class TestMontageFile:
         path.write_text("FP1\n")
         with pytest.raises(LabelParseError):
             io.load_montage(path)
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        io.load_recording,
+        lambda path: io.load_labels(path, 10.0),
+        io.load_montage,
+        lambda path: io.load_csv_recording(path, 200),
+        detectors.load_model,
+        features.load_tensor,
+    ],
+    ids=["recording", "labels", "montage", "csv", "model", "tensor"],
+)
+def test_directory_path_typed_error(tmp_path, load):
+    with pytest.raises(DirectoryPathError, match=f"{re.escape(str(tmp_path))}: is a directory"):
+        load(tmp_path)

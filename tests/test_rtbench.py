@@ -4,7 +4,9 @@ import pytest
 import seizeval as sv
 from seizeval.errors import IncompatibleFeatureError, InvalidArgumentError
 from seizeval.features import get_extractor
-from seizeval.rtbench import LatencyReport, batch_scores, check_realtime, run_stream
+from seizeval.rtbench import LatencyReport, check_realtime, run_stream
+
+from oracles import batch_replay_scores
 
 
 def synth_rec(seed=0, duration=30.0):
@@ -35,14 +37,14 @@ class TestRunStream:
         rec, _ = synth_rec(seed=2)
         det = energy_detector()
         streamed, _ = run_stream(rec, get_extractor("bands"), det)
-        batched = batch_scores(rec, get_extractor("bands"), det)
+        batched = batch_replay_scores(rec, get_extractor("bands"), det)
         assert streamed.scores.tobytes() == batched.tobytes()
 
     def test_stream_equals_batch_stateful(self):
         rec, _ = synth_rec(seed=3)
         det = energy_detector(smoothing=0.6)
         streamed, _ = run_stream(rec, get_extractor("bands"), det)
-        batched = batch_scores(rec, get_extractor("bands"), det)
+        batched = batch_replay_scores(rec, get_extractor("bands"), det)
         assert streamed.scores.tobytes() == batched.tobytes()
 
     def test_incompatible_surfaces_immediately(self):
