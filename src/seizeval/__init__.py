@@ -7,12 +7,9 @@ from .core import (
     MontageSpec,
     Recording,
     SeizureLabel,
-    SignalTypeClass,
     SynthConfig,
     WindowClass,
     WindowSpec,
-    balanced_batches,
-    classify_segment,
     resample,
     slice_windows,
     synth_recording,

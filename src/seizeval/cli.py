@@ -7,6 +7,8 @@ constraint violation (bench).
 from __future__ import annotations
 
 import argparse
+import csv
+import io as stdio
 import json
 import sys
 import time
@@ -60,11 +62,19 @@ def _window_spec(args) -> core.WindowSpec:
     return core.WindowSpec(window_s=args.window_sec, shift_s=args.shift_sec)
 
 
-def _collect_features(
-    rec: core.Recording, spec: core.WindowSpec, feature: str
-) -> list[features.FeatureTensor]:
+def _fit(rec, labels, spec, feature: str, cfg) -> detectors.LinearModel:
+    """Train the linear detector on every window of ``rec`` (train and sweep)."""
     extractor = features.get_extractor(feature, rec.sample_rate_hz)
-    return [extractor(w.samples) for w in core.slice_windows(rec, spec)]
+    feats = [extractor(w.samples) for w in core.slice_windows(rec, spec)]
+    wl = core.window_labels(rec, labels, spec)
+    return detectors.train_linear(list(zip(feats, wl.astype(int))), cfg)
+
+
+def _score(rec, labels, wl, detector, spec, **eval_opts):
+    """Stream ``rec`` once and score it with every metric: (track, latency, report)."""
+    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
+    track, latency = rtbench.run_stream(rec, extractor, detector, spec)
+    return track, latency, metrics.evaluate_track(labels, wl, track, **eval_opts)
 
 
 def _build_detector(args, rec, spec, labels, wl=None) -> detectors.Detector:
@@ -169,10 +179,6 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rec, labels = _load_rec_and_labels(args)
-    spec = _window_spec(args)
-    feats = _collect_features(rec, spec, args.feature)
-    wl = core.window_labels(rec, labels, spec)
     cfg = detectors.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -180,7 +186,8 @@ def cmd_train(args) -> int:
         l2=args.l2,
         seed=args.seed,
     )
-    model = detectors.train_linear(list(zip(feats, wl.astype(int))), cfg)
+    rec, labels = _load_rec_and_labels(args)
+    model = _fit(rec, labels, _window_spec(args), args.feature, cfg)
     detectors.save_model(model, args.out)
     print(
         f"wrote {args.out} (feature={args.feature}, final loss "
@@ -215,15 +222,9 @@ def cmd_eval(args) -> int:
     detector = _build_detector(args, rec, spec, labels, wl)
     out = Path(args.out_dir) if args.out_dir else _default_run_dir(args.seed)
     out.mkdir(parents=True, exist_ok=True)
-    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
-    track, _ = rtbench.run_stream(rec, extractor, detector, spec)
-    report = metrics.evaluate_track(
-        labels,
-        wl,
-        track,
-        margins_s=tuple(args.margins),
-        gap_merge_s=args.gap_merge_sec,
-        min_event_s=args.min_event_sec,
+    track, _, report = _score(
+        rec, labels, wl, detector, spec, margins_s=tuple(args.margins),
+        gap_merge_s=args.gap_merge_sec, min_event_s=args.min_event_sec,
     )
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_text())
@@ -275,59 +276,58 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     if args.windows:
         settings = [("window_sec", w) for w in _parse_floats(args.windows)]
-        fixed_shift = args.shift_sec
     elif args.shifts:
         settings = [("shift_sec", s) for s in _parse_floats(args.shifts)]
     else:
         raise InvalidArgumentError("sweep needs --windows or --shifts")
 
-    train_cfg = core.SynthConfig(
-        duration_s=args.duration, n_random_events=args.n_events, seed=args.seed
+    (train_rec, train_labels), (test_rec, test_labels) = (
+        core.synth_recording(core.SynthConfig(
+            duration_s=args.duration, n_random_events=args.n_events, seed=args.seed + k
+        ))
+        for k in (0, 1)
     )
-    test_cfg = core.SynthConfig(
-        duration_s=args.duration, n_random_events=args.n_events, seed=args.seed + 1
-    )
-    train_rec, train_labels = core.synth_recording(train_cfg)
-    test_rec, test_labels = core.synth_recording(test_cfg)
 
-    rows = ["setting,value,auroc,auprc,mean_window_time_s,status"]
+    rows = []
     for name, value in settings:
-        window_s = value if name == "window_sec" else args.window_sec
-        shift_s = fixed_shift if name == "window_sec" else value
-        if window_s < shift_s:
-            rows.append(f"{name},{value:g},,,,rejected: window {window_s:g} < shift {shift_s:g}")
-            continue
-        spec = core.WindowSpec(window_s=window_s, shift_s=shift_s)
-        feats = _collect_features(train_rec, spec, args.feature)
-        wl = core.window_labels(train_rec, train_labels, spec)
+        row = {"setting": name, "value": f"{value:g}"}
         try:
-            model = detectors.train_linear(
-                list(zip(feats, wl.astype(int))),
-                detectors.TrainConfig(seed=args.seed),
+            spec = core.WindowSpec(
+                window_s=value if name == "window_sec" else args.window_sec,
+                shift_s=args.shift_sec if name == "window_sec" else value,
+            )
+            model = _fit(
+                train_rec, train_labels, spec, args.feature, detectors.TrainConfig(seed=args.seed)
+            )
+            wl = core.window_labels(test_rec, test_labels, spec)
+            _, latency, report = _score(
+                test_rec, test_labels, wl, detectors.LinearDetector(model), spec
             )
         except SeizevalError as exc:
-            rows.append(f"{name},{value:g},,,,rejected: {exc}")
-            continue
-        detector = detectors.LinearDetector(model)
-        extractor = features.get_extractor(args.feature, test_rec.sample_rate_hz)
-        track, report = rtbench.run_stream(test_rec, extractor, detector, spec)
-        curves = metrics.curve_metrics(
-            core.window_labels(test_rec, test_labels, spec), track.scores
-        )
-        rows.append(
-            f"{name},{value:g},{curves.auroc:.4f},{curves.auprc:.4f},"
-            f"{report.mean_s:.6f},ok"
-        )
-    table = "\n".join(rows) + "\n"
+            row["status"] = f"rejected: {exc}"
+        else:
+            row.update(report.to_row())
+            row["mean_window_time_s"] = f"{latency.mean_s:.6f}"
+            row["p95_window_time_s"] = f"{latency.p95_s:.6f}"
+            row["budget_met"] = int(latency.passed)
+            row["status"] = "ok"
+        rows.append(row)
+    table = stdio.StringIO()
+    # rejected rows hold a subset of an ok row's columns, in the same order
+    header = max(rows, key=len, default=["setting", "value", "status"])
+    writer = csv.DictWriter(table, header, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     if args.out:
-        Path(args.out).write_text(table)
-    print(table, end="")
+        Path(args.out).write_text(table.getvalue())
+    print(table.getvalue(), end="")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     try:
-        data = json.loads(Path(args.json).read_text())
+        with io.open_input(args.json, encoding="utf-8") as fh:
+            data = json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary input
         raise MalformedReportError(f"{args.json}: not a JSON report: {exc}") from exc
     print(json.dumps(data, indent=2, sort_keys=True))

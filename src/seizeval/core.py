@@ -10,19 +10,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy import signal as sps
 
-from .errors import (
-    ChannelNotFoundError,
-    EmptyStreamError,
-    InvalidArgumentError,
-    MissingClassError,
-)
+from .errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
 
 PIPELINE_RATE_HZ = 200
 
@@ -51,13 +46,6 @@ class SeizureLabel(str, Enum):
 class WindowClass(str, Enum):
     ICTAL = "ictal"
     NON_ICTAL = "nonictal"
-
-
-class SignalTypeClass(str, Enum):
-    NON_ICTAL_PATIENT = "nonictal_patient"
-    NON_ICTAL_CONTROL = "nonictal_control"
-    MIXED = "mixed_ictal_nonictal"
-    ICTAL = "ictal"
 
 
 @dataclass
@@ -131,7 +119,8 @@ class Event:
     label: SeizureLabel = SeizureLabel.SEIZ
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.stop_s <= self.start_s:
+        finite = math.isfinite(self.start_s) and math.isfinite(self.stop_s)
+        if not finite or self.start_s < 0 or self.stop_s <= self.start_s:
             raise InvalidArgumentError(
                 f"bad event interval [{self.start_s}, {self.stop_s})"
             )
@@ -185,7 +174,10 @@ class WindowSpec:
 
     def __post_init__(self) -> None:
         if not (self.window_s >= self.shift_s > 0):
-            raise InvalidArgumentError("require window_s >= shift_s > 0")
+            raise InvalidArgumentError(
+                f"require window_s >= shift_s > 0 (got window {self.window_s:g} "
+                f"and shift {self.shift_s:g})"
+            )
 
     def window_samples(self, fs: int) -> int:
         return _as_samples(self.window_s, fs, "window_s")
@@ -294,70 +286,6 @@ def window_labels(rec: Recording, labels: LabelTrack, spec: WindowSpec) -> np.nd
         ],
         dtype=bool,
     )
-
-
-def classify_segment(
-    labels: LabelTrack,
-    start_s: float,
-    stop_s: float,
-    is_control: bool = False,
-) -> SignalTypeClass:
-    """Classify a fixed segment by how it overlaps seizure events."""
-    contained = any(
-        ev.start_s <= start_s and stop_s <= ev.stop_s for ev in labels.seizure_events
-    )
-    if contained:
-        return SignalTypeClass.ICTAL
-    touched = any(ev.overlap_s(start_s, stop_s) > 0 for ev in labels.seizure_events)
-    if touched:
-        return SignalTypeClass.MIXED
-    return (
-        SignalTypeClass.NON_ICTAL_CONTROL
-        if is_control
-        else SignalTypeClass.NON_ICTAL_PATIENT
-    )
-
-
-def balanced_batches(
-    segments: Sequence[tuple[object, SignalTypeClass]],
-    batch_size: int,
-    rng_seed: int,
-    n_batches: int | None = None,
-) -> list[list[object]]:
-    """Batches with equal per-class counts, resampling exhausted classes.
-
-    Each class pool is shuffled once; when a pool runs dry further draws are
-    with replacement. The default batch count covers the largest class.
-    """
-    if batch_size % 4 != 0 or batch_size <= 0:
-        raise InvalidArgumentError("batch_size must be a positive multiple of 4")
-    per_class = batch_size // 4
-    pools: dict[SignalTypeClass, list[object]] = {c: [] for c in SignalTypeClass}
-    for item, cls in segments:
-        pools[cls].append(item)
-    for cls, pool in pools.items():
-        if not pool:
-            raise MissingClassError(cls.value)
-    if n_batches is None:
-        n_batches = math.ceil(max(len(p) for p in pools.values()) / per_class)
-    rng = np.random.default_rng(rng_seed)
-    queues = {}
-    for cls, pool in pools.items():
-        order = rng.permutation(len(pool))
-        queues[cls] = [pool[i] for i in order]
-    batches = []
-    for _ in range(n_batches):
-        batch = []
-        for cls in SignalTypeClass:
-            for _ in range(per_class):
-                if queues[cls]:
-                    batch.append(queues[cls].pop())
-                else:
-                    pool = pools[cls]
-                    batch.append(pool[int(rng.integers(len(pool)))])
-        order = rng.permutation(len(batch))
-        batches.append([batch[i] for i in order])
-    return batches
 
 
 # ---------------------------------------------------------------------------

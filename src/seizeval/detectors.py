@@ -38,7 +38,11 @@ class Detector:
     """Scoring interface; subclasses implement _raw_score."""
 
     extractor_id: str = "raw"
-    smoothing: float = 0.0
+
+    def __init__(self, smoothing: float = 0.0):
+        if not 0 <= smoothing < 1:
+            raise InvalidArgumentError(f"smoothing must be in [0, 1), got {smoothing:g}")
+        self.smoothing = smoothing
 
     def reset_state(self) -> DetectorState:
         return DetectorState()
@@ -82,10 +86,10 @@ class EnergyDetector(Detector):
     ):
         if scale <= 0:
             raise InvalidArgumentError("scale must be positive")
+        super().__init__(smoothing)
         self.band_index = band_index
         self.midpoint = midpoint
         self.scale = scale
-        self.smoothing = smoothing
 
     def _raw_score(self, features: FeatureTensor) -> float:
         energy = band_energy(features, self.band_index)
@@ -157,13 +161,15 @@ class TrainConfig:
             raise InvalidArgumentError("learning_rate must be positive")
         if self.epochs < 1:
             raise InvalidArgumentError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise InvalidArgumentError("batch_size must be >= 1")
 
 
 class LinearDetector(Detector):
     def __init__(self, model: LinearModel, smoothing: float = 0.0):
+        super().__init__(smoothing)
         self.model = model
         self.extractor_id = model.extractor_id
-        self.smoothing = smoothing
 
     def _raw_score(self, features: FeatureTensor) -> float:
         x = features.flat()

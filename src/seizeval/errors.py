@@ -17,14 +17,6 @@ class EmptyStreamError(SeizevalError):
     """The recording is shorter than a single analysis window."""
 
 
-class MissingClassError(SeizevalError):
-    """Balanced sampling requested but a signal-type class has no segments."""
-
-    def __init__(self, class_name: str):
-        self.class_name = class_name
-        super().__init__(f"no segments available for class {class_name!r}")
-
-
 class IncompatibleFeatureError(SeizevalError):
     """A detector was fed a feature tensor it cannot score."""
 
@@ -55,6 +47,10 @@ class SurplusPayloadError(FileFormatError):
 
 class MalformedPayloadError(FileFormatError):
     """A text payload holds a value that is not a number."""
+
+
+class TextEncodingError(FileFormatError):
+    """A text input holds bytes that are not UTF-8."""
 
 
 class MalformedReportError(FileFormatError):

@@ -7,7 +7,7 @@ are pure and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -30,14 +30,11 @@ DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
     (1, 4), (4, 8), (8, 12), (12, 30), (30, 50), (50, 70), (70, 100),
 )
 
-AXIS_NAMES = ("channels_or_filters", "bins", "frames")
-
 
 @dataclass
 class FeatureTensor:
     data: np.ndarray
     extractor_id: str
-    axes: tuple[str, str, str] = AXIS_NAMES
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data)
@@ -83,7 +80,7 @@ def extract_raw(samples: np.ndarray) -> FeatureTensor:
 
 @dataclass(frozen=True)
 class StftParams:
-    """Framing parameters for the magnitude spectrogram.
+    """Framing parameters for the Hann-tapered magnitude spectrogram.
 
     Two presets are provided: ``literal`` keeps the stated frame length and
     50% hop with no padding; ``shape_compat`` (the default elsewhere) pins
@@ -94,7 +91,6 @@ class StftParams:
     frame_len_s: float = 0.125
     hop_fraction: float = 0.5
     fft_size: int | None = None
-    window_fn: str = "hann"
     hop_samples: int | None = None
     pad_to_frames: int | None = None
 
@@ -103,8 +99,6 @@ class StftParams:
             raise InvalidArgumentError("hop_fraction must be in (0, 1]")
         if self.frame_len_s <= 0:
             raise InvalidArgumentError("frame_len_s must be positive")
-        if self.window_fn != "hann":
-            raise InvalidArgumentError(f"unsupported window_fn {self.window_fn!r}")
 
     @classmethod
     def literal(cls) -> "StftParams":

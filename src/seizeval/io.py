@@ -8,6 +8,8 @@ bit-exact.
 from __future__ import annotations
 
 import csv
+import io as stdio
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from .errors import (
     DirectoryPathError,
     LabelParseError,
     MalformedHeaderError,
+    TextEncodingError,
     TruncatedPayloadError,
 )
 
@@ -32,6 +35,18 @@ def open_input(path: str | Path, mode: str = "r", **kwargs):
         return open(path, mode, **kwargs)
     except IsADirectoryError:
         raise DirectoryPathError(f"{path}: is a directory, expected a file") from None
+
+
+def open_text(path: str | Path, newline: str | None = None) -> stdio.StringIO:
+    """A UTF-8 text input as a file object; bytes that are not UTF-8 raise TextEncodingError."""
+    with open_input(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise TextEncodingError(f"{path}: line {line_no}: not UTF-8 text ({exc.reason})") from None
+    return stdio.StringIO(text, newline=newline)
 
 
 def save_recording(rec: Recording, path: str | Path) -> None:
@@ -103,7 +118,7 @@ def load_csv_recording(
     montage: Montage = Montage.UNIPOLAR,
 ) -> Recording:
     """Import CSV: header row = channel names, one sample per row."""
-    with open_input(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             names = [name.strip() for name in next(reader)]
@@ -140,7 +155,7 @@ def load_labels(path: str | Path, total_duration_s: float) -> LabelTrack:
     """Parse 'start stop label' lines; gaps become implicit background."""
     events: list[Event] = []
     prev_stop = 0.0
-    with open_input(path) as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -152,6 +167,8 @@ def load_labels(path: str | Path, total_duration_s: float) -> LabelTrack:
                 start, stop = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise LabelParseError(line_no, str(exc)) from exc
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise LabelParseError(line_no, f"start and stop must be finite, got {line!r}")
             try:
                 label = SeizureLabel(parts[2].lower())
             except ValueError:
@@ -172,7 +189,7 @@ def load_labels(path: str | Path, total_duration_s: float) -> LabelTrack:
 def load_montage(path: str | Path) -> MontageSpec:
     """Parse 'ANODE CATHODE' pairs, one per line."""
     pairs: list[tuple[str, str]] = []
-    with open_input(path) as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

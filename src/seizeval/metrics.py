@@ -363,6 +363,19 @@ class MetricsReport:
         }
         return d
 
+    def to_row(self) -> dict:
+        """``to_dict`` flattened to one level, nested keys joined by dots."""
+
+        def flatten(d: dict, prefix: str = ""):
+            for key, value in d.items():
+                if isinstance(value, dict):
+                    yield from flatten(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key, value
+
+        # the JSON round trip turns numpy scalars into the floats report.json holds
+        return dict(flatten(json.loads(json.dumps(self.to_dict()))))
+
     def to_json(self) -> str:
         def clean(v):
             if isinstance(v, float) and math.isnan(v):

@@ -259,22 +259,3 @@ def test_criterion_10_determinism(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
-
-
-@criterion(11, "every balanced batch holds equal per-class counts, 100 draws")
-def test_criterion_11_balanced_sampler():
-    classes = list(sv.SignalTypeClass)
-    rng = np.random.default_rng(3)
-    for draw in range(100):
-        segments = []
-        for cls in classes:
-            for i in range(int(rng.integers(3, 30))):
-                segments.append(((cls, i), cls))
-        batch_size = int(rng.choice([4, 8, 16]))
-        batches = sv.balanced_batches(segments, batch_size, rng_seed=draw)
-        assert batches
-        for batch in batches:
-            assert len(batch) == batch_size
-            for cls in classes:
-                count = sum(1 for item in batch if item[0] is cls)
-                assert count == batch_size // 4

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,48 @@ def test_sweep_rejects_window_below_shift(tmp_path):
     assert "rejected" in out.read_text()
 
 
+def test_sweep_row_matches_eval_report(tmp_path):
+    """A sweep row is eval's report.json, flattened, for the same seeds and defaults."""
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--windows", "4", "--feature", "raw", "--duration", "60",
+        "--n-events", "2", "--seed", "0", "--out", str(out),
+    ]) == 0
+    (row,) = csv.DictReader(out.open())
+    for sub, seed in (("train", "0"), ("test", "1")):
+        assert main([
+            "synth", "--out-dir", str(tmp_path / sub), "--duration", "60",
+            "--n-events", "2", "--seed", seed,
+        ]) == 0
+    assert main([
+        "train", "--rec", str(tmp_path / "train" / "rec.eeg"),
+        "--labels", str(tmp_path / "train" / "labels.txt"), "--feature", "raw",
+        "--out", str(tmp_path / "model.bin"),
+    ]) == 0
+    assert main([
+        "eval", "--rec", str(tmp_path / "test" / "rec.eeg"),
+        "--labels", str(tmp_path / "test" / "labels.txt"),
+        "--model", str(tmp_path / "model.bin"), "--out-dir", str(tmp_path / "eval"),
+    ]) == 0
+
+    def flatten(d, prefix=""):
+        for key, value in d.items():
+            if isinstance(value, dict):
+                yield from flatten(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key, value
+
+    report = dict(flatten(json.loads((tmp_path / "eval" / "report.json").read_text())))
+    columns = list(row)
+    assert columns[:2] == ["setting", "value"] and sorted(columns[2:-4]) == sorted(report)
+    assert columns[-4:] == ["mean_window_time_s", "p95_window_time_s", "budget_met", "status"]
+    assert {k: row[k] for k in report} == {
+        k: "" if v is None else str(v) for k, v in report.items()
+    }
+    assert row["status"] == "ok" and row["budget_met"] == "1"
+    assert (round(float(row["auroc"]), 4), round(float(row["auprc"]), 4)) == (0.4316, 0.5326)
+
+
 def test_sweep_needs_settings():
     assert main(["sweep"]) == 1
 
@@ -197,7 +242,7 @@ def test_report_malformed_json_is_validation_error(tmp_path, capsys, content):
     assert err.startswith("error: ") and str(path) in err and "not a JSON report" in err
 
 
-@pytest.mark.parametrize("flag", ["--labels", "--model", "--montage"])
+@pytest.mark.parametrize("flag", ["--labels", "--model", "--montage", "--json"])
 def test_input_directory_is_validation_error(corpus, capsys, flag):
     rec, directory = str(corpus / "test" / "rec.eeg"), str(corpus / "test")
     csv = corpus / "rec.csv"
@@ -209,10 +254,54 @@ def test_input_directory_is_validation_error(corpus, capsys, flag):
                     "--out-hyp", str(corpus / "hyp.txt")],
         "--montage": ["ingest", "--csv", str(csv), "--rate", "200", "--montage", directory,
                       "--out", str(corpus / "ingested.eeg")],
+        "--json": ["report", "--json", directory],
     }[flag]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "is a directory" in err and directory in err
+
+
+@pytest.mark.parametrize("flag", ["--labels", "--montage", "--csv"])
+def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
+    rec = str(corpus / "test" / "rec.eeg")
+    bad = corpus / "bad.txt"
+    csv_path = corpus / "rec.csv"
+    csv_path.write_text("FP1,F7\n" + "1.0,2.0\n" * 10)
+    bad.write_bytes({
+        "--labels": b"\xff\xfe 1 2 seiz\n",
+        "--montage": b"FP1 \xffF7\n",
+        "--csv": b"FP1,F7\n1.0,2.0\n1.0,\xff\n",
+    }[flag])
+    argv = {
+        "--labels": ["eval", "--rec", rec, "--labels", str(bad), "--detector", "energy",
+                     "--out-dir", str(corpus / "eval-bad")],
+        "--montage": ["ingest", "--csv", str(csv_path), "--rate", "200",
+                      "--montage", str(bad), "--out", str(corpus / "ingested.eeg")],
+        "--csv": ["ingest", "--csv", str(bad), "--rate", "200",
+                  "--out", str(corpus / "ingested.eeg")],
+    }[flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    line = 3 if flag == "--csv" else 1
+    assert err.startswith("error: ") and f"{bad}: line {line}: not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--batch-size", "0"], ["--batch-size", "-4"], ["--smoothing", "-3"], ["--smoothing", "1"]],
+)
+def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys, extra):
+    if extra[0] == "--batch-size":
+        argv = ["train", "--rec", str(corpus / "train" / "rec.eeg"),
+                "--labels", str(corpus / "train" / "labels.txt"),
+                "--out", str(corpus / "bad-model.bin")]
+    else:
+        argv = ["eval", "--rec", str(corpus / "test" / "rec.eeg"),
+                "--labels", str(corpus / "test" / "labels.txt"),
+                "--model", str(corpus / "model.bin"), "--out-dir", str(corpus / "eval-bad")]
+    assert main(argv + extra) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (corpus / "bad-model.bin").exists()
 
 
 @pytest.mark.parametrize("detector", ["model", "energy"])

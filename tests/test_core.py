@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 import seizeval as sv
 from seizeval.core import DEFAULT_BIPOLAR_PAIRS, DEFAULT_UNIPOLAR_CHANNELS
-from seizeval.errors import (
-    ChannelNotFoundError,
-    EmptyStreamError,
-    InvalidArgumentError,
-    MissingClassError,
-)
+from seizeval.errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
 
 
 def make_rec(samples, fs=200, montage=sv.Montage.UNIPOLAR, names=None):
@@ -157,60 +152,6 @@ class TestWindowLabel:
         assert sv.window_label(t, 8.0, spec) is sv.WindowClass.ICTAL
         t2 = self.track([(10, 11)])
         assert sv.window_label(t2, 8.0, spec) is sv.WindowClass.NON_ICTAL
-
-
-class TestClassifySegment:
-    def track(self, events, duration=60.0):
-        return sv.LabelTrack([sv.Event(a, b) for a, b in events], duration)
-
-    def test_fully_inside(self):
-        t = self.track([(0, 40)])
-        assert sv.classify_segment(t, 0, 30) is sv.SignalTypeClass.ICTAL
-
-    def test_partial(self):
-        t = self.track([(20, 25)])
-        assert sv.classify_segment(t, 0, 30) is sv.SignalTypeClass.MIXED
-
-    def test_control(self):
-        t = self.track([])
-        assert (
-            sv.classify_segment(t, 0, 30, is_control=True)
-            is sv.SignalTypeClass.NON_ICTAL_CONTROL
-        )
-        assert sv.classify_segment(t, 0, 30) is sv.SignalTypeClass.NON_ICTAL_PATIENT
-
-
-class TestBalancedBatches:
-    def segments(self, counts):
-        out = []
-        classes = list(sv.SignalTypeClass)
-        for cls, n in zip(classes, counts):
-            out.extend((f"{cls.value}-{i}", cls) for i in range(n))
-        return out
-
-    def test_equal_counts(self):
-        batches = sv.balanced_batches(self.segments([4, 4, 4, 4]), 8, rng_seed=0)
-        for batch in batches:
-            per = {}
-            for item in batch:
-                cls = item.rsplit("-", 1)[0]
-                per[cls] = per.get(cls, 0) + 1
-            assert set(per.values()) == {2}
-
-    def test_not_divisible_by_four(self):
-        with pytest.raises(InvalidArgumentError):
-            sv.balanced_batches(self.segments([1, 1, 1, 1]), 6, rng_seed=0)
-
-    def test_seed_replay(self):
-        segs = self.segments([7, 3, 5, 9])
-        a = sv.balanced_batches(segs, 8, rng_seed=42)
-        b = sv.balanced_batches(segs, 8, rng_seed=42)
-        assert a == b
-
-    def test_missing_class(self):
-        with pytest.raises(MissingClassError) as exc:
-            sv.balanced_batches(self.segments([2, 0, 2, 2]), 4, rng_seed=0)
-        assert "nonictal_control" in str(exc.value)
 
 
 def band_power(x, fs, lo, hi):

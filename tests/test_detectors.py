@@ -6,6 +6,7 @@ from seizeval import detectors as dt
 from seizeval.errors import (
     DegenerateDatasetError,
     IncompatibleFeatureError,
+    InvalidArgumentError,
     MalformedHeaderError,
 )
 from seizeval.features import FeatureTensor, frequency_bands
@@ -125,6 +126,11 @@ class TestTrainLinear:
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias == b.bias
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(InvalidArgumentError, match="batch_size"):
+            sv.TrainConfig(batch_size=batch_size)
+
 
 class TestDetectWindow:
     def zero_model(self):
@@ -156,6 +162,15 @@ class TestDetectWindow:
 
 
 class TestState:
+    @pytest.mark.parametrize("smoothing", [-3.0, 1.0, float("nan")])
+    @pytest.mark.parametrize("kind", ["energy", "linear"])
+    def test_smoothing_outside_unit_interval_rejected(self, kind, smoothing):
+        with pytest.raises(InvalidArgumentError, match="smoothing"):
+            if kind == "energy":
+                sv.EnergyDetector(smoothing=smoothing)
+            else:
+                sv.LinearDetector(TestDetectWindow().zero_model(), smoothing=smoothing)
+
     def smoothing_detector(self):
         det = sv.EnergyDetector(band_index=0, midpoint=1.0, scale=1.0, smoothing=0.5)
         return det

@@ -8,6 +8,7 @@ from seizeval import detectors, features, io
 from seizeval.errors import (
     ChannelCountMismatchError,
     DirectoryPathError,
+    InvalidArgumentError,
     LabelParseError,
     MalformedHeaderError,
     TruncatedPayloadError,
@@ -88,6 +89,21 @@ class TestLabels:
         with pytest.raises(LabelParseError) as exc:
             io.load_labels(path, 60)
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("line", ["nan 5 seiz", "5 nan seiz", "1 2 seiz\n3 NaN seiz"])
+    def test_non_finite_bound_rejected_with_line(self, tmp_path, line):
+        path = tmp_path / "labels.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(LabelParseError, match="finite") as exc:
+            io.load_labels(path, 60)
+        assert exc.value.line_no == line.count("\n") + 1
+
+    @pytest.mark.parametrize(
+        "bounds", [(float("nan"), 5.0), (5.0, float("nan")), (0.0, float("inf"))]
+    )
+    def test_event_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(InvalidArgumentError):
+            sv.Event(*bounds)
 
     def test_unknown_label(self, tmp_path):
         path = tmp_path / "labels.txt"
