@@ -228,7 +228,7 @@ def cmd_eval(args) -> int:
     )
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_text())
-    curves = metrics.curve_metrics(wl, track.scores)
+    curves = report.curves
     rows = ["threshold,tpr,fpr,precision,recall"]
     for t, tp, fp, pr, rc in zip(
         curves.thresholds, curves.tpr, curves.fpr, curves.precision, curves.recall

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Iterator
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
 
@@ -206,6 +205,9 @@ class Window:
 
 def resample(rec: Recording, target_hz: int) -> Recording:
     """Polyphase windowed-sinc resampling (Kaiser beta=8, 64 taps/phase)."""
+    # imported here so that only resampling pays scipy's ~1 s import
+    from scipy import signal as sps
+
     if target_hz <= 0:
         raise InvalidArgumentError("target_hz must be positive")
     if target_hz == rec.sample_rate_hz:

@@ -179,7 +179,10 @@ class LinearDetector(Detector):
                 f"feature dimensionality {x.shape[0]} does not match model "
                 f"{m.weights.shape[0]}"
             )
-        z = ((x - m.feature_mean) / m.feature_std) @ m.weights + m.bias
+        # einsum's own loop, not BLAS ddot: OpenBLAS threads ddot above 10k
+        # elements and its idle worker then spins between windows, doubling
+        # the CPU each window costs without making the dot faster.
+        z = np.einsum("i,i->", (x - m.feature_mean) / m.feature_std, m.weights) + m.bias
         return float(logistic(z))
 
 

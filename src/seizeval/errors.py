@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all seizeval modules."""
 
+from pathlib import Path
+
 
 class SeizevalError(Exception):
     """Base class for all errors raised by this package."""
@@ -62,8 +64,9 @@ class DirectoryPathError(SeizevalError, IsADirectoryError):
 
 
 class LabelParseError(FileFormatError):
-    """A label or montage file failed to parse; carries the line number."""
+    """A label, montage or CSV file failed to parse; carries its path and line number."""
 
-    def __init__(self, line_no: int, message: str):
+    def __init__(self, path: str | Path, line_no: int, message: str):
+        self.path = path
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"{path}: line {line_no}: {message}")

@@ -13,8 +13,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import signal as sps
-from scipy.fft import dct, rfft
 
 from .core import PIPELINE_RATE_HZ
 from .errors import (
@@ -138,6 +136,21 @@ def _frame_signal(x: np.ndarray, frame: int, hop: int, pad_to_frames: int | None
     return np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::hop, :]
 
 
+def _hann(n: int) -> np.ndarray:
+    """Periodic Hann window of length ``n``.
+
+    Built with scipy's cosine-sum formula and summation order, so it is
+    bit-equal to ``scipy.signal.get_window("hann", n, fftbins=True)``.
+    """
+    if n == 1:
+        return np.ones(1)
+    fac = np.linspace(-np.pi, np.pi, n + 1)[:-1]
+    w = np.zeros(n)
+    for k, a in enumerate((0.5, 0.5)):
+        w += a * np.cos(k * fac)
+    return w
+
+
 @lru_cache(maxsize=8)
 def _dft_basis(frame: int, nfft: int) -> np.ndarray:
     """Read-only (frame, 2 * bins) Hann-tapered real DFT basis, [cos | -sin].
@@ -146,7 +159,7 @@ def _dft_basis(frame: int, nfft: int) -> np.ndarray:
     and imaginary halves; the zero padding to ``nfft`` never materialises.
     Angles use ``(n * k) % nfft`` so large products lose no precision.
     """
-    taper = sps.get_window("hann", frame, fftbins=True)
+    taper = _hann(frame)
     nk = np.outer(np.arange(frame), np.arange(nfft // 2 + 1)) % nfft
     angle = (2 * np.pi / nfft) * nk
     basis = np.concatenate([np.cos(angle), -np.sin(angle)], axis=1) * taper[:, None]
@@ -283,6 +296,22 @@ def linear_triangular_filterbank(
     return bank
 
 
+@lru_cache(maxsize=8)
+def _dct_basis(n: int, n_coeffs: int) -> np.ndarray:
+    """Read-only (n, n_coeffs) orthonormal DCT-II basis.
+
+    ``x @ basis`` gives the first ``n_coeffs`` columns of
+    ``scipy.fft.dct(x, type=2, norm="ortho")``, to about 1e-15 of the largest
+    coefficient.
+    """
+    k = np.arange(n_coeffs)
+    angle = (np.pi / (2 * n)) * np.outer(2 * np.arange(n) + 1, k)
+    scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    basis = np.cos(angle) * scale
+    basis.flags.writeable = False
+    return basis
+
+
 def lfcc(
     samples: np.ndarray,
     params: LfccParams | None = None,
@@ -298,12 +327,12 @@ def lfcc(
     if params.pad_edges:
         x = np.pad(x, ((0, 0), (hop, hop)), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::hop, :]
-    power = np.abs(rfft(frames, axis=2)) ** 2
+    power = np.abs(np.fft.rfft(frames, axis=2)) ** 2
     bank = linear_triangular_filterbank(
         params.n_filters, power.shape[2], sample_rate_hz, frame
     )
     energies = np.maximum(power @ bank.T, params.log_floor)
-    ceps = dct(np.log(energies), type=2, norm="ortho", axis=2)[:, :, : params.n_coeffs]
+    ceps = np.log(energies) @ _dct_basis(params.n_filters, params.n_coeffs)
     return FeatureTensor(np.abs(np.transpose(ceps, (0, 2, 1))), extractor_id="lfcc")
 
 
@@ -335,7 +364,7 @@ def design_sinc_kernel(
     if windowed:
         h = h * np.hamming(kernel_len)
     if normalized:
-        peak = np.abs(rfft(h, n=4096)).max()
+        peak = np.abs(np.fft.rfft(h, n=4096)).max()
         if peak > 0:
             h = h / peak
     return h

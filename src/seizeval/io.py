@@ -130,12 +130,12 @@ def load_csv_recording(
                 continue
             if len(row) != len(names):
                 raise LabelParseError(
-                    line_no, f"expected {len(names)} columns, got {len(row)}"
+                    path, line_no, f"expected {len(names)} columns, got {len(row)}"
                 )
             try:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
-                raise LabelParseError(line_no, str(exc)) from exc
+                raise LabelParseError(path, line_no, str(exc)) from exc
     samples = np.asarray(rows, dtype=np.float32).T
     return Recording(
         sample_rate_hz=sample_rate_hz,
@@ -162,25 +162,27 @@ def load_labels(path: str | Path, total_duration_s: float) -> LabelTrack:
                 continue
             parts = line.split()
             if len(parts) != 3:
-                raise LabelParseError(line_no, f"expected 'start stop label', got {line!r}")
+                raise LabelParseError(path, line_no, f"expected 'start stop label', got {line!r}")
             try:
                 start, stop = float(parts[0]), float(parts[1])
             except ValueError as exc:
-                raise LabelParseError(line_no, str(exc)) from exc
+                raise LabelParseError(path, line_no, str(exc)) from exc
             if not (math.isfinite(start) and math.isfinite(stop)):
-                raise LabelParseError(line_no, f"start and stop must be finite, got {line!r}")
+                raise LabelParseError(
+                    path, line_no, f"start and stop must be finite, got {line!r}"
+                )
             try:
                 label = SeizureLabel(parts[2].lower())
             except ValueError:
-                raise LabelParseError(line_no, f"unknown label {parts[2]!r}") from None
+                raise LabelParseError(path, line_no, f"unknown label {parts[2]!r}") from None
             if stop <= start:
-                raise LabelParseError(line_no, "stop must exceed start")
+                raise LabelParseError(path, line_no, "stop must exceed start")
             if start < prev_stop:
                 raise LabelParseError(
-                    line_no, f"event starts at {start} before previous stop {prev_stop}"
+                    path, line_no, f"event starts at {start} before previous stop {prev_stop}"
                 )
             if stop > total_duration_s + 1e-9:
-                raise LabelParseError(line_no, "event extends past recording end")
+                raise LabelParseError(path, line_no, "event extends past recording end")
             events.append(Event(start, stop, label))
             prev_stop = stop
     return LabelTrack(events=events, total_duration_s=total_duration_s)
@@ -196,6 +198,6 @@ def load_montage(path: str | Path) -> MontageSpec:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise LabelParseError(line_no, f"expected 'ANODE CATHODE', got {line!r}")
+                raise LabelParseError(path, line_no, f"expected 'ANODE CATHODE', got {line!r}")
             pairs.append((parts[0], parts[1]))
     return MontageSpec(tuple(pairs))

@@ -329,6 +329,8 @@ class MetricsReport:
     onset_latency_missed: int = 0
     n_windows: int = 0
     total_duration_s: float = 0.0
+    # the ROC/PR curves behind auroc and auprc, for curves.csv; not in to_dict
+    curves: Curves | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         d = {
@@ -470,6 +472,7 @@ def evaluate_track(
         onset_latency_missed=latency.n_missed,
         n_windows=int(track.scores.size),
         total_duration_s=track.total_duration_s,
+        curves=curves,
     )
 
 

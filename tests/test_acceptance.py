@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 import seizeval as sv
 from seizeval import detectors as dt
@@ -73,7 +74,7 @@ def test_criterion_01_feature_shapes():
 def test_criterion_02_parseval():
     rng = np.random.default_rng(1)
     params = ft.StftParams(fft_size=198, hop_samples=25)
-    taper = ft.sps.get_window("hann", 25, fftbins=True)
+    taper = sps.get_window("hann", 25, fftbins=True)
     t0 = time.perf_counter()
     for _ in range(100):
         frame = rng.normal(size=25)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from seizeval import core, detectors, rtbench
+from seizeval import core, detectors, metrics, rtbench
 from seizeval.cli import main
 
 
@@ -307,9 +307,10 @@ def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys,
 @pytest.mark.parametrize("detector", ["model", "energy"])
 @pytest.mark.parametrize("command", ["eval", "run", "bench"])
 def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
-    calls = {"run_stream": 0, "load_model": 0, "window_labels": 0}
+    calls = {"run_stream": 0, "load_model": 0, "window_labels": 0, "curve_metrics": 0}
     for module, name in (
-        (rtbench, "run_stream"), (detectors, "load_model"), (core, "window_labels")
+        (rtbench, "run_stream"), (detectors, "load_model"), (core, "window_labels"),
+        (metrics, "curve_metrics"),
     ):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -334,4 +335,5 @@ def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
         "run_stream": 1,
         "load_model": int(detector == "model"),
         "window_labels": int(command == "eval" or detector == "energy"),
+        "curve_metrics": int(command == "eval"),
     }

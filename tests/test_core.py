@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +50,23 @@ class TestResample:
         rec = make_rec(np.zeros((1, 100)))
         with pytest.raises(InvalidArgumentError):
             sv.resample(rec, 0)
+
+    def test_scipy_loaded_only_by_resample(self):
+        # a fresh interpreter: importing the package and its CLI must not load scipy
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import seizeval, seizeval.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "rec = seizeval.Recording(100, ['A'], np.ones((1, 400), np.float32))\n"
+            "print(json.dumps([loaded, seizeval.resample(rec, 200).n_samples]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], 800]
 
 
 class TestBipolar:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,6 +164,35 @@ class TestDetectWindow:
         feat = FeatureTensor(np.zeros((1, 1, 6)), "toy")
         with pytest.raises(IncompatibleFeatureError):
             sv.LinearDetector(self.zero_model()).detect(dt.DetectorState(), feat)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_scoring_stays_on_one_core(self):
+        # a sincnet-sized model: a BLAS dot this long would wake a thread pool.
+        # 1000 windows take about 0.2 s; much shorter runs cannot tell a
+        # spinning pool from noise.
+        code = (
+            "import time\n"
+            "import numpy as np\n"
+            "from seizeval import detectors as dt\n"
+            "from seizeval.features import FeatureTensor\n"
+            "shape = (7, 20, 400)\n"
+            "rng = np.random.default_rng(0)\n"
+            "d = rng.normal(size=56000)\n"
+            "m = dt.LinearModel(d * 1e-3, 0.0, d, np.abs(d) + 1, 'sincnet', shape)\n"
+            "det = dt.LinearDetector(m)\n"
+            "feats = [FeatureTensor(rng.normal(size=shape), 'sincnet') for _ in range(10)]\n"
+            "state = det.reset_state()\n"
+            "c0, t0 = time.process_time(), time.perf_counter()\n"
+            "for i in range(1000):\n"
+            "    _, state = det.detect(state, feats[i % 10])\n"
+            "print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 1.3
 
 
 class TestState:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.fft import rfft
+from scipy import signal as sps
+from scipy.fft import dct, rfft
 
 import seizeval as sv
 from seizeval import features as ft
@@ -81,7 +82,7 @@ class TestStft:
     def test_parseval_identity(self):
         rng = np.random.default_rng(2)
         params = ft.StftParams(fft_size=198, hop_samples=25)
-        taper = ft.sps.get_window("hann", 25, fftbins=True)
+        taper = sps.get_window("hann", 25, fftbins=True)
         for _ in range(20):
             frame = rng.normal(size=25)
             out = sv.stft(frame[None, :], params).data[0, :, 0]
@@ -128,7 +129,7 @@ def rfft_stft_oracle(x, params):
     """Zero-padded per-frame rfft of the Hann-tapered frames, (channels, bins, frames)."""
     frame, nfft = params.frame_samples(FS), params.nfft(FS)
     frames = ft._frame_signal(x, frame, params.hop(FS), params.pad_to_frames)
-    taper = ft.sps.get_window("hann", frame, fftbins=True)
+    taper = sps.get_window("hann", frame, fftbins=True)
     return np.transpose(np.abs(rfft(frames * taper, n=nfft, axis=2)), (0, 2, 1))
 
 
@@ -199,6 +200,10 @@ class TestDftBasis:
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
 
+    def test_hann_taper_bit_equal_to_scipy(self):
+        for n in range(1, 400):
+            assert ft._hann(n).tobytes() == sps.get_window("hann", n, fftbins=True).tobytes()
+
     def test_band_covering_no_bin(self):
         with pytest.raises(InvalidArgumentError, match="covers no STFT bin"):
             sv.frequency_bands(np.zeros((1, 800)), ft.StftParams.literal())
@@ -236,6 +241,15 @@ class TestLfcc:
     def test_coeffs_le_filters(self):
         with pytest.raises(InvalidArgumentError):
             ft.LfccParams(n_filters=4, n_coeffs=8)
+
+    @pytest.mark.parametrize("n_filters,n_coeffs", [(20, 8), (20, 20), (7, 3), (1, 1)])
+    def test_dct_basis_matches_scipy_dct(self, n_filters, n_coeffs):
+        x = np.log(np.random.default_rng(n_filters).uniform(1e-6, 1e3, size=(4, 9, n_filters)))
+        want = dct(x, type=2, norm="ortho", axis=2)[:, :, :n_coeffs]
+        basis = ft._dct_basis(n_filters, n_coeffs)
+        assert basis is ft._dct_basis(n_filters, n_coeffs)
+        assert not basis.flags.writeable
+        np.testing.assert_allclose(x @ basis, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestSincKernel:

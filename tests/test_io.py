@@ -158,3 +158,22 @@ class TestMontageFile:
 def test_directory_path_typed_error(tmp_path, load):
     with pytest.raises(DirectoryPathError, match=f"{re.escape(str(tmp_path))}: is a directory"):
         load(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name,text,load,message",
+    [
+        ("nan.lab", "nan 5 seiz\n", lambda path: io.load_labels(path, 10.0),
+         "line 1: start and stop must be finite"),
+        ("bad.montage", "FP1 F7\nFP1\n", io.load_montage, "line 2: expected 'ANODE CATHODE'"),
+        ("ragged.csv", "FP1,F7\n1,2\n3\n", lambda path: io.load_csv_recording(path, 200),
+         "line 3: expected 2 columns, got 1"),
+    ],
+    ids=["labels", "montage", "csv"],
+)
+def test_parse_error_names_file_and_line(tmp_path, name, text, load, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(LabelParseError, match=re.escape(f"{path}: {message}")) as exc:
+        load(path)
+    assert exc.value.path == path
