@@ -17,10 +17,9 @@ from .errors import (
     IncompatibleFeatureError,
     InvalidArgumentError,
     MalformedHeaderError,
-    TruncatedPayloadError,
 )
 from .features import FeatureTensor
-from .io import open_input
+from .io import header_ints, open_input, read_header, read_payload, write_headed
 
 
 def logistic(z: float | np.ndarray) -> float | np.ndarray:
@@ -144,6 +143,9 @@ class LinearModel:
         n = int(np.prod(self.feature_shape))
         if self.weights.shape != (n,):
             raise InvalidArgumentError("weight length must match feature dimensionality")
+        values = (self.bias, self.weights, self.feature_mean, self.feature_std)
+        if not all(np.isfinite(v).all() for v in values):
+            raise InvalidArgumentError("model bias, weights, mean and std must be finite")
         if np.any(self.feature_std <= 0):
             raise InvalidArgumentError("feature std components must be positive")
 
@@ -240,59 +242,39 @@ def train_linear(
 
 
 # ---------------------------------------------------------------------------
-# model serialization (text metadata + float64 LE payload)
+# model serialization: a headed file (see io), payload float64 bias, weights, mean, std
 
 _MODEL_MAGIC = "#SEIZMODEL v1"
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    header = (
-        f"{_MODEL_MAGIC}\n"
-        f"extractor_id={model.extractor_id}\n"
-        f"feature_shape={','.join(map(str, model.feature_shape))}\n"
-        f"n_dims={model.weights.shape[0]}\n"
-        "end_header\n"
-    )
+    fields = {
+        "extractor_id": model.extractor_id,
+        "feature_shape": ",".join(map(str, model.feature_shape)),
+        "n_dims": model.weights.shape[0],
+    }
     payload = np.concatenate(
         [[model.bias], model.weights, model.feature_mean, model.feature_std]
-    ).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload.tobytes())
+    )
+    write_headed(path, _MODEL_MAGIC, fields, payload, "<f8")
 
 
 def load_model(path: str | Path) -> LinearModel:
     with open_input(path, "rb") as fh:
-        raw = fh.read()
-    marker = b"end_header\n"
-    sep = raw.find(marker)
-    if sep < 0:
-        raise MalformedHeaderError(f"{path}: missing end_header marker")
+        fields = read_header(fh, path, _MODEL_MAGIC)
+        if "extractor_id" not in fields:
+            raise MalformedHeaderError(f"{path}: missing header field 'extractor_id'")
+        shape = header_ints(path, fields, "feature_shape", minimum=1, n=3)
+        (n_dims,) = header_ints(path, fields, "n_dims", minimum=1)
+        payload = read_payload(fh, path, "<f8", 1 + 3 * n_dims)
     try:
-        lines = raw[:sep].decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise MalformedHeaderError(f"{path}: header is not ASCII") from exc
-    if not lines or lines[0] != _MODEL_MAGIC:
-        raise MalformedHeaderError(f"{path}: bad magic line")
-    fields = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
-    try:
-        extractor_id = fields["extractor_id"]
-        shape = tuple(int(v) for v in fields["feature_shape"].split(","))
-        n_dims = int(fields["n_dims"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedHeaderError(f"{path}: {exc}") from exc
-    payload = np.frombuffer(raw[sep + len(marker) :], dtype="<f8")
-    if payload.size < 1 + 3 * n_dims:
-        raise TruncatedPayloadError(f"{path}: model payload truncated")
-    bias = float(payload[0])
-    w = payload[1 : 1 + n_dims].copy()
-    mean = payload[1 + n_dims : 1 + 2 * n_dims].copy()
-    std = payload[1 + 2 * n_dims : 1 + 3 * n_dims].copy()
-    return LinearModel(
-        weights=w,
-        bias=bias,
-        feature_mean=mean,
-        feature_std=std,
-        extractor_id=extractor_id,
-        feature_shape=shape,  # type: ignore[arg-type]
-    )
+        return LinearModel(
+            weights=payload[1 : 1 + n_dims],
+            bias=float(payload[0]),
+            feature_mean=payload[1 + n_dims : 1 + 2 * n_dims],
+            feature_std=payload[1 + 2 * n_dims :],
+            extractor_id=fields["extractor_id"],
+            feature_shape=shape,  # type: ignore[arg-type]
+        )
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None

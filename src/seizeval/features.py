@@ -19,10 +19,8 @@ from .errors import (
     InvalidArgumentError,
     MalformedHeaderError,
     MalformedPayloadError,
-    SurplusPayloadError,
-    TruncatedPayloadError,
 )
-from .io import open_input
+from .io import check_payload_count, open_input, read_payload
 
 DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
     (1, 4), (4, 8), (8, 12), (12, 30), (30, 50), (50, 70), (70, 100),
@@ -562,20 +560,11 @@ def load_tensor(path: str | Path) -> FeatureTensor:
         shape = tuple(int(d) for d in dims)
         expected = int(np.prod(shape))
         if kind == "f32":
-            payload = fh.read()
-            found = -(-len(payload) // 4)  # a partial trailing value counts as one
-            count = min(len(payload) // 4, expected)
-            data = np.frombuffer(payload, dtype="<f4", count=count)
+            data = read_payload(fh, path, "<f4", expected)
         else:
             try:
                 data = np.array(fh.read().decode("ascii").split(), dtype=np.float64)
             except ValueError as exc:  # a non-numeric value, or UnicodeDecodeError
                 raise MalformedPayloadError(f"{path}: text payload: {exc}") from exc
-            found = data.size
-    if data.size < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {data.size} values, expected {expected}"
-        )
-    if found > expected:
-        raise SurplusPayloadError(f"{path}: payload holds {found} values, expected {expected}")
+            check_payload_count(path, data.size, expected)
     return FeatureTensor(np.asarray(data, dtype=np.float64).reshape(shape), extractor_id)

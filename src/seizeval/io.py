@@ -1,8 +1,10 @@
 """File formats: .eeg binary recordings, CSV import, label and montage text files.
 
-Binary layout: an ASCII header (key=value lines ending with ``end_header``)
-followed by a float32 little-endian channel-major payload. The round-trip is
-bit-exact.
+Headed binary layout, shared by ``.eeg`` recordings and model files: an ASCII
+magic line (``#EEG v1``, ``#SEIZMODEL v1``) that must match exactly,
+``key=value`` lines, an ``end_header`` line, then a little-endian payload of
+exactly as many values as the header declares. A ``.eeg`` payload is float32,
+channel-major. The round-trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import csv
 import io as stdio
 import math
+import os
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -20,13 +24,12 @@ from .errors import (
     DirectoryPathError,
     LabelParseError,
     MalformedHeaderError,
+    SurplusPayloadError,
     TextEncodingError,
     TruncatedPayloadError,
 )
 
-_MAGIC = "#EEG"
-_VERSION = "1"
-_HEADER_END = b"end_header\n"
+_MAGIC = "#EEG v1"
 
 
 def open_input(path: str | Path, mode: str = "r", **kwargs):
@@ -49,67 +52,94 @@ def open_text(path: str | Path, newline: str | None = None) -> stdio.StringIO:
     return stdio.StringIO(text, newline=newline)
 
 
-def save_recording(rec: Recording, path: str | Path) -> None:
-    header = (
-        f"{_MAGIC} v{_VERSION}\n"
-        f"sample_rate_hz={rec.sample_rate_hz}\n"
-        f"n_channels={rec.n_channels}\n"
-        f"n_samples={rec.n_samples}\n"
-        f"montage={rec.montage.value}\n"
-        f"channels={','.join(rec.channel_names)}\n"
-        "end_header\n"
-    )
+def write_headed(path: str | Path, magic: str, fields: dict, payload: np.ndarray, dtype: str):
+    """Write a headed file: the magic line, key=value lines, end_header, then the payload."""
+    lines = [magic, *(f"{key}={value}" for key, value in fields.items()), "end_header", ""]
+    header = "\n".join(lines).encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(rec.samples, dtype="<f4").tobytes())
+        fh.write(header)
+        fh.write(np.ascontiguousarray(payload, dtype=dtype).data)
+
+
+def read_header(fh: BinaryIO, path: str | Path, magic: str) -> dict[str, str]:
+    """Parse a headed file's header and leave ``fh`` at the first payload byte."""
+    if fh.readline(len(magic) + 1) != f"{magic}\n".encode("ascii"):
+        raise MalformedHeaderError(f"{path}: bad magic line, expected {magic!r}")
+    fields: dict[str, str] = {}
+    while (line := fh.readline()) != b"end_header\n":
+        if not line.endswith(b"\n"):
+            raise MalformedHeaderError(f"{path}: missing end_header marker")
+        try:
+            key, value = line[:-1].decode("ascii").split("=", 1)
+        except UnicodeDecodeError:
+            raise MalformedHeaderError(f"{path}: header is not ASCII") from None
+        except ValueError:
+            raise MalformedHeaderError(f"{path}: bad header line {line[:-1].decode()!r}") from None
+        fields[key] = value
+    return fields
+
+
+def header_ints(path: str | Path, fields: dict[str, str], key: str, minimum=0, n=1):
+    """The ``n`` comma-separated integers of header field ``key``, none below ``minimum``."""
+    values = fields.get(key, "").split(",")
+    if len(values) != n or not all(v.isdigit() and int(v) >= minimum for v in values):
+        raise MalformedHeaderError(
+            f"{path}: {key}={fields.get(key)}: expected {n} integer(s) >= {minimum}"
+        )
+    return tuple(map(int, values))
+
+
+def check_payload_count(path: str | Path, found: int, expected: int) -> None:
+    """Raise TruncatedPayloadError or SurplusPayloadError unless found == expected."""
+    if found != expected:
+        error = TruncatedPayloadError if found < expected else SurplusPayloadError
+        raise error(f"{path}: payload holds {found} values, expected {expected}")
+
+
+def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.ndarray:
+    """Read the rest of ``fh``, exactly ``count`` values of ``dtype``, into a new array.
+
+    The size is checked before allocating. Short of ``count``, the whole values
+    are counted; beyond it, a partial trailing value counts as one.
+    """
+    itemsize, start = np.dtype(dtype).itemsize, fh.tell()
+    size = fh.seek(0, os.SEEK_END) - start
+    found = size // itemsize if size < count * itemsize else -(-size // itemsize)
+    check_payload_count(path, found, count)
+    fh.seek(start)
+    out = np.empty(count, dtype=dtype)
+    check_payload_count(path, fh.readinto(out) // itemsize, count)
+    return out
+
+
+def save_recording(rec: Recording, path: str | Path) -> None:
+    fields = {
+        "sample_rate_hz": rec.sample_rate_hz,
+        "n_channels": rec.n_channels,
+        "n_samples": rec.n_samples,
+        "montage": rec.montage.value,
+        "channels": ",".join(rec.channel_names),
+    }
+    write_headed(path, _MAGIC, fields, rec.samples, "<f4")
 
 
 def load_recording(path: str | Path) -> Recording:
     with open_input(path, "rb") as fh:
-        raw = fh.read()
-    sep = raw.find(_HEADER_END)
-    if sep < 0:
-        raise MalformedHeaderError(f"{path}: missing end_header marker")
-    try:
-        header_text = raw[:sep].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedHeaderError(f"{path}: header is not ASCII") from exc
-    lines = header_text.splitlines()
-    if not lines or not lines[0].startswith(f"{_MAGIC} v"):
-        raise MalformedHeaderError(f"{path}: bad magic line")
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        if "=" not in line:
-            raise MalformedHeaderError(f"{path}: bad header line {line!r}")
-        key, value = line.split("=", 1)
-        fields[key] = value
-    try:
-        fs = int(fields["sample_rate_hz"])
-        n_channels = int(fields["n_channels"])
-        n_samples = int(fields["n_samples"])
-        montage = Montage(fields["montage"])
-        names = fields["channels"].split(",") if fields["channels"] else []
-    except (KeyError, ValueError) as exc:
-        raise MalformedHeaderError(f"{path}: {exc}") from exc
-    if len(names) != n_channels:
-        raise ChannelCountMismatchError(
-            f"{path}: header declares {n_channels} channels but names {len(names)}"
-        )
-    start = sep + len(_HEADER_END)
-    expected = 4 * n_channels * n_samples
-    if len(raw) - start < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(raw) - start} bytes, expected {expected}"
-        )
-    samples = np.frombuffer(
-        raw, dtype="<f4", count=n_channels * n_samples, offset=start
-    ).reshape(n_channels, n_samples)
-    return Recording(
-        sample_rate_hz=fs,
-        channel_names=names,
-        samples=samples.copy(),
-        montage=montage,
-    )
+        fields = read_header(fh, path, _MAGIC)
+        (n_channels,) = header_ints(path, fields, "n_channels")
+        (n_samples,) = header_ints(path, fields, "n_samples")
+        try:
+            fs = int(fields["sample_rate_hz"])
+            montage = Montage(fields["montage"])
+            names = fields["channels"].split(",") if fields["channels"] else []
+        except (KeyError, ValueError) as exc:
+            raise MalformedHeaderError(f"{path}: {exc}") from exc
+        if len(names) != n_channels:
+            raise ChannelCountMismatchError(
+                f"{path}: header declares {n_channels} channels but names {len(names)}"
+            )
+        samples = read_payload(fh, path, "<f4", n_channels * n_samples)
+    return Recording(fs, names, samples.reshape(n_channels, n_samples), montage)
 
 
 def load_csv_recording(

@@ -379,12 +379,7 @@ class MetricsReport:
         return dict(flatten(json.loads(json.dumps(self.to_dict()))))
 
     def to_json(self) -> str:
-        def clean(v):
-            if isinstance(v, float) and math.isnan(v):
-                return None
-            return v
-
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=clean)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         def fmt(v) -> str:

@@ -261,6 +261,23 @@ def test_input_directory_is_validation_error(corpus, capsys, flag):
     assert err.startswith("error: ") and "is a directory" in err and directory in err
 
 
+def test_eval_rejects_non_finite_model(corpus, capsys):
+    model = corpus / "model.bin"
+    data = model.read_bytes()
+    bias_at = data.index(b"end_header\n") + len(b"end_header\n")
+    nan_model = corpus / "nan.bin"
+    nan_bias = np.array([np.nan], "<f8").tobytes()
+    nan_model.write_bytes(data[:bias_at] + nan_bias + data[bias_at + 8 :])
+    code = main([
+        "eval", "--rec", str(corpus / "test" / "rec.eeg"),
+        "--labels", str(corpus / "test" / "labels.txt"), "--model", str(nan_model),
+        "--out-dir", str(corpus / "nan-eval"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{nan_model}: " in err and "finite" in err
+
+
 @pytest.mark.parametrize("flag", ["--labels", "--montage", "--csv"])
 def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
     rec = str(corpus / "test" / "rec.eeg")

@@ -265,6 +265,23 @@ class TestSerialization:
         assert loaded.extractor_id == model.extractor_id
         assert loaded.feature_shape == model.feature_shape
 
+    @pytest.mark.parametrize("field", ["bias", "weights", "feature_mean", "feature_std"])
+    def test_non_finite_model_rejected(self, tmp_path, field):
+        n = 6
+        model = sv.LinearModel(
+            weights=np.arange(n, dtype=float), bias=0.5, feature_mean=np.zeros(n),
+            feature_std=np.ones(n), extractor_id="bands", feature_shape=(1, 2, 3),
+        )
+        path = tmp_path / "model.bin"
+        dt.save_model(model, path)
+        data = bytearray(path.read_bytes())
+        offset = {"bias": 0, "weights": 1, "feature_mean": 1 + n, "feature_std": 1 + 2 * n}
+        start = data.index(b"end_header\n") + len(b"end_header\n") + 8 * offset[field]
+        data[start : start + 8] = np.array([np.nan], "<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidArgumentError, match=r"model\.bin: .*must be finite"):
+            dt.load_model(path)
+
     def test_non_ascii_header_typed_error(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes("#SEIZMODEL v1\nextractor_id=b\u00e4nds\nend_header\n".encode())

@@ -1,4 +1,9 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from seizeval.errors import (
     InvalidArgumentError,
     LabelParseError,
     MalformedHeaderError,
+    SurplusPayloadError,
     TruncatedPayloadError,
 )
 
@@ -54,6 +60,110 @@ class TestBinaryRecording:
         path.write_bytes(text)
         with pytest.raises(ChannelCountMismatchError):
             io.load_recording(path)
+
+
+# Both headed formats: (magic line, a count field, bytes per value, writer, loader).
+HEADED = {
+    "eeg": (b"#EEG v1", b"n_samples", 4,
+            lambda path: io.save_recording(sample_rec(), path), io.load_recording),
+    "model": (b"#SEIZMODEL v1", b"n_dims", 8,
+              lambda path: detectors.save_model(sample_model(), path), detectors.load_model),
+}
+
+
+def sample_model():
+    return detectors.LinearModel(
+        weights=np.arange(6.0), bias=0.5, feature_mean=np.zeros(6), feature_std=np.ones(6),
+        extractor_id="bands", feature_shape=(1, 2, 3),
+    )
+
+
+# Each case: (edit(data, magic, count key, bytes per value) of a good file's bytes,
+# error type, message after "<path>: ").
+MALFORMED = {
+    "bad-magic": (lambda d, m, k, w: b"#XYZ v1" + d[len(m):], MalformedHeaderError,
+                  "bad magic line"),
+    "other-version": (lambda d, m, k, w: m[:-1] + b"2" + d[len(m):], MalformedHeaderError,
+                      "bad magic line"),
+    "no-equals": (lambda d, m, k, w: d.replace(b"\n", b"\ngarbage\n", 1), MalformedHeaderError,
+                  "bad header line 'garbage'"),
+    "non-ascii": (lambda d, m, k, w: d.replace(b"\n", "\nnote=\u00e4\n".encode(), 1),
+                  MalformedHeaderError, "header is not ASCII"),
+    "no-end-header": (lambda d, m, k, w: d[: d.index(b"end_header")], MalformedHeaderError,
+                      "missing end_header marker"),
+    "negative-count": (lambda d, m, k, w: re.sub(k + rb"=\d+", k + b"=-1", d),
+                       MalformedHeaderError, "{key}=-1: expected 1 integer(s) >= "),
+    "truncated": (lambda d, m, k, w: d[:-w], TruncatedPayloadError,
+                  "payload holds {n_less} values, expected {n}"),
+    "surplus-whole": (lambda d, m, k, w: d + b"\0" * w, SurplusPayloadError,
+                      "payload holds {n_more} values, expected {n}"),
+    "surplus-partial": (lambda d, m, k, w: d + b"\0", SurplusPayloadError,
+                        "payload holds {n_more} values, expected {n}"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("fmt", HEADED)
+def test_malformed_headed_file_typed_error(tmp_path, fmt, case):
+    magic, key, width, save, load = HEADED[fmt]
+    edit, error, message = MALFORMED[case]
+    path = tmp_path / f"bad.{fmt}"
+    save(path)
+    data = path.read_bytes()
+    n = (len(data) - data.index(b"end_header\n") - len(b"end_header\n")) // width
+    path.write_bytes(edit(data, magic, key, width))
+    message = message.format(key=key.decode(), n=n, n_less=n - 1, n_more=n + 1)
+    with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+        load(path)
+
+
+def test_model_header_counts_must_be_positive(tmp_path):
+    path = tmp_path / "zero.model"
+    header = b"#SEIZMODEL v1\nextractor_id=bands\nfeature_shape=0,1,1\nn_dims=0\nend_header\n"
+    path.write_bytes(header + np.zeros(1, "<f8").tobytes())
+    with pytest.raises(MalformedHeaderError, match=re.escape(f"{path}: feature_shape=0,1,1")):
+        detectors.load_model(path)
+
+
+def test_empty_recording_round_trips(tmp_path):
+    path = tmp_path / "empty.eeg"
+    io.save_recording(sv.Recording(200, [], np.zeros((0, 0), np.float32)), path)
+    assert io.load_recording(path).samples.shape == (0, 0)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_load_recording_peak_memory_is_one_payload(tmp_path):
+    """Loading reads the payload in place: peak RSS rises by about one payload, not two.
+
+    The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at this test
+    process's peak, which forking and exec carry over.
+    """
+    path = tmp_path / "big.eeg"
+    n_channels, n_samples = 16, 640_000  # a 40.96 MB float32 payload
+    io.save_recording(
+        sv.Recording(200, [f"C{i}" for i in range(n_channels)],
+                     np.ones((n_channels, n_samples), np.float32)),
+        path,
+    )
+    code = textwrap.dedent(f"""
+        import sys
+        from seizeval import io
+
+        def peak_kib():
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+        before = peak_kib()
+        rec = io.load_recording(sys.argv[1])
+        assert rec.samples.shape == ({n_channels}, {n_samples}) and rec.samples.all()
+        print(peak_kib() - before)
+    """)
+    src = str(Path(io.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert int(out.stdout) * 1024 <= 1.5 * 4 * n_channels * n_samples
 
 
 class TestCsv:
