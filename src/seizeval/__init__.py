@@ -8,13 +8,11 @@ from .core import (
     Recording,
     SeizureLabel,
     SynthConfig,
-    WindowClass,
     WindowSpec,
     resample,
     slice_windows,
     synth_recording,
     to_bipolar,
-    window_label,
     window_labels,
 )
 from .detectors import (

@@ -42,11 +42,6 @@ class SeizureLabel(str, Enum):
         return self is not SeizureLabel.BCKG
 
 
-class WindowClass(str, Enum):
-    ICTAL = "ictal"
-    NON_ICTAL = "nonictal"
-
-
 @dataclass
 class Recording:
     """Multi-channel sampled signal, channels x time, microvolts."""
@@ -127,9 +122,6 @@ class Event:
     @property
     def duration_s(self) -> float:
         return self.stop_s - self.start_s
-
-    def overlap_s(self, start_s: float, stop_s: float) -> float:
-        return max(0.0, min(self.stop_s, stop_s) - max(self.start_s, start_s))
 
 
 @dataclass
@@ -251,43 +243,36 @@ def to_bipolar(rec: Recording, spec: MontageSpec | None = None) -> Recording:
     )
 
 
-def slice_windows(rec: Recording, spec: WindowSpec) -> Iterator[Window]:
-    """Yield sliding windows; window k starts at k * shift_s."""
+def _window_starts(rec: Recording, spec: WindowSpec) -> np.ndarray:
+    """Start sample of every sliding window: window k starts at k * shift."""
     win = spec.window_samples(rec.sample_rate_hz)
-    shift = spec.shift_samples(rec.sample_rate_hz)
     if rec.n_samples < win:
         raise EmptyStreamError(
             f"recording of {rec.duration_s:.3f} s is shorter than one "
             f"{spec.window_s} s window"
         )
-    count = (rec.n_samples - win) // shift + 1
-    for k in range(count):
-        start = k * shift
-        yield Window(
-            index=k,
-            start_s=start / rec.sample_rate_hz,
-            samples=rec.samples[:, start : start + win],
-        )
+    return np.arange(0, rec.n_samples - win + 1, spec.shift_samples(rec.sample_rate_hz))
 
 
-def window_label(
-    labels: LabelTrack, window_start_s: float, spec: WindowSpec
-) -> WindowClass:
-    """Ictal iff seizure time inside the window strictly exceeds the shift."""
-    stop = window_start_s + spec.window_s
-    overlap = sum(ev.overlap_s(window_start_s, stop) for ev in labels.seizure_events)
-    return WindowClass.ICTAL if overlap > spec.shift_s else WindowClass.NON_ICTAL
+def slice_windows(rec: Recording, spec: WindowSpec) -> Iterator[Window]:
+    """Yield sliding windows; window k starts at k * shift_s."""
+    win = spec.window_samples(rec.sample_rate_hz)
+    for k, start in enumerate(_window_starts(rec, spec).tolist()):
+        yield Window(k, start / rec.sample_rate_hz, rec.samples[:, start : start + win])
 
 
 def window_labels(rec: Recording, labels: LabelTrack, spec: WindowSpec) -> np.ndarray:
-    """Binary label per sliding window (1 = ictal), aligned with slice_windows."""
-    return np.array(
-        [
-            window_label(labels, w.start_s, spec) is WindowClass.ICTAL
-            for w in slice_windows(rec, spec)
-        ],
-        dtype=bool,
-    )
+    """Binary label per sliding window (1 = ictal), aligned with slice_windows.
+
+    Window k spans [t, t + W) with t its start time in seconds; it is ictal
+    iff the seizure time inside that span strictly exceeds the shift S.
+    """
+    starts = _window_starts(rec, spec) / rec.sample_rate_hz
+    stops = starts + spec.window_s
+    overlap = np.zeros(starts.size)
+    for ev in labels.seizure_events:
+        overlap += np.maximum(0.0, np.minimum(ev.stop_s, stops) - np.maximum(ev.start_s, starts))
+    return overlap > spec.shift_s
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,10 @@ class EnergyDetector(Detector):
         scale: float = 1.0,
         smoothing: float = 0.0,
     ):
-        if scale <= 0:
-            raise InvalidArgumentError("scale must be positive")
+        if not np.isfinite(midpoint):
+            raise InvalidArgumentError(f"midpoint must be finite, got {midpoint:g}")
+        if not 0 < scale < np.inf:
+            raise InvalidArgumentError(f"scale must be positive and finite, got {scale:g}")
         super().__init__(smoothing)
         self.band_index = band_index
         self.midpoint = midpoint
@@ -159,12 +161,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise InvalidArgumentError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidArgumentError(
+                f"learning_rate must be positive and finite, got {self.learning_rate:g}"
+            )
+        if not 0 <= self.l2 < np.inf:
+            raise InvalidArgumentError(f"l2 must be finite and >= 0, got {self.l2:g}")
         if self.epochs < 1:
             raise InvalidArgumentError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
+            raise InvalidArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 class LinearDetector(Detector):

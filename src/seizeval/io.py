@@ -22,6 +22,7 @@ from .core import Event, LabelTrack, Montage, MontageSpec, Recording, SeizureLab
 from .errors import (
     ChannelCountMismatchError,
     DirectoryPathError,
+    InvalidArgumentError,
     LabelParseError,
     MalformedHeaderError,
     SurplusPayloadError,
@@ -113,6 +114,12 @@ def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.n
 
 
 def save_recording(rec: Recording, path: str | Path) -> None:
+    for name in rec.channel_names:
+        if not name or not name.isascii() or "," in name or "\n" in name:
+            raise InvalidArgumentError(
+                f"{path}: channel name {name!r} cannot be stored in a .eeg header; "
+                "names must be non-empty ASCII without ',' or a newline"
+            )
     fields = {
         "sample_rate_hz": rec.sample_rate_hz,
         "n_channels": rec.n_channels,
@@ -128,8 +135,8 @@ def load_recording(path: str | Path) -> Recording:
         fields = read_header(fh, path, _MAGIC)
         (n_channels,) = header_ints(path, fields, "n_channels")
         (n_samples,) = header_ints(path, fields, "n_samples")
+        (fs,) = header_ints(path, fields, "sample_rate_hz", minimum=1)
         try:
-            fs = int(fields["sample_rate_hz"])
             montage = Montage(fields["montage"])
             names = fields["channels"].split(",") if fields["channels"] else []
         except (KeyError, ValueError) as exc:

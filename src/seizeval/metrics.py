@@ -30,8 +30,10 @@ class EventizeOpts:
     def __post_init__(self) -> None:
         if not (0.0 <= self.threshold <= 1.0):
             raise InvalidArgumentError("threshold must be in [0, 1]")
-        if self.gap_merge_s < 0 or self.min_event_s < 0:
-            raise InvalidArgumentError("gap_merge_s and min_event_s must be >= 0")
+        for name in ("gap_merge_s", "min_event_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value:g}")
 
 
 @dataclass
@@ -64,34 +66,34 @@ class HypothesisTrack:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.ndim != 1:
             raise InvalidArgumentError("scores must be a 1-D sequence")
-        if self.scores.size and (self.scores.min() < 0 or self.scores.max() > 1):
+        if not np.all((self.scores >= 0) & (self.scores <= 1)):
             raise InvalidArgumentError("scores must lie in [0, 1]")
 
-    def events(self, opts: EventizeOpts) -> list[Interval]:
-        return eventize(self.scores, self.window, opts)
+
+def _runs(scores, window: WindowSpec, opts: EventizeOpts) -> list[tuple[slice, Interval]]:
+    """Each ``eventize`` event as (its window-index range [k0, k1), its interval)."""
+    shift = float(window.shift_s)
+    runs: list[list[int]] = []
+    for k in np.flatnonzero(np.asarray(scores, dtype=np.float64) >= opts.threshold).tolist():
+        if runs and k * shift - runs[-1][1] * shift <= opts.gap_merge_s + 1e-12:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1])
+    return [
+        (slice(k0, k1), (k0 * shift, k1 * shift))
+        for k0, k1 in runs
+        if k1 * shift - k0 * shift >= opts.min_event_s - 1e-12
+    ]
 
 
-def eventize(
-    scores: np.ndarray, window: WindowSpec, opts: EventizeOpts
-) -> list[Interval]:
+def eventize(scores: np.ndarray, window: WindowSpec, opts: EventizeOpts) -> list[Interval]:
     """Binarize window scores into merged hypothesis events.
 
-    Window k's decision covers the step interval [k*S, k*S + S); adjacent
-    positive steps merge, gaps <= gap_merge_s merge, short events drop.
+    Window k's decision covers the step interval [k*S, k*S + S), so a run of
+    positive windows [k0, k1) covers [k0*S, k1*S). Adjacent positive steps
+    merge, gaps <= gap_merge_s merge, short events drop.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    decisions = scores >= opts.threshold
-    shift = float(window.shift_s)
-    events: list[list[float]] = []
-    for k in np.flatnonzero(decisions).tolist():
-        start, stop = k * shift, (k + 1) * shift
-        if events and start - events[-1][1] <= opts.gap_merge_s + 1e-12:
-            events[-1][1] = stop
-        else:
-            events.append([start, stop])
-    return [
-        (a, b) for a, b in events if b - a >= opts.min_event_s - 1e-12
-    ]
+    return [interval for _, interval in _runs(scores, window, opts)]
 
 
 def _check_hyp(hyp: list[Interval]) -> None:
@@ -169,8 +171,8 @@ def margin(
     inside [onset - m, onset + m] (inclusive); offset accuracy is analogous
     with hypothesis offsets.
     """
-    if margin_s <= 0:
-        raise InvalidArgumentError("margin_s must be positive")
+    if not 0 < margin_s < math.inf:
+        raise InvalidArgumentError(f"margin_s must be positive and finite, got {margin_s:g}")
     _check_hyp(hyp)
     seizures = labels.seizure_events
     if not seizures:
@@ -427,10 +429,8 @@ def evaluate_track(
     points = operating_points(curves)
 
     def events_at(threshold: float) -> list[Interval]:
-        opts = EventizeOpts(
-            threshold=threshold, gap_merge_s=gap_merge_s, min_event_s=min_event_s
-        )
-        return track.events(opts)
+        opts = EventizeOpts(threshold, gap_merge_s, min_event_s)
+        return eventize(track.scores, track.window, opts)
 
     hyp_youden = events_at(points.youden_threshold)
     epoch_cc = epoch_counts(window_labels, track.scores >= points.youden_threshold)
@@ -472,11 +472,7 @@ def evaluate_track(
 
 
 def export_hypothesis(track: HypothesisTrack, opts: EventizeOpts, path) -> None:
-    """Write eventized hypotheses in the label format plus a probability column."""
-    events = track.events(opts)
-    shift = track.window.shift_s
+    """Write eventized hypotheses in the label format; the probability is the run's mean score."""
     with open(path, "w") as fh:
-        for a, b in events:
-            k0, k1 = int(round(a / shift)), int(round(b / shift))
-            prob = float(np.mean(track.scores[k0:k1])) if k1 > k0 else 0.0
-            fh.write(f"{a:.3f} {b:.3f} seiz {prob:.6f}\n")
+        for ks, (a, b) in _runs(track.scores, track.window, opts):
+            fh.write(f"{a:.3f} {b:.3f} seiz {float(np.mean(track.scores[ks])):.6f}\n")

@@ -29,6 +29,13 @@ class LatencyReport:
     shift_budget_s: float
     exclude_warmup: bool = True
 
+    def __post_init__(self) -> None:
+        # zero is allowed: no measured window meets it, so bench exits 3
+        if not 0 <= self.shift_budget_s < np.inf:
+            raise InvalidArgumentError(
+                f"shift budget must be finite and >= 0, got {self.shift_budget_s:g}"
+            )
+
     @property
     def total_s(self) -> np.ndarray:
         return self.extract_s + self.detect_s

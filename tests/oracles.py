@@ -136,6 +136,17 @@ def brute_eventize(decisions, shift_s: float, gap_merge_s: float, min_event_s: f
     return [(a, b) for a, b in events if to_ms(b - a) >= to_ms(min_event_s)]
 
 
+def window_label(labels, window_start_s: float, spec) -> bool:
+    """The labelling rule one window at a time: ictal iff the seizure time
+    inside [start, start + W) strictly exceeds the shift S."""
+    stop = window_start_s + spec.window_s
+    overlap = sum(
+        max(0.0, min(ev.stop_s, stop) - max(ev.start_s, window_start_s))
+        for ev in labels.seizure_events
+    )
+    return overlap > spec.shift_s
+
+
 def pairwise_auroc(labels, scores) -> float:
     """Mann-Whitney estimator with ties counted one half."""
     labels = np.asarray(labels, dtype=bool)

@@ -153,13 +153,15 @@ def test_criterion_06_labeling_boundary():
     spec = sv.WindowSpec(window_s=4, shift_s=1)
     sample = 1.0 / FS
 
-    def label_for(overlap_s):
-        # the event covers the window tail [4 - overlap, 4)
-        track = sv.LabelTrack([sv.Event(4.0 - overlap_s, 10.0)], 30.0)
-        return sv.window_label(track, 0.0, spec)
+    rec = sv.Recording(FS, ["CH0"], np.zeros((1, 30 * FS)))
 
-    assert label_for(1.0) is sv.WindowClass.NON_ICTAL
-    assert label_for(1.0 + sample) is sv.WindowClass.ICTAL
+    def label_for(overlap_s):
+        # the event covers the tail [4 - overlap, 4) of window 0
+        track = sv.LabelTrack([sv.Event(4.0 - overlap_s, 10.0)], 30.0)
+        return sv.window_labels(rec, track, spec)[0]
+
+    assert not label_for(1.0)
+    assert label_for(1.0 + sample)
 
 
 @criterion(7, "end-to-end synthetic run: linear AUROC >= 0.90, energy >= 0.80")

@@ -52,6 +52,16 @@ def test_ingest_csv(tmp_path):
     assert rec.n_channels == 2 and rec.n_samples == 100
 
 
+def test_ingest_unstorable_channel_name_is_validation_error(tmp_path, capsys):
+    csv = tmp_path / "rec.csv"
+    csv.write_text("FP1,F\u00e47\n" + "1.0,2.0\n" * 10, encoding="utf-8")
+    out = tmp_path / "rec.eeg"
+    assert main(["ingest", "--csv", str(csv), "--rate", "200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: channel name 'F\u00e47'")
+    assert not out.exists()
+
+
 def test_extract_dump(corpus, tmp_path):
     out = tmp_path / "tensor.txt"
     code = main([
@@ -305,19 +315,30 @@ def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--batch-size", "0"], ["--batch-size", "-4"], ["--smoothing", "-3"], ["--smoothing", "1"]],
+    [["--batch-size", "0"], ["--batch-size", "-4"], ["--smoothing", "-3"], ["--smoothing", "1"],
+     ["--lr", "nan"], ["--l2", "-5"],
+     ["--min-event-sec", "nan"], ["--gap-merge-sec", "nan"], ["--margins", "nan"],
+     ["--detector", "energy", "--scale", "1", "--midpoint", "nan"],
+     ["--detector", "energy", "--midpoint", "0", "--scale", "inf"],
+     ["--budget-sec", "nan"]],
 )
 def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys, extra):
-    if extra[0] == "--batch-size":
+    # the last value of ``extra`` is the offending one, and the error shows it
+    model = str(corpus / "model.bin")
+    if extra[0] in ("--batch-size", "--lr", "--l2"):
         argv = ["train", "--rec", str(corpus / "train" / "rec.eeg"),
                 "--labels", str(corpus / "train" / "labels.txt"),
                 "--out", str(corpus / "bad-model.bin")]
+    elif extra[0] == "--budget-sec":
+        argv = ["bench", "--rec", str(corpus / "test" / "rec.eeg"), "--model", model]
     else:
         argv = ["eval", "--rec", str(corpus / "test" / "rec.eeg"),
                 "--labels", str(corpus / "test" / "labels.txt"),
-                "--model", str(corpus / "model.bin"), "--out-dir", str(corpus / "eval-bad")]
+                "--out-dir", str(corpus / "eval-bad")]
+        argv += [] if extra[0] == "--detector" else ["--model", model]
     assert main(argv + extra) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"got {extra[-1]}" in err
     assert not (corpus / "bad-model.bin").exists()
 
 

@@ -13,6 +13,8 @@ import seizeval as sv
 from seizeval.core import DEFAULT_BIPOLAR_PAIRS, DEFAULT_UNIPOLAR_CHANNELS
 from seizeval.errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
 
+import oracles
+
 
 def make_rec(samples, fs=200, montage=sv.Montage.UNIPOLAR, names=None):
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float32))
@@ -151,30 +153,59 @@ class TestWindows:
 
 
 class TestWindowLabel:
-    def track(self, events, duration=60.0):
-        return sv.LabelTrack(
+    def label(self, events, k, spec=sv.WindowSpec(4, 1), duration=60):
+        """window_labels' label for window k of a recording built for the test."""
+        rec = make_rec(np.zeros((1, duration * 200)))
+        track = sv.LabelTrack(
             [sv.Event(a, b, sv.SeizureLabel.SEIZ) for a, b in events], duration
         )
+        return sv.window_labels(rec, track, spec)[k]
 
     def test_clear_overlap(self):
-        t = self.track([(10, 20)])
-        assert sv.window_label(t, 9.0, sv.WindowSpec(4, 1)) is sv.WindowClass.ICTAL
+        assert self.label([(10, 20)], 9)
 
     def test_no_overlap(self):
-        t = self.track([(10, 20)])
-        assert sv.window_label(t, 6.0, sv.WindowSpec(4, 1)) is sv.WindowClass.NON_ICTAL
+        assert not self.label([(10, 20)], 6)
 
     def test_exact_shift_overlap_is_nonictal(self):
-        t = self.track([(10, 11)])
-        assert sv.window_label(t, 8.0, sv.WindowSpec(4, 1)) is sv.WindowClass.NON_ICTAL
+        assert not self.label([(10, 11)], 8)
 
     def test_one_sample_past_shift_is_ictal(self):
         # strict boundary: shift_s + one sample period flips the label
-        t = self.track([(10, 11 + 1 / 200)])
-        spec = sv.WindowSpec(4, 1)
-        assert sv.window_label(t, 8.0, spec) is sv.WindowClass.ICTAL
-        t2 = self.track([(10, 11)])
-        assert sv.window_label(t2, 8.0, spec) is sv.WindowClass.NON_ICTAL
+        assert self.label([(10, 11 + 1 / 200)], 8)
+        assert not self.label([(10, 11)], 8)
+
+    @pytest.mark.parametrize(
+        "window_s, shift_s, fs",
+        [(4, 1, 200), (2, 0.1, 200), (2, 0.1, 250), (3, 2, 250), (2, 0.25, 256), (4, 0.5, 256)],
+    )
+    def test_bit_equal_to_scalar_rule(self, window_s, shift_s, fs):
+        """Every window of random tracks, with event bounds on the window grid
+        (starts and stops) and one sample off it, labels as the scalar rule."""
+        rng = np.random.default_rng(fs)
+        spec = sv.WindowSpec(window_s, shift_s)
+        win, shift = spec.window_samples(fs), spec.shift_samples(fs)
+        kinds = [sv.SeizureLabel.SEIZ, sv.SeizureLabel.FNSZ, sv.SeizureLabel.BCKG]
+        for _ in range(50):
+            n = int(rng.integers(win, 60 * fs))
+            rec = make_rec(np.zeros((1, n)), fs=fs)
+            grid = {
+                k * shift + edge + off
+                for k in range(n // shift + 1)
+                for edge in (0, win)
+                for off in (-1, 0, 1)
+            }
+            bounds = sorted(b for b in grid if 0 <= b <= n)
+            n_events = int(rng.integers(0, 6))
+            picks = np.sort(rng.choice(len(bounds), size=2 * n_events, replace=False))
+            events = [
+                sv.Event(bounds[i] / fs, bounds[j] / fs, kinds[rng.integers(3)])
+                for i, j in picks.reshape(-1, 2)
+            ]
+            labels = sv.LabelTrack(events, n / fs)
+            windows = sv.slice_windows(rec, spec)
+            expected = [oracles.window_label(labels, w.start_s, spec) for w in windows]
+            assert sv.window_labels(rec, labels, spec).tolist() == expected
 
 
 def band_power(x, fs, lo, hi):

@@ -28,13 +28,7 @@ def synth_band_features(seed, duration_s=120, n_events=3):
     rec, labels = sv.synth_recording(cfg)
     spec = sv.WindowSpec()
     feats = [frequency_bands(w.samples) for w in sv.slice_windows(rec, spec)]
-    wl = np.array(
-        [
-            sv.window_label(labels, w.start_s, spec) is sv.WindowClass.ICTAL
-            for w in sv.slice_windows(rec, spec)
-        ]
-    )
-    return feats, wl
+    return feats, sv.window_labels(rec, labels, spec)
 
 
 class TestEnergyDetector:

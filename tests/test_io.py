@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seizeval as sv
 from seizeval import detectors, features, io
@@ -52,6 +54,22 @@ class TestBinaryRecording:
         path.write_bytes(b"not a recording at all")
         with pytest.raises(MalformedHeaderError):
             io.load_recording(path)
+
+    @pytest.mark.parametrize("name", ["F\u00e47", "F,7", "", "F\n7"])
+    def test_unstorable_channel_name_rejected(self, tmp_path, name):
+        rec = sv.Recording(200, ["FP1", name], np.zeros((2, 4), np.float32))
+        path = tmp_path / "rec.eeg"
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: channel name {name!r}")):
+            io.save_recording(rec, path)
+        assert not path.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.characters(max_codepoint=127, blacklist_characters=",\n"),
+                            min_size=1), max_size=4))
+    def test_storable_channel_names_round_trip(self, tmp_path_factory, names):
+        path = tmp_path_factory.mktemp("names") / "rec.eeg"
+        io.save_recording(sv.Recording(200, names, np.zeros((len(names), 2), np.float32)), path)
+        assert io.load_recording(path).channel_names == names
 
     def test_channel_count_mismatch(self, tmp_path):
         path = tmp_path / "rec.eeg"
@@ -123,6 +141,16 @@ def test_model_header_counts_must_be_positive(tmp_path):
     path.write_bytes(header + np.zeros(1, "<f8").tobytes())
     with pytest.raises(MalformedHeaderError, match=re.escape(f"{path}: feature_shape=0,1,1")):
         detectors.load_model(path)
+
+
+@pytest.mark.parametrize("value", ["0", "2_00", "-200", "200.0", ""])
+def test_sample_rate_is_a_positive_header_integer(tmp_path, value):
+    path = tmp_path / "rate.eeg"
+    io.save_recording(sample_rec(), path)
+    data = path.read_bytes().replace(b"sample_rate_hz=200", f"sample_rate_hz={value}".encode())
+    path.write_bytes(data)
+    with pytest.raises(MalformedHeaderError, match=re.escape(f"{path}: sample_rate_hz={value}:")):
+        io.load_recording(path)
 
 
 def test_empty_recording_round_trips(tmp_path):

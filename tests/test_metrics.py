@@ -61,6 +61,19 @@ class TestEventize:
             rebuilt[int(round(a)) : int(round(b))] = True
         assert rebuilt.tolist() == decisions
 
+    @pytest.mark.parametrize(
+        "opts", [{"gap_merge_s": math.nan}, {"min_event_s": math.nan},
+                 {"gap_merge_s": math.inf}, {"min_event_s": -1.0}],
+    )
+    def test_non_finite_or_negative_opts_rejected(self, opts):
+        with pytest.raises(InvalidArgumentError, match="must be finite and >= 0"):
+            sv.EventizeOpts(**opts)
+
+    @pytest.mark.parametrize("scores", [[0.1, math.nan, 0.9], [-0.1, 0.5], [0.5, 1.5]])
+    def test_scores_outside_unit_interval_rejected(self, scores):
+        with pytest.raises(InvalidArgumentError, match=r"scores must lie in \[0, 1\]"):
+            sv.HypothesisTrack(scores, sv.WindowSpec(4, 1), 10.0)
+
 
 class TestEpoch:
     def test_mixed(self):
@@ -123,6 +136,11 @@ class TestMargin:
     def test_no_label_events_is_nan(self):
         on, off = sv.margin(track([]), [(1.0, 2.0)], 3.0)
         assert math.isnan(on) and math.isnan(off)
+
+    @pytest.mark.parametrize("margin_s", [0.0, -1.0, math.nan, math.inf])
+    def test_margin_outside_positive_reals_rejected(self, margin_s):
+        with pytest.raises(InvalidArgumentError, match="margin_s must be positive and finite"):
+            sv.margin(track([(10, 20)]), [], margin_s)
 
 
 class TestOnsetLatency:
@@ -275,12 +293,10 @@ class TestReport:
         rng = np.random.default_rng(3)
         spec = sv.WindowSpec(4, 1)
         t = track([(10, 20), (35, 45)], duration=60.0)
-        wl = np.zeros(57, dtype=bool)
+        wl = sv.window_labels(sv.Recording(200, ["CH0"], np.zeros((1, 60 * 200))), t, spec)
         scores = rng.random(57) * 0.3
-        for k in range(57):
-            if sv.window_label(t, float(k), spec) is sv.WindowClass.ICTAL:
-                wl[k] = True
-                scores[k] = 0.7 + rng.random() * 0.3
+        for k in np.flatnonzero(wl):
+            scores[k] = 0.7 + rng.random() * 0.3
         ht = sv.HypothesisTrack(scores, spec, 60.0)
         report = sv.evaluate_track(t, wl, ht)
         d = report.to_dict()
@@ -299,3 +315,14 @@ class TestReport:
         line = path.read_text().strip().split()
         assert line[:3] == ["1.000", "3.000", "seiz"]
         assert float(line[3]) == pytest.approx(0.9)
+
+    def test_export_hypothesis_gap_merged_run(self, tmp_path):
+        # the run [1, 6) merges two events over a 0.1 s gap; its probability
+        # is the mean over all five windows, the gap window included
+        scores = [0.0, 0.9, 0.8, 0.1, 0.7, 0.6, 0.0, 0.0]
+        ht = sv.HypothesisTrack(scores, sv.WindowSpec(2, 0.1), 3.0)
+        path = tmp_path / "hyp.txt"
+        sv.metrics.export_hypothesis(ht, sv.EventizeOpts(gap_merge_s=0.1), path)
+        line = path.read_text().strip().split()
+        assert line[:3] == ["0.100", "0.600", "seiz"]
+        assert float(line[3]) == pytest.approx(np.mean(scores[1:6]), abs=1e-6)
