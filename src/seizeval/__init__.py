@@ -17,10 +17,10 @@ from .core import (
 )
 from .detectors import (
     DetectorState,
-    EnergyDetector,
     LinearDetector,
     LinearModel,
     TrainConfig,
+    fit_energy,
     train_linear,
 )
 from .features import (

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io as stdio
 import json
 import sys
@@ -62,12 +64,12 @@ def _window_spec(args) -> core.WindowSpec:
     return core.WindowSpec(window_s=args.window_sec, shift_s=args.shift_sec)
 
 
-def _fit(rec, labels, spec, feature: str, cfg) -> detectors.LinearModel:
-    """Train the linear detector on every window of ``rec`` (train and sweep)."""
+def _fit(rec, labels, spec, feature: str, fit) -> detectors.LinearModel:
+    """Fit a model with ``fit(dataset)`` on every window of ``rec`` (train and sweep)."""
     extractor = features.get_extractor(feature, rec.sample_rate_hz)
     feats = [extractor(w.samples) for w in core.slice_windows(rec, spec)]
     wl = core.window_labels(rec, labels, spec)
-    return detectors.train_linear(list(zip(feats, wl.astype(int))), cfg)
+    return fit(list(zip(feats, wl.astype(int))))
 
 
 def _score(rec, labels, wl, detector, spec, **eval_opts):
@@ -77,48 +79,13 @@ def _score(rec, labels, wl, detector, spec, **eval_opts):
     return track, latency, metrics.evaluate_track(labels, wl, track, **eval_opts)
 
 
-def _build_detector(args, rec, spec, labels, wl=None) -> detectors.Detector:
-    """Load or calibrate the detector; pass ``wl`` when the window labels exist."""
-    if args.model:
-        model = detectors.load_model(args.model)
-        return detectors.LinearDetector(model, smoothing=args.smoothing)
-    if args.detector == "energy":
-        if args.midpoint is not None and args.scale is not None:
-            return detectors.EnergyDetector(
-                band_index=args.band_index,
-                midpoint=args.midpoint,
-                scale=args.scale,
-                smoothing=args.smoothing,
-            )
-        if labels is None:
-            raise InvalidArgumentError(
-                "energy detector needs --midpoint/--scale or labels to calibrate on"
-            )
-        if wl is None:
-            wl = core.window_labels(rec, labels, spec)
-        extractor = features.get_extractor("bands", rec.sample_rate_hz)
-        bg = [
-            detectors.band_energy(extractor(w.samples), args.band_index)
-            for w, y in zip(core.slice_windows(rec, spec), wl)
-            if not y
-        ]
-        return detectors.EnergyDetector.calibrate(
-            np.array(bg), band_index=args.band_index, smoothing=args.smoothing
-        )
-    raise InvalidArgumentError("specify --model PATH or --detector energy")
-
-
 def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-sec", type=float, default=4.0)
     p.add_argument("--shift-sec", type=float, default=1.0)
 
 
 def _add_detector_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="trained linear model file")
-    p.add_argument("--detector", choices=["energy"], help="built-in detector")
-    p.add_argument("--band-index", type=int, default=0)
-    p.add_argument("--midpoint", type=float)
-    p.add_argument("--scale", type=float)
+    p.add_argument("--model", required=True, help="model file written by train")
     p.add_argument("--smoothing", type=float, default=0.0)
 
 
@@ -167,18 +134,19 @@ def cmd_extract(args) -> int:
             f"--window-index {args.window_index} is out of range: the recording has "
             f"{len(windows)} windows (0 to {len(windows) - 1}, or -1 for all)"
         )
-    if args.window_index == -1:
-        for window in windows:
-            tensor = extractor(window.samples)
-            features.save_tensor(tensor, f"{args.out}.{window.index}", binary=args.binary)
-        return EXIT_OK
-    tensor = extractor(windows[args.window_index].samples)
-    features.save_tensor(tensor, args.out, binary=args.binary)
-    print(f"wrote {args.out} shape={tensor.shape}")
+    if args.window_index != -1:
+        windows = [windows[args.window_index]]
+    for window in windows:
+        tensor = extractor(window.samples)
+        path = f"{args.out}.npy" if args.window_index != -1 else f"{args.out}.{window.index}.npy"
+        np.save(path, tensor.data, allow_pickle=False)
+        print(f"wrote {path} ({tensor.extractor_id}, shape={tensor.shape})")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
+    if args.detector == "energy" and args.feature != "bands":
+        raise InvalidArgumentError(f"--detector energy needs --feature bands, got {args.feature}")
     cfg = detectors.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -186,21 +154,22 @@ def cmd_train(args) -> int:
         l2=args.l2,
         seed=args.seed,
     )
+    fit = {
+        "linear": functools.partial(detectors.train_linear, cfg=cfg),
+        "energy": detectors.fit_energy,
+    }[args.detector]
     rec, labels = _load_rec_and_labels(args)
-    model = _fit(rec, labels, _window_spec(args), args.feature, cfg)
+    model = _fit(rec, labels, _window_spec(args), args.feature, fit)
     detectors.save_model(model, args.out)
-    print(
-        f"wrote {args.out} (feature={args.feature}, final loss "
-        f"{model.loss_history[-1]:.4f})"
-    )
+    loss = f", final loss {model.loss_history[-1]:.4f}" if model.loss_history else ""
+    print(f"wrote {args.out} ({args.detector} detector, feature={args.feature}{loss})")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     rec = io.load_recording(args.rec)
     spec = _window_spec(args)
-    labels = io.load_labels(args.labels, rec.duration_s) if args.labels else None
-    detector = _build_detector(args, rec, spec, labels)
+    detector = detectors.LinearDetector(detectors.load_model(args.model), args.smoothing)
     extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
     track, report = rtbench.run_stream(rec, extractor, detector, spec)
     opts = metrics.EventizeOpts(
@@ -219,7 +188,11 @@ def cmd_eval(args) -> int:
     rec, labels = _load_rec_and_labels(args)
     spec = _window_spec(args)
     wl = core.window_labels(rec, labels, spec)
-    detector = _build_detector(args, rec, spec, labels, wl)
+    detector = detectors.LinearDetector(detectors.load_model(args.model), args.smoothing)
+    # reject bad event options before any output exists or the stream is scored
+    opts = metrics.EventizeOpts(gap_merge_s=args.gap_merge_sec, min_event_s=args.min_event_sec)
+    for m in args.margins:
+        metrics.margin(labels, [], m)
     out = Path(args.out_dir) if args.out_dir else _default_run_dir(args.seed)
     out.mkdir(parents=True, exist_ok=True)
     track, _, report = _score(
@@ -236,12 +209,7 @@ def cmd_eval(args) -> int:
         rows.append(f"{t:.9f},{tp:.9f},{fp:.9f},{pr:.9f},{rc:.9f}")
     (out / "curves.csv").write_text("\n".join(rows) + "\n")
     metrics.export_hypothesis(
-        track,
-        metrics.EventizeOpts(
-            threshold=report.youden_threshold,
-            gap_merge_s=args.gap_merge_sec,
-            min_event_s=args.min_event_sec,
-        ),
+        track, dataclasses.replace(opts, threshold=report.youden_threshold),
         out / "hypothesis.txt",
     )
     print(report.to_text(), end="")
@@ -252,8 +220,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     rec = io.load_recording(args.rec)
     spec = _window_spec(args)
-    labels = io.load_labels(args.labels, rec.duration_s) if args.labels else None
-    detector = _build_detector(args, rec, spec, labels)
+    detector = detectors.LinearDetector(detectors.load_model(args.model), args.smoothing)
     extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
     budget = args.budget_sec if args.budget_sec is not None else spec.shift_s
     _, report = rtbench.run_stream(
@@ -296,9 +263,9 @@ def cmd_sweep(args) -> int:
                 window_s=value if name == "window_sec" else args.window_sec,
                 shift_s=args.shift_sec if name == "window_sec" else value,
             )
-            model = _fit(
-                train_rec, train_labels, spec, args.feature, detectors.TrainConfig(seed=args.seed)
-            )
+            cfg = detectors.TrainConfig(seed=args.seed)
+            fit = functools.partial(detectors.train_linear, cfg=cfg)
+            model = _fit(train_rec, train_labels, spec, args.feature, fit)
             wl = core.window_labels(test_rec, test_labels, spec)
             _, latency, report = _score(
                 test_rec, test_labels, wl, detectors.LinearDetector(model), spec
@@ -374,13 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", choices=features.EXTRACTOR_NAMES, default="raw")
     _add_window_args(p)
     p.add_argument("--window-index", type=int, default=0, help="-1 for all windows")
-    p.add_argument("--binary", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="writes OUT.npy, or OUT.K.npy for each window K with --window-index -1")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train the linear detector")
+    p = sub.add_parser("train", help="fit a detector model on labelled training data")
     p.add_argument("--rec", required=True)
     p.add_argument("--labels", required=True)
+    p.add_argument("--detector", choices=["linear", "energy"], default="linear",
+                   help="logistic regression, or the band-0 energy baseline (needs bands)")
     p.add_argument("--feature", choices=features.EXTRACTOR_NAMES, default="bands")
     _add_window_args(p)
     p.add_argument("--lr", type=float, default=0.1)
@@ -393,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="stream a recording and export hypotheses")
     p.add_argument("--rec", required=True)
-    p.add_argument("--labels", help="needed only to calibrate the energy detector")
     _add_detector_args(p)
     _add_window_args(p)
     p.add_argument("--threshold", type=float, default=0.5)
@@ -417,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="real-time latency benchmark")
     p.add_argument("--rec", required=True)
-    p.add_argument("--labels")
     _add_detector_args(p)
     _add_window_args(p)
     p.add_argument("--budget-sec", type=float, help="override the shift budget")

@@ -1,8 +1,13 @@
-"""Per-window detectors: an energy baseline and a trainable linear model.
+"""Per-window detectors: linear models on feature tensors, and their fitters.
 
-Detectors consume one FeatureTensor per window and emit a score in [0, 1].
-State is threaded explicitly so streaming replay is reproducible; both
-reference detectors are stateless unless exponential smoothing is enabled.
+A LinearDetector scores one FeatureTensor per window with a LinearModel and
+emits a score in [0, 1]. State is threaded explicitly so streaming replay is
+reproducible; a detector is stateless unless exponential smoothing is enabled.
+
+Two fitters turn labelled training windows into a LinearModel: train_linear
+(logistic regression) and fit_energy (the energy baseline, a logistic squash
+of mean band-0 energy calibrated on background windows). Both models are
+saved, loaded and scored the same way.
 """
 
 from __future__ import annotations
@@ -65,66 +70,6 @@ class Detector:
             score = self.smoothing * state.prev_score + (1 - self.smoothing) * score
         score = min(1.0, max(0.0, score))
         return score, DetectorState(prev_score=score)
-
-
-# ---------------------------------------------------------------------------
-# energy baseline
-
-
-class EnergyDetector(Detector):
-    """Logistic squash of mean band energy against a calibrated midpoint."""
-
-    extractor_id = "bands"
-
-    def __init__(
-        self,
-        band_index: int = 0,
-        midpoint: float = 1.0,
-        scale: float = 1.0,
-        smoothing: float = 0.0,
-    ):
-        if not np.isfinite(midpoint):
-            raise InvalidArgumentError(f"midpoint must be finite, got {midpoint:g}")
-        if not 0 < scale < np.inf:
-            raise InvalidArgumentError(f"scale must be positive and finite, got {scale:g}")
-        super().__init__(smoothing)
-        self.band_index = band_index
-        self.midpoint = midpoint
-        self.scale = scale
-
-    def _raw_score(self, features: FeatureTensor) -> float:
-        energy = band_energy(features, self.band_index)
-        return float(logistic((energy - self.midpoint) / self.scale))
-
-    @classmethod
-    def calibrate(
-        cls,
-        background_energies: np.ndarray,
-        band_index: int = 0,
-        smoothing: float = 0.0,
-    ) -> "EnergyDetector":
-        """Fit midpoint/scale to the 90th/50th percentiles of background energy.
-
-        The background median maps to score 0.1 and the 90th percentile to 0.5,
-        so most background windows sit below a 0.5 threshold.
-        """
-        energies = np.asarray(background_energies, dtype=np.float64)
-        if energies.size == 0:
-            raise DegenerateDatasetError("no background windows to calibrate on")
-        p50, p90 = np.percentile(energies, [50, 90])
-        scale = max((p90 - p50) / np.log(9.0), 1e-9)
-        return cls(band_index=band_index, midpoint=float(p90), scale=float(scale),
-                   smoothing=smoothing)
-
-
-def band_energy(features: FeatureTensor, band_index: int) -> float:
-    if features.extractor_id != "bands":
-        raise IncompatibleFeatureError(
-            f"band energy needs 'bands' features, got {features.extractor_id!r}"
-        )
-    if not (0 <= band_index < features.shape[1]):
-        raise InvalidArgumentError(f"band_index {band_index} out of range")
-    return float(features.data[:, band_index, :].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +145,10 @@ def train_linear(
 ) -> LinearModel:
     """Logistic regression by seeded mini-batch gradient descent."""
     cfg = cfg or TrainConfig()
-    if not dataset:
-        raise DegenerateDatasetError("empty training set")
+    extractor_id, shape = _feature_kind(dataset)
     labels = np.array([int(y) for _, y in dataset], dtype=np.float64)
     if len(set(labels.tolist())) < 2:
         raise DegenerateDatasetError("training set contains a single class")
-    extractor_id = dataset[0][0].extractor_id
-    shape = dataset[0][0].shape
-    for feat, _ in dataset:
-        if feat.extractor_id != extractor_id or feat.shape != shape:
-            raise IncompatibleFeatureError("mixed feature kinds in training set")
     X = np.stack([feat.flat() for feat, _ in dataset])
     mean = X.mean(axis=0)
     std = np.maximum(X.std(axis=0), 1e-8)
@@ -245,6 +184,48 @@ def train_linear(
         feature_shape=shape,
         loss_history=losses,
     )
+
+
+def fit_energy(dataset: list[tuple[FeatureTensor, int]]) -> LinearModel:
+    """The energy baseline: a logistic squash of mean band-0 energy.
+
+    The median band-0 energy of the background windows maps to score 0.1 and
+    their 90th percentile to 0.5, so most background windows sit below a 0.5
+    threshold. As a linear model: weight 1/(scale*C*T) on every band-0 entry
+    of a (C, bands, T) tensor, 0 elsewhere, and bias -p90/scale.
+    """
+    extractor_id, shape = _feature_kind(dataset)
+    if extractor_id != "bands":
+        raise IncompatibleFeatureError(
+            f"the energy baseline needs 'bands' features, got {extractor_id!r}"
+        )
+    energies = [feat.data[:, 0, :].mean() for feat, y in dataset if not y]
+    if not energies:
+        raise DegenerateDatasetError("no background windows to calibrate on")
+    p50, p90 = np.percentile(energies, [50, 90])
+    scale = max((p90 - p50) / np.log(9.0), 1e-9)
+    n_channels, _, n_frames = shape
+    weights = np.zeros(shape)
+    weights[:, 0, :] = 1.0 / (scale * n_channels * n_frames)
+    return LinearModel(
+        weights=weights.ravel(),
+        bias=float(-p90 / scale),
+        feature_mean=np.zeros(weights.size),
+        feature_std=np.ones(weights.size),
+        extractor_id=extractor_id,
+        feature_shape=shape,
+    )
+
+
+def _feature_kind(dataset: list[tuple[FeatureTensor, int]]) -> tuple[str, tuple[int, int, int]]:
+    """The (extractor_id, shape) shared by every tensor of a non-empty training set."""
+    if not dataset:
+        raise DegenerateDatasetError("empty training set")
+    extractor_id, shape = dataset[0][0].extractor_id, dataset[0][0].shape
+    for feat, _ in dataset:
+        if feat.extractor_id != extractor_id or feat.shape != shape:
+            raise IncompatibleFeatureError("mixed feature kinds in training set")
+    return extractor_id, shape
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,6 @@ class SurplusPayloadError(FileFormatError):
     """Payload holds more values than the header promises."""
 
 
-class MalformedPayloadError(FileFormatError):
-    """A text payload holds a value that is not a number."""
-
-
 class TextEncodingError(FileFormatError):
     """A text input holds bytes that are not UTF-8."""
 

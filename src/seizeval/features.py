@@ -9,18 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .core import PIPELINE_RATE_HZ
-from .errors import (
-    InvalidArgumentError,
-    MalformedHeaderError,
-    MalformedPayloadError,
-)
-from .io import check_payload_count, open_input, read_payload
+from .errors import InvalidArgumentError
 
 DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
     (1, 4), (4, 8), (8, 12), (12, 30), (30, 50), (50, 70), (70, 100),
@@ -523,48 +517,3 @@ def get_extractor(
         f"unknown extractor {name!r}; expected one of {EXTRACTOR_NAMES}"
     )
 
-
-# ---------------------------------------------------------------------------
-# tensor dump format
-
-
-def save_tensor(tensor: FeatureTensor, path: str | Path, binary: bool = False) -> None:
-    """Metadata line + flattened row-major values, text or binary."""
-    meta = (
-        f"{tensor.extractor_id} {tensor.shape[0]} {tensor.shape[1]} "
-        f"{tensor.shape[2]} {'f32' if binary else 'text'}\n"
-    )
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(meta.encode("ascii"))
-            fh.write(tensor.flat().astype("<f4").tobytes())
-    else:
-        with open(path, "w") as fh:
-            fh.write(meta)
-            np.savetxt(fh, tensor.flat()[None, :], fmt="%.9g")
-
-
-def load_tensor(path: str | Path) -> FeatureTensor:
-    with open_input(path, "rb") as fh:
-        try:
-            meta = fh.readline().decode("ascii").split()
-        except UnicodeDecodeError as exc:
-            raise MalformedHeaderError(f"{path}: tensor metadata line is not ASCII") from exc
-        if len(meta) != 5:
-            raise MalformedHeaderError(f"{path}: bad tensor metadata line")
-        extractor_id, *dims, kind = meta
-        if not all(d.isdigit() and int(d) > 0 for d in dims):
-            raise MalformedHeaderError(
-                f"{path}: tensor dims {' '.join(dims)} must be positive integers"
-            )
-        shape = tuple(int(d) for d in dims)
-        expected = int(np.prod(shape))
-        if kind == "f32":
-            data = read_payload(fh, path, "<f4", expected)
-        else:
-            try:
-                data = np.array(fh.read().decode("ascii").split(), dtype=np.float64)
-            except ValueError as exc:  # a non-numeric value, or UnicodeDecodeError
-                raise MalformedPayloadError(f"{path}: text payload: {exc}") from exc
-            check_payload_count(path, data.size, expected)
-    return FeatureTensor(np.asarray(data, dtype=np.float64).reshape(shape), extractor_id)

@@ -186,8 +186,7 @@ def test_criterion_07_end_to_end():
     scores = np.array([det.detect(det.reset_state(), f)[0] for f in test_feats])
     assert oracles.pairwise_auroc(test_wl, scores) >= 0.90
 
-    energies = np.array([dt.band_energy(f, 0) for f in train_feats])
-    edet = sv.EnergyDetector.calibrate(energies[~train_wl], band_index=0)
+    edet = sv.LinearDetector(sv.fit_energy(list(zip(train_feats, train_wl))))
     escores = np.array([edet.detect(edet.reset_state(), f)[0] for f in test_feats])
     assert oracles.pairwise_auroc(test_wl, escores) >= 0.80
 
@@ -226,11 +225,15 @@ def test_criterion_08_realtime(tmp_path):
 @criterion(9, "streamed scores bit-identical to batch on 20 recordings")
 def test_criterion_09_stream_batch_equivalence():
     t0 = time.perf_counter()
+    spec = sv.WindowSpec()
+    rec, labels = sv.synth_recording(sv.SynthConfig(duration_s=30, n_random_events=1, seed=100))
+    feats = [sv.frequency_bands(w.samples) for w in sv.slice_windows(rec, spec)]
+    model = sv.fit_energy(list(zip(feats, sv.window_labels(rec, labels, spec))))
     for seed in range(20):
         rec, _ = sv.synth_recording(
             sv.SynthConfig(duration_s=30, n_random_events=1, seed=seed)
         )
-        det = sv.EnergyDetector(band_index=0, midpoint=5.0, scale=2.0, smoothing=0.5)
+        det = sv.LinearDetector(model, smoothing=0.5)
         streamed, _ = run_stream(rec, get_extractor("bands"), det)
         batched = oracles.batch_replay_scores(rec, get_extractor("bands"), det)
         assert streamed.scores.tobytes() == batched.tobytes()

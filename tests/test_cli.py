@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from seizeval import core, detectors, metrics, rtbench
+from seizeval import core, detectors, features, io, metrics, rtbench
 from seizeval.cli import main
 
 
@@ -46,8 +46,6 @@ def test_ingest_csv(tmp_path):
     csv.write_text("\n".join(rows) + "\n")
     out = tmp_path / "rec.eeg"
     assert main(["ingest", "--csv", str(csv), "--rate", "200", "--out", str(out)]) == 0
-    from seizeval import io
-
     rec = io.load_recording(out)
     assert rec.n_channels == 2 and rec.n_samples == 100
 
@@ -62,15 +60,34 @@ def test_ingest_unstorable_channel_name_is_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_extract_dump(corpus, tmp_path):
-    out = tmp_path / "tensor.txt"
+def test_extract_dump(corpus, tmp_path, capsys):
+    out = tmp_path / "tensor"
     code = main([
         "extract", "--rec", str(corpus / "train" / "rec.eeg"),
         "--feature", "bands", "--out", str(out),
     ])
     assert code == 0
-    header = out.read_text().splitlines()[0].split()
-    assert header[0] == "bands" and header[1:4] == ["20", "7", "100"]
+    assert np.load(tmp_path / "tensor.npy").shape == (20, 7, 100)
+    assert capsys.readouterr().out == f"wrote {out}.npy (bands, shape=(20, 7, 100))\n"
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_extract_npy_bit_equal_to_extractor(corpus, tmp_path, index):
+    rec = io.load_recording(corpus / "test" / "rec.eeg")
+    extractor = features.get_extractor("bands", rec.sample_rate_hz)
+    want = [extractor(w.samples).data for w in core.slice_windows(rec, core.WindowSpec())]
+    assert main([
+        "extract", "--rec", str(corpus / "test" / "rec.eeg"), "--feature", "bands",
+        "--window-index", str(index), "--out", str(tmp_path / "t"),
+    ]) == 0
+    if index == -1:
+        names = [f"t.{k}.npy" for k in range(len(want))]
+    else:
+        names, want = ["t.npy"], [want[index]]
+    assert sorted(p.name for p in tmp_path.glob("t*.npy")) == sorted(names)
+    for name, w in zip(names, want):
+        got = np.load(tmp_path / name, allow_pickle=False)
+        assert got.dtype == w.dtype and got.shape == w.shape and got.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("index", [99999, -5])
@@ -258,8 +275,8 @@ def test_input_directory_is_validation_error(corpus, capsys, flag):
     csv = corpus / "rec.csv"
     csv.write_text("FP1,F7\n" + "1.0,2.0\n" * 10)
     argv = {
-        "--labels": ["eval", "--rec", rec, "--labels", directory, "--detector", "energy",
-                     "--out-dir", str(corpus / "eval-dir")],
+        "--labels": ["eval", "--rec", rec, "--labels", directory,
+                     "--model", str(corpus / "model.bin"), "--out-dir", str(corpus / "eval-dir")],
         "--model": ["run", "--rec", rec, "--model", directory,
                     "--out-hyp", str(corpus / "hyp.txt")],
         "--montage": ["ingest", "--csv", str(csv), "--rate", "200", "--montage", directory,
@@ -300,8 +317,8 @@ def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
         "--csv": b"FP1,F7\n1.0,2.0\n1.0,\xff\n",
     }[flag])
     argv = {
-        "--labels": ["eval", "--rec", rec, "--labels", str(bad), "--detector", "energy",
-                     "--out-dir", str(corpus / "eval-bad")],
+        "--labels": ["eval", "--rec", rec, "--labels", str(bad),
+                     "--model", str(corpus / "model.bin"), "--out-dir", str(corpus / "eval-bad")],
         "--montage": ["ingest", "--csv", str(csv_path), "--rate", "200",
                       "--montage", str(bad), "--out", str(corpus / "ingested.eeg")],
         "--csv": ["ingest", "--csv", str(bad), "--rate", "200",
@@ -318,14 +335,13 @@ def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
     [["--batch-size", "0"], ["--batch-size", "-4"], ["--smoothing", "-3"], ["--smoothing", "1"],
      ["--lr", "nan"], ["--l2", "-5"],
      ["--min-event-sec", "nan"], ["--gap-merge-sec", "nan"], ["--margins", "nan"],
-     ["--detector", "energy", "--scale", "1", "--midpoint", "nan"],
-     ["--detector", "energy", "--midpoint", "0", "--scale", "inf"],
+     ["--detector", "energy", "--feature", "raw"],
      ["--budget-sec", "nan"]],
 )
 def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys, extra):
     # the last value of ``extra`` is the offending one, and the error shows it
     model = str(corpus / "model.bin")
-    if extra[0] in ("--batch-size", "--lr", "--l2"):
+    if extra[0] in ("--batch-size", "--lr", "--l2", "--detector"):
         argv = ["train", "--rec", str(corpus / "train" / "rec.eeg"),
                 "--labels", str(corpus / "train" / "labels.txt"),
                 "--out", str(corpus / "bad-model.bin")]
@@ -334,17 +350,24 @@ def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys,
     else:
         argv = ["eval", "--rec", str(corpus / "test" / "rec.eeg"),
                 "--labels", str(corpus / "test" / "labels.txt"),
-                "--out-dir", str(corpus / "eval-bad")]
-        argv += [] if extra[0] == "--detector" else ["--model", model]
+                "--model", model, "--out-dir", str(corpus / "eval-bad")]
     assert main(argv + extra) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"got {extra[-1]}" in err
     assert not (corpus / "bad-model.bin").exists()
+    assert not (corpus / "eval-bad").exists()
 
 
 @pytest.mark.parametrize("detector", ["model", "energy"])
 @pytest.mark.parametrize("command", ["eval", "run", "bench"])
 def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
+    model = corpus / "model.bin"
+    if detector == "energy":
+        model = corpus / "energy.bin"
+        assert main([
+            "train", "--detector", "energy", "--rec", str(corpus / "train" / "rec.eeg"),
+            "--labels", str(corpus / "train" / "labels.txt"), "--out", str(model),
+        ]) == 0
     calls = {"run_stream": 0, "load_model": 0, "window_labels": 0, "curve_metrics": 0}
     for module, name in (
         (rtbench, "run_stream"), (detectors, "load_model"), (core, "window_labels"),
@@ -355,14 +378,9 @@ def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    labels = str(corpus / "test" / "labels.txt")
-    argv = [command, "--rec", str(corpus / "test" / "rec.eeg")]
-    if detector == "model":
-        argv += ["--model", str(corpus / "model.bin")]
-    else:
-        argv += ["--detector", "energy"]
-    if command == "eval" or detector == "energy":
-        argv += ["--labels", labels]
+    argv = [command, "--rec", str(corpus / "test" / "rec.eeg"), "--model", str(model)]
+    if command == "eval":
+        argv += ["--labels", str(corpus / "test" / "labels.txt")]
     argv += {
         "eval": ["--out-dir", str(corpus / "eval-once")],
         "run": ["--out-hyp", str(corpus / "hyp.txt")],
@@ -371,7 +389,7 @@ def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
     assert main(argv) == 0
     assert calls == {
         "run_stream": 1,
-        "load_model": int(detector == "model"),
-        "window_labels": int(command == "eval" or detector == "energy"),
+        "load_model": 1,
+        "window_labels": int(command == "eval"),
         "curve_metrics": int(command == "eval"),
     }

@@ -16,7 +16,7 @@ from seizeval.errors import (
 )
 from seizeval.features import FeatureTensor, frequency_bands
 
-from oracles import pairwise_auroc
+from oracles import energy_scores, pairwise_auroc
 
 
 def bands_tensor(data):
@@ -31,34 +31,68 @@ def synth_band_features(seed, duration_s=120, n_events=3):
     return feats, sv.window_labels(rec, labels, spec)
 
 
+def energy_detector(midpoint, scale, shape=(2, 7, 5), smoothing=0.0):
+    """The energy baseline fitted so that its background p90 is ``midpoint``
+    and its scale is ``scale``."""
+    p50 = midpoint - scale * np.log(9.0)
+
+    def background(energy):
+        data = np.zeros(shape)
+        data[:, 0, :] = energy
+        return bands_tensor(data), 0
+
+    # of 11 sorted values, the 6th is the 50th percentile and the 10th the 90th
+    model = sv.fit_energy([background(e) for e in [p50] * 6 + [midpoint] * 5])
+    return sv.LinearDetector(model, smoothing=smoothing)
+
+
 class TestEnergyDetector:
     def test_zero_tensor_floor(self):
-        det = sv.EnergyDetector(band_index=0, midpoint=2.0, scale=0.5)
+        det = energy_detector(midpoint=2.0, scale=0.5, shape=(3, 7, 10))
         score, _ = det.detect(det.reset_state(), bands_tensor(np.zeros((3, 7, 10))))
         expected = 1.0 / (1.0 + np.exp(2.0 / 0.5))
         assert abs(score - expected) < 1e-12
 
     def test_monotone_in_energy(self):
-        det = sv.EnergyDetector(band_index=1, midpoint=1.0, scale=1.0)
+        det = energy_detector(midpoint=1.0, scale=1.0)
         state = det.reset_state()
         lo, _ = det.detect(state, bands_tensor(np.full((2, 7, 5), 0.5)))
         hi, _ = det.detect(state, bands_tensor(np.full((2, 7, 5), 1.0)))
         assert hi >= lo
 
     def test_wrong_extractor(self):
-        det = sv.EnergyDetector()
+        det = energy_detector(midpoint=1.0, scale=1.0, shape=(2, 1, 10))
         raw = FeatureTensor(np.zeros((2, 1, 10)), extractor_id="raw")
         with pytest.raises(IncompatibleFeatureError):
             det.detect(det.reset_state(), raw)
+        with pytest.raises(IncompatibleFeatureError, match="'bands' features, got 'raw'"):
+            sv.fit_energy([(raw, 0), (raw, 1)])
+
+    def test_no_background_rejected(self):
+        ictal = bands_tensor(np.ones((2, 7, 5)))
+        for dataset in ([], [(ictal, 1), (ictal, 1)]):
+            with pytest.raises(DegenerateDatasetError):
+                sv.fit_energy(dataset)
 
     def test_separates_synth_corpus(self):
         feats, wl = synth_band_features(seed=11)
-        energies = np.array([dt.band_energy(f, 0) for f in feats])
-        det = sv.EnergyDetector.calibrate(energies[~wl], band_index=0)
+        det = sv.LinearDetector(sv.fit_energy(list(zip(feats, wl))))
         scores = np.array(
             [det.detect(det.reset_state(), f)[0] for f in feats]
         )
         assert scores[wl].mean() - scores[~wl].mean() > 0.3
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    def test_matches_direct_energy_oracle(self, smoothing):
+        train = list(zip(*synth_band_features(seed=17, duration_s=60, n_events=2)))
+        test_feats, _ = synth_band_features(seed=18, duration_s=60, n_events=2)
+        det = sv.LinearDetector(sv.fit_energy(train), smoothing=smoothing)
+        state, scores = det.reset_state(), []
+        for f in test_feats:
+            score, state = det.detect(state, f)
+            scores.append(score)
+        want = energy_scores(train, test_feats, smoothing)
+        assert np.abs(np.array(scores) - want).max() <= 1e-12
 
 
 class TestTrainLinear:
@@ -163,7 +197,9 @@ class TestDetectWindow:
     def test_scoring_stays_on_one_core(self):
         # a sincnet-sized model: a BLAS dot this long would wake a thread pool.
         # 1000 windows take about 0.2 s; much shorter runs cannot tell a
-        # spinning pool from noise.
+        # spinning pool from noise. The OpenBLAS workers spin for a while
+        # after numpy is imported, with no BLAS call made, so the loop is
+        # timed only once they have gone idle.
         code = (
             "import time\n"
             "import numpy as np\n"
@@ -176,6 +212,7 @@ class TestDetectWindow:
             "det = dt.LinearDetector(m)\n"
             "feats = [FeatureTensor(rng.normal(size=shape), 'sincnet') for _ in range(10)]\n"
             "state = det.reset_state()\n"
+            "time.sleep(0.5)\n"
             "c0, t0 = time.process_time(), time.perf_counter()\n"
             "for i in range(1000):\n"
             "    _, state = det.detect(state, feats[i % 10])\n"
@@ -195,13 +232,12 @@ class TestState:
     def test_smoothing_outside_unit_interval_rejected(self, kind, smoothing):
         with pytest.raises(InvalidArgumentError, match="smoothing"):
             if kind == "energy":
-                sv.EnergyDetector(smoothing=smoothing)
+                energy_detector(midpoint=1.0, scale=1.0, smoothing=smoothing)
             else:
                 sv.LinearDetector(TestDetectWindow().zero_model(), smoothing=smoothing)
 
     def smoothing_detector(self):
-        det = sv.EnergyDetector(band_index=0, midpoint=1.0, scale=1.0, smoothing=0.5)
-        return det
+        return energy_detector(midpoint=1.0, scale=1.0, smoothing=0.5)
 
     def features_stream(self, seed, n=10):
         rng = np.random.default_rng(seed)

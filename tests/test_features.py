@@ -5,13 +5,7 @@ from scipy.fft import dct, rfft
 
 import seizeval as sv
 from seizeval import features as ft
-from seizeval.errors import (
-    InvalidArgumentError,
-    MalformedHeaderError,
-    MalformedPayloadError,
-    SurplusPayloadError,
-    TruncatedPayloadError,
-)
+from seizeval.errors import InvalidArgumentError
 
 from oracles import dft_magnitude
 
@@ -381,69 +375,6 @@ class TestDeterminismAndDump:
         for name in ft.EXTRACTOR_NAMES:
             f = ft.get_extractor(name)
             assert f(x).data.tobytes() == f(x).data.tobytes()
-
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_tensor_dump_round_trip(self, tmp_path, binary):
-        tensor = sv.frequency_bands(np.random.default_rng(0).normal(size=(2, 800)))
-        path = tmp_path / "tensor.dump"
-        ft.save_tensor(tensor, path, binary=binary)
-        loaded = ft.load_tensor(path)
-        assert loaded.extractor_id == tensor.extractor_id
-        assert loaded.shape == tensor.shape
-        rtol = 0 if binary else 1e-6
-        np.testing.assert_allclose(
-            loaded.data, tensor.data.astype(np.float32) if binary else tensor.data,
-            rtol=rtol, atol=1e-9,
-        )
-
-    # bytes cut from the end: "23\n" is the last text value, 1 byte leaves a
-    # partial f32 value behind
-    @pytest.mark.parametrize(
-        "binary,cut", [(False, 3), (False, 40), (True, 1), (True, 4), (True, 40)]
-    )
-    def test_truncated_payload_typed_error(self, tmp_path, binary, cut):
-        tensor = sv.FeatureTensor(np.arange(24.0).reshape(2, 3, 4), extractor_id="raw")
-        path = tmp_path / "tensor.dump"
-        ft.save_tensor(tensor, path, binary=binary)
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(TruncatedPayloadError, match=r"tensor\.dump.*expected 24"):
-            ft.load_tensor(path)
-
-    @pytest.mark.parametrize("dims", ["2 3 x", "-2 3 4", "2 0 4", "2 3 4.0"])
-    @pytest.mark.parametrize("kind", ["text", "f32"])
-    def test_bad_dims_typed_error(self, tmp_path, dims, kind):
-        path = tmp_path / "tensor.dump"
-        payload = np.arange(24.0, dtype="<f4").tobytes() if kind == "f32" else b"0 " * 24
-        path.write_bytes(f"raw {dims} {kind}\n".encode() + payload)
-        with pytest.raises(MalformedHeaderError, match=r"tensor\.dump.*positive integers"):
-            ft.load_tensor(path)
-
-    # bytes appended: one more text value, one partial and one whole f32 value
-    @pytest.mark.parametrize(
-        "binary,extra,found",
-        [(False, b"24\n", 25), (False, b"7 8 9 10 11 12\n", 30),
-         (True, b"\0\0", 25), (True, b"\0" * 4, 25)],
-    )
-    def test_surplus_payload_typed_error(self, tmp_path, binary, extra, found):
-        tensor = sv.FeatureTensor(np.arange(24.0).reshape(2, 3, 4), extractor_id="raw")
-        path = tmp_path / "tensor.dump"
-        ft.save_tensor(tensor, path, binary=binary)
-        path.write_bytes(path.read_bytes() + extra)
-        match = rf"tensor\.dump.*holds {found} values, expected 24"
-        with pytest.raises(SurplusPayloadError, match=match):
-            ft.load_tensor(path)
-
-    @pytest.mark.parametrize(
-        "content,error",
-        [(b"raw 1 1 2 text\n1 abc\n", MalformedPayloadError),
-         (b"raw 1 1 2 text\n1 \xff\n", MalformedPayloadError),
-         ("r\u00e4w 1 1 2 text\n1 2\n".encode(), MalformedHeaderError)],
-    )
-    def test_malformed_text_typed_error(self, tmp_path, content, error):
-        path = tmp_path / "tensor.dump"
-        path.write_bytes(content)
-        with pytest.raises(error, match=r"tensor\.dump"):
-            ft.load_tensor(path)
 
 
 @pytest.mark.parametrize("name", ft.EXTRACTOR_NAMES)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seizeval as sv
-from seizeval import detectors, features, io
+from seizeval import detectors, io
 from seizeval.errors import (
     ChannelCountMismatchError,
     DirectoryPathError,
@@ -289,9 +289,8 @@ class TestMontageFile:
         io.load_montage,
         lambda path: io.load_csv_recording(path, 200),
         detectors.load_model,
-        features.load_tensor,
     ],
-    ids=["recording", "labels", "montage", "csv", "model", "tensor"],
+    ids=["recording", "labels", "montage", "csv", "model"],
 )
 def test_directory_path_typed_error(tmp_path, load):
     with pytest.raises(DirectoryPathError, match=f"{re.escape(str(tmp_path))}: is a directory"):

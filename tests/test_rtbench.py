@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,17 @@ def synth_rec(seed=0, duration=30.0):
     return rec, labels
 
 
+@functools.cache
+def energy_model():
+    """The energy baseline fitted on a training recording of its own."""
+    rec, labels = synth_rec(seed=100)
+    extractor, spec = get_extractor("bands"), sv.WindowSpec()
+    feats = [extractor(w.samples) for w in sv.slice_windows(rec, spec)]
+    return sv.fit_energy(list(zip(feats, sv.window_labels(rec, labels, spec))))
+
+
 def energy_detector(smoothing=0.0):
-    return sv.EnergyDetector(band_index=0, midpoint=5.0, scale=2.0, smoothing=smoothing)
+    return sv.LinearDetector(energy_model(), smoothing=smoothing)
 
 
 class TestRunStream:
