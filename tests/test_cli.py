@@ -336,7 +336,7 @@ def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
      ["--lr", "nan"], ["--l2", "-5"],
      ["--min-event-sec", "nan"], ["--gap-merge-sec", "nan"], ["--margins", "nan"],
      ["--detector", "energy", "--feature", "raw"],
-     ["--budget-sec", "nan"]],
+     ["--budget-sec", "nan"], ["--budget-sec", "-1"]],
 )
 def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys, extra):
     # the last value of ``extra`` is the offending one, and the error shows it
