@@ -144,20 +144,25 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+# train flags of logistic regression, and the TrainConfig field each one sets
+_LINEAR_FLAGS = {"lr": "learning_rate", "epochs": "epochs", "batch_size": "batch_size", "l2": "l2"}
+
+
 def cmd_train(args) -> int:
-    if args.detector == "energy" and args.feature != "bands":
-        raise InvalidArgumentError(f"--detector energy needs --feature bands, got {args.feature}")
-    cfg = detectors.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        l2=args.l2,
-        seed=args.seed,
-    )
-    fit = {
-        "linear": functools.partial(detectors.train_linear, cfg=cfg),
-        "energy": detectors.fit_energy,
-    }[args.detector]
+    given = {dest: getattr(args, dest) for dest in _LINEAR_FLAGS if getattr(args, dest) is not None}
+    if args.detector == "energy":
+        if args.feature != "bands":
+            raise InvalidArgumentError(f"--detector energy needs --feature bands, got {args.feature}")
+        if given:
+            dest, value = next(iter(given.items()))
+            flag = "--" + dest.replace("_", "-")
+            raise InvalidArgumentError(f"{flag} does not apply to --detector energy, got {value:g}")
+        fit = detectors.fit_energy
+    else:
+        cfg = detectors.TrainConfig(
+            seed=args.seed, **{_LINEAR_FLAGS[dest]: value for dest, value in given.items()}
+        )
+        fit = functools.partial(detectors.train_linear, cfg=cfg)
     rec, labels = _load_rec_and_labels(args)
     model = _fit(rec, labels, _window_spec(args), args.feature, fit)
     detectors.save_model(model, args.out)
@@ -352,10 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="logistic regression, or the band-0 energy baseline (needs bands)")
     p.add_argument("--feature", choices=features.EXTRACTOR_NAMES, default="bands")
     _add_window_args(p)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--l2", type=float, default=1e-4)
+    # --detector linear only; a flag not given takes its TrainConfig default
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--l2", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

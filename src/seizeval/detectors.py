@@ -119,24 +119,33 @@ class TrainConfig:
 
 
 class LinearDetector(Detector):
+    """Scores ``logistic(w . (x - mean) / std + b)`` as one dot per window.
+
+    The standardisation is folded into the weights and bias once, here:
+    ``w / std`` and ``b - sum(w * mean / std)``. Scores differ from the
+    unfolded expression only by rounding (about 1e-14 on trained models);
+    a model with mean 0 and std 1, such as the energy baseline, scores
+    bit-identically.
+    """
+
     def __init__(self, model: LinearModel, smoothing: float = 0.0):
         super().__init__(smoothing)
         self.model = model
         self.extractor_id = model.extractor_id
+        self._weights = model.weights / model.feature_std
+        self._bias = model.bias - float(np.einsum("i,i->", model.feature_mean, self._weights))
 
     def _raw_score(self, features: FeatureTensor) -> float:
         x = features.flat()
-        m = self.model
-        if x.shape != m.weights.shape:
+        if x.shape != self._weights.shape:
             raise IncompatibleFeatureError(
                 f"feature dimensionality {x.shape[0]} does not match model "
-                f"{m.weights.shape[0]}"
+                f"{self._weights.shape[0]}"
             )
         # einsum's own loop, not BLAS ddot: OpenBLAS threads ddot above 10k
         # elements and its idle worker then spins between windows, doubling
         # the CPU each window costs without making the dot faster.
-        z = np.einsum("i,i->", (x - m.feature_mean) / m.feature_std, m.weights) + m.bias
-        return float(logistic(z))
+        return float(logistic(np.einsum("i,i->", x, self._weights) + self._bias))
 
 
 def train_linear(

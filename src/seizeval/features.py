@@ -2,7 +2,9 @@
 
 Six extractors share one contract: input is a (channels, samples) float
 window at the pipeline rate, output is a 3-axis FeatureTensor. All of them
-are pure and deterministic.
+are pure and deterministic. The ``sincnet`` callable from ``get_extractor``
+keeps outputs of the previous window to reuse (``SincCache``), but what it
+returns depends on the window alone.
 """
 
 from __future__ import annotations
@@ -385,24 +387,30 @@ def _stacked_taps(kernels) -> np.ndarray:
     return taps
 
 
-def _fir_same(x: np.ndarray, taps: np.ndarray, stride: int = 1) -> np.ndarray:
-    """Convolve every row of ``x`` with every kernel, (channels, ceil(N/stride), kernels).
+def _fir_rows(x: np.ndarray, taps: np.ndarray, stride: int, j0: int, j1: int) -> np.ndarray:
+    """Outputs ``j0 <= j < j1`` of every row of ``x`` convolved with every kernel.
 
-    ``taps`` holds the reversed kernels as columns (``_stacked_taps``). The
-    row is zero-padded and the output centred like ``np.convolve(row, kernel,
-    "same")`` and ``fftconvolve``: the full convolution from sample
-    ``(kernel_len - 1) // 2`` on. Only every ``stride``-th output is computed.
-    One product per channel keeps each temporary small, as in ``_stft_mags``.
+    Returns (channels, j1 - j0, kernels). ``taps`` holds the reversed kernels
+    as columns (``_stacked_taps``). Output ``j`` is centred on sample
+    ``stride * j`` like ``np.convolve(row, kernel, "same")[::stride]``: it
+    reads the ``kernel_len`` samples from ``stride * j - kernel_len // 2`` on,
+    and samples outside the window read as zero. The samples are copied into a
+    zeroed buffer first, so a call is one product whose shape depends only on
+    ``(channels, j1 - j0)`` and ``taps``, whatever the layout of ``x``.
     """
     kernel_len = taps.shape[0]
-    start = (kernel_len - 1) // 2
-    n = x.shape[1]
-    xp = np.pad(x, ((0, 0), (kernel_len - 1 - start, start)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel_len, axis=1)[:, :n:stride]
-    out = np.empty((x.shape[0], windows.shape[1], taps.shape[1]))
-    for block, y in zip(windows, out):
-        np.matmul(block, taps, out=y)
-    return out
+    first = stride * j0 - kernel_len // 2
+    seg = np.zeros((x.shape[0], stride * (j1 - j0 - 1) + kernel_len))
+    lo, hi = max(first, 0), min(first + seg.shape[1], x.shape[1])
+    if hi > lo:
+        seg[:, lo - first : hi - first] = x[:, lo:hi]
+    windows = np.lib.stride_tricks.as_strided(
+        seg,
+        (seg.shape[0], j1 - j0, kernel_len),
+        (seg.strides[0], stride * seg.itemsize, seg.itemsize),
+        writeable=False,
+    )
+    return windows @ taps
 
 
 @lru_cache(maxsize=8)
@@ -413,24 +421,109 @@ def _sinc_taps(bank: SincBank, sample_rate_hz: int) -> np.ndarray:
     )
 
 
+# Interior sinc outputs are computed in blocks of this many outputs (1 s at
+# 200 Hz and stride 2), anchored at the last interior output of the window.
+_SINC_BLOCK = 100
+
+
+def _sinc_layout(n: int, kernel_len: int, stride: int) -> tuple[int, int, int]:
+    """``(n_out, lo, hi)`` for a window of ``n`` samples.
+
+    Outputs ``lo <= j < hi`` are interior: their kernel lies inside the window,
+    so they depend on the window's samples alone. The others read zero padding.
+    """
+    n_out = -(-n // stride)
+    lo = min(-(-(kernel_len // 2) // stride), n_out)
+    hi = max(lo, min(n_out, (n - kernel_len + kernel_len // 2) // stride + 1))
+    return n_out, lo, hi
+
+
+class SincCache:
+    """What one stream's sinc extractor keeps of its previous window.
+
+    It holds its own copy of that window from the second block's samples on,
+    and the window's interior outputs from the second block on: together less
+    than one window's samples plus one output tensor. ``sinc_filterbank``
+    writes it only after a window succeeds and replaces its arrays rather
+    than writing into them, so tensors returned earlier never change. A cache
+    serves one stream and is not thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None  # (bank, sample rate, window shape)
+        self.tail: np.ndarray | None = None
+        self.rows: np.ndarray | None = None  # (filters, channels, outputs)
+
+    def shift(self, key: tuple, x: np.ndarray, n_blocks: int, step: int) -> int:
+        """Blocks ``m >= 1`` by which window ``x`` follows the previous one, or 0.
+
+        ``step`` is one block's samples. The first ``m`` blocks of outputs are
+        new; the other ``n_blocks - m`` can come from ``rows``.
+        """
+        if key != self.key:
+            return 0
+        n = x.shape[1]
+        # bit patterns, so -0.0 and 0.0 count as different samples
+        bits, tail = x.view(np.int64), self.tail.view(np.int64)
+        for m in range(1, n_blocks):
+            if np.array_equal(bits[:, : n - m * step], tail[:, (m - 1) * step :]):
+                return m
+        return 0
+
+    def keep(self, key: tuple, x: np.ndarray, out: np.ndarray, lo: int, hi: int, step: int) -> None:
+        """Remember window ``x`` and its outputs ``out`` for the next call."""
+        self.key = key
+        self.tail = x[:, step:].copy()
+        self.rows = out[:, :, lo + _SINC_BLOCK : hi].copy()
+
+
 def sinc_filterbank(
     samples: np.ndarray,
     bank: SincBank | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
+    cache: SincCache | None = None,
 ) -> FeatureTensor:
     """Strided band-pass convolution, (n_filters, channels, ceil(N/stride)).
 
     Each band's kernel is convolved with every channel, zero-padded and
     centred like ``np.convolve(row, kernel, "same")``, keeping every
     ``stride``-th output. The kernels are designed once per ``(bank, fs)``
-    (``_sinc_taps``) and applied as one direct, strided FIR pass that computes
+    (``_sinc_taps``) and applied as direct, strided FIR products that compute
     only the kept outputs. Outputs differ from the per-row ``np.convolve``
     result by under 1e-15 of their largest magnitude.
+
+    The outputs that read zero padding at either edge form one product each.
+    The interior outputs form blocks of ``_SINC_BLOCK`` outputs counted back
+    from the last one; the oldest block reads zeros in place of samples
+    before the window and drops those outputs. With a ``cache``, a window
+    whose leading samples equal the previous window's trailing samples,
+    shifted by ``m`` whole blocks, takes every block but the ``m`` newest
+    from the previous window. Each output comes from the same product at the
+    same row, fresh or reused, so the result is bit-identical to a call
+    without a cache.
     """
     x = _check_window(samples)
     bank = bank or SincBank()
-    out = _fir_same(x, _sinc_taps(bank, sample_rate_hz), bank.stride)
-    return FeatureTensor(np.transpose(out, (2, 0, 1)), extractor_id="sincnet")
+    taps = _sinc_taps(bank, sample_rate_hz)
+    n_out, lo, hi = _sinc_layout(x.shape[1], bank.kernel_len, bank.stride)
+    n_blocks = -(-(hi - lo) // _SINC_BLOCK)
+    out = np.empty((bank.n_filters, x.shape[0], n_out))
+    key, step = (bank, sample_rate_hz, x.shape), bank.stride * _SINC_BLOCK
+    m = cache.shift(key, x, n_blocks, step) if cache is not None else 0
+    if m:
+        out[:, :, lo : hi - m * _SINC_BLOCK] = cache.rows[:, :, (m - 1) * _SINC_BLOCK :]
+    for b in range(m or n_blocks):
+        first, end = hi - (b + 1) * _SINC_BLOCK, hi - b * _SINC_BLOCK
+        block = _fir_rows(x, taps, bank.stride, first, end)
+        start = max(lo, first)  # outputs before lo are placeholders
+        out[:, :, start:end] = np.moveaxis(block[:, start - first :], 2, 0)
+    for j0, j1 in ((0, lo), (hi, n_out)):
+        if j1 > j0:
+            out[:, :, j0:j1] = np.moveaxis(_fir_rows(x, taps, bank.stride, j0, j1), 2, 0)
+    tensor = FeatureTensor(out, extractor_id="sincnet")
+    if cache is not None:
+        cache.keep(key, x, out, lo, hi, step)
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +562,7 @@ def multirate(
         taps = _anti_alias_taps(
             params.anti_alias_cutoff_hz, params.anti_alias_taps, sample_rate_hz
         )
-        x = _fir_same(x, taps)[:, :, 0]
+        x = _fir_rows(x, taps, 1, 0, x.shape[1])[:, :, 0]
     out = []
     for rate in params.rates_hz:
         if rate <= 0 or sample_rate_hz % rate != 0:
@@ -492,13 +585,15 @@ def get_extractor(
 ) -> Callable[[np.ndarray], FeatureTensor]:
     """Resolve an extractor by CLI name to a window -> FeatureTensor callable.
 
-    ``multirate`` concatenates its per-rate streams along the time axis so it
-    fits the single-tensor detector interface.
+    Call it once per stream: the ``sincnet`` callable carries a ``SincCache``
+    and is not thread-safe. ``multirate`` concatenates its per-rate streams
+    along the time axis so it fits the single-tensor detector interface.
     """
     if name == "raw":
         return extract_raw
     if name == "sincnet":
-        return lambda w: sinc_filterbank(w, sample_rate_hz=sample_rate_hz)
+        cache = SincCache()
+        return lambda w: sinc_filterbank(w, sample_rate_hz=sample_rate_hz, cache=cache)
     if name == "stft":
         return lambda w: stft(w, sample_rate_hz=sample_rate_hz)
     if name == "bands":

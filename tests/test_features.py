@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 from scipy.fft import dct, rfft
 
@@ -333,6 +335,88 @@ class TestSincFilterbank:
         assert not taps.flags.writeable
         with pytest.raises(ValueError):
             taps[0, 0] = 1.0
+
+
+# samples per sinc block: a window shifted by a whole number of these reuses outputs
+SINC_STEP = ft._SINC_BLOCK * ft.SincBank().stride
+# 60 s of a random recording; streams slice their windows from it
+STREAM_REC = 30 * np.random.default_rng(11).normal(size=(3, 60 * FS))
+
+
+class TestSincStream:
+    """One ``get_extractor("sincnet")`` object returns what a fresh
+    ``sinc_filterbank`` call returns, bit for bit, whatever came before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=st.integers(0, STREAM_REC.shape[1]),
+        steps=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0, SINC_STEP, 2 * SINC_STEP]),
+                    st.integers(-3 * SINC_STEP, 3 * SINC_STEP),
+                ),
+                st.sampled_from([4, 12]),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_stream_equals_fresh(self, first, steps):
+        extract = ft.get_extractor("sincnet")
+        start, returned = first, []
+        for shift, window_s in steps:
+            n = window_s * FS
+            start = min(max(start + shift, 0), STREAM_REC.shape[1] - n)
+            window = STREAM_REC[:, start : start + n]
+            got = extract(window)
+            assert got.data.tobytes() == ft.sinc_filterbank(window.copy()).data.tobytes()
+            returned.append((got, got.data.tobytes()))
+        # earlier tensors are never written by later calls
+        assert all(t.data.tobytes() == b for t, b in returned)
+
+    def test_computes_only_the_new_block_and_the_edges(self, monkeypatch):
+        # 4 s windows at a 1 s shift: 100 new interior outputs plus 20 + 19
+        # zero-padded edge outputs per channel, of 400
+        counted = []
+        fir_rows = ft._fir_rows
+
+        def counting(x, taps, stride, j0, j1):
+            counted.append(j1 - j0)
+            return fir_rows(x, taps, stride, j0, j1)
+
+        monkeypatch.setattr(ft, "_fir_rows", counting)
+        extract = ft.get_extractor("sincnet")
+        per_window = []
+        for k in range(5):
+            counted.clear()
+            extract(STREAM_REC[:, k * FS : k * FS + 4 * FS])
+            per_window.append(sum(counted))
+        assert per_window == [439, 139, 139, 139, 139]
+
+    def test_caller_buffer_mutated_in_place(self):
+        # the cache compares against its own copy: after the buffer is
+        # overwritten with a 1-block-periodic signal, its leading samples
+        # equal its own trailing ones, but not the window the cache saw
+        extract = ft.get_extractor("sincnet")
+        buf = STREAM_REC[:, : 4 * FS].copy()
+        extract(buf)
+        buf[:] = np.tile(STREAM_REC[:, :SINC_STEP], 4 * FS // SINC_STEP)
+        assert extract(buf).data.tobytes() == ft.sinc_filterbank(buf.copy()).data.tobytes()
+
+    def test_failed_window_leaves_cache_unchanged(self):
+        extract = ft.get_extractor("sincnet")
+        extract(STREAM_REC[:, : 4 * FS])
+        bad = STREAM_REC[:, SINC_STEP : SINC_STEP + 4 * FS].copy()
+        bad[1, -1] = np.nan
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            extract(bad)
+        nxt = STREAM_REC[:, SINC_STEP : SINC_STEP + 4 * FS]
+        assert extract(nxt).data.tobytes() == ft.sinc_filterbank(nxt).data.tobytes()
+
+    def test_flat_is_a_view(self):
+        tensor = ft.get_extractor("sincnet")(STREAM_REC[:, : 4 * FS])
+        assert np.shares_memory(tensor.flat(), tensor.data)
 
 
 class TestMultirate:
