@@ -54,6 +54,6 @@ from .metrics import (
     ovlp,
     taes,
 )
-from .rtbench import LatencyReport, check_realtime, run_stream
+from .rtbench import LatencyReport, run_stream
 
 __version__ = "0.1.0"

@@ -72,10 +72,15 @@ def _fit(rec, labels, spec, feature: str, fit) -> detectors.LinearModel:
     return fit(list(zip(feats, wl.astype(int))))
 
 
+def _stream(rec, detector, spec, **stream_opts):
+    """Stream ``rec`` once through the extractor the model names: (track, latency)."""
+    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
+    return rtbench.run_stream(rec, extractor, detector, spec, **stream_opts)
+
+
 def _score(rec, labels, wl, detector, spec, **eval_opts):
     """Stream ``rec`` once and score it with every metric: (track, latency, report)."""
-    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
-    track, latency = rtbench.run_stream(rec, extractor, detector, spec)
+    track, latency = _stream(rec, detector, spec)
     return track, latency, metrics.evaluate_track(labels, wl, track, **eval_opts)
 
 
@@ -175,13 +180,12 @@ def cmd_run(args) -> int:
     rec = io.load_recording(args.rec)
     spec = _window_spec(args)
     detector = detectors.LinearDetector(detectors.load_model(args.model), args.smoothing)
-    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
-    track, report = rtbench.run_stream(rec, extractor, detector, spec)
     opts = metrics.EventizeOpts(
         threshold=args.threshold,
         gap_merge_s=args.gap_merge_sec,
         min_event_s=args.min_event_sec,
     )
+    track, report = _stream(rec, detector, spec)
     metrics.export_hypothesis(track, opts, args.out_hyp)
     print(f"wrote {args.out_hyp}; {report.summary()}")
     if args.out_latency:
@@ -226,23 +230,17 @@ def cmd_bench(args) -> int:
     rec = io.load_recording(args.rec)
     spec = _window_spec(args)
     detector = detectors.LinearDetector(detectors.load_model(args.model), args.smoothing)
-    extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
-    budget = args.budget_sec if args.budget_sec is not None else spec.shift_s
-    _, report = rtbench.run_stream(
-        rec,
-        extractor,
-        detector,
-        spec,
-        budget_s=budget,
-        exclude_warmup=not args.include_warmup,
+    if args.budget_sec is not None:
+        rtbench.check_budget(args.budget_sec)
+    _, report = _stream(
+        rec, detector, spec, budget_s=args.budget_sec, exclude_warmup=not args.include_warmup
     )
-    passed, summary = rtbench.check_realtime(report)
-    print(summary)
+    print(report.summary())
     if args.out:
         Path(args.out).write_text(report.to_kv())
     if args.out_csv:
         Path(args.out_csv).write_text(report.per_window_csv())
-    return EXIT_OK if passed else EXIT_REALTIME
+    return EXIT_OK if report.passed else EXIT_REALTIME
 
 
 def cmd_sweep(args) -> int:

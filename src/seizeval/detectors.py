@@ -38,40 +38,6 @@ class DetectorState:
     prev_score: float | None = None
 
 
-class Detector:
-    """Scoring interface; subclasses implement _raw_score."""
-
-    extractor_id: str = "raw"
-
-    def __init__(self, smoothing: float = 0.0):
-        if not 0 <= smoothing < 1:
-            raise InvalidArgumentError(f"smoothing must be in [0, 1), got {smoothing:g}")
-        self.smoothing = smoothing
-
-    def reset_state(self) -> DetectorState:
-        return DetectorState()
-
-    def _raw_score(self, features: FeatureTensor) -> float:
-        raise NotImplementedError
-
-    def check_compatible(self, features: FeatureTensor) -> None:
-        if features.extractor_id != self.extractor_id:
-            raise IncompatibleFeatureError(
-                f"detector expects {self.extractor_id!r} features, "
-                f"got {features.extractor_id!r}"
-            )
-
-    def detect(
-        self, state: DetectorState, features: FeatureTensor
-    ) -> tuple[float, DetectorState]:
-        self.check_compatible(features)
-        score = float(self._raw_score(features))
-        if self.smoothing > 0 and state.prev_score is not None:
-            score = self.smoothing * state.prev_score + (1 - self.smoothing) * score
-        score = min(1.0, max(0.0, score))
-        return score, DetectorState(prev_score=score)
-
-
 # ---------------------------------------------------------------------------
 # trainable linear model
 
@@ -118,34 +84,54 @@ class TrainConfig:
             raise InvalidArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-class LinearDetector(Detector):
+class LinearDetector:
     """Scores ``logistic(w . (x - mean) / std + b)`` as one dot per window.
 
     The standardisation is folded into the weights and bias once, here:
     ``w / std`` and ``b - sum(w * mean / std)``. Scores differ from the
     unfolded expression only by rounding (about 1e-14 on trained models);
     a model with mean 0 and std 1, such as the energy baseline, scores
-    bit-identically.
+    bit-identically. With ``smoothing`` s > 0 a window scores
+    ``s * previous + (1 - s) * current``; every score is clipped to [0, 1].
     """
 
     def __init__(self, model: LinearModel, smoothing: float = 0.0):
-        super().__init__(smoothing)
+        if not 0 <= smoothing < 1:
+            raise InvalidArgumentError(f"smoothing must be in [0, 1), got {smoothing:g}")
         self.model = model
+        self.smoothing = smoothing
         self.extractor_id = model.extractor_id
         self._weights = model.weights / model.feature_std
         self._bias = model.bias - float(np.einsum("i,i->", model.feature_mean, self._weights))
 
-    def _raw_score(self, features: FeatureTensor) -> float:
-        x = features.flat()
-        if x.shape != self._weights.shape:
+    def reset_state(self) -> DetectorState:
+        return DetectorState()
+
+    def detect(
+        self, state: DetectorState, features: FeatureTensor
+    ) -> tuple[float, DetectorState]:
+        if features.extractor_id != self.extractor_id:
             raise IncompatibleFeatureError(
-                f"feature dimensionality {x.shape[0]} does not match model "
-                f"{self._weights.shape[0]}"
+                f"detector expects {self.extractor_id!r} features, "
+                f"got {features.extractor_id!r}"
+            )
+        if features.shape != self.model.feature_shape:
+            raise IncompatibleFeatureError(
+                f"feature shape {features.shape} does not match the model's "
+                f"{self.model.feature_shape}"
             )
         # einsum's own loop, not BLAS ddot: OpenBLAS threads ddot above 10k
         # elements and its idle worker then spins between windows, doubling
         # the CPU each window costs without making the dot faster.
-        return float(logistic(np.einsum("i,i->", x, self._weights) + self._bias))
+        score = float(logistic(np.einsum("i,i->", features.flat(), self._weights) + self._bias))
+        if self.smoothing > 0 and state.prev_score is not None:
+            score = self.smoothing * state.prev_score + (1 - self.smoothing) * score
+        score = min(1.0, max(0.0, score))
+        return score, DetectorState(prev_score=score)
+
+
+# the name perfbench/worker.py traces as detectors.Detector.detect
+Detector = LinearDetector
 
 
 def train_linear(

@@ -538,16 +538,13 @@ class MultiRateParams:
     anti_alias_taps: int = 101
 
 
-def _anti_alias_kernel(cutoff_hz: float, taps: int, sample_rate_hz: int) -> np.ndarray:
-    n = np.arange(taps) - (taps - 1) / 2
-    fc = min(cutoff_hz, sample_rate_hz / 2) / sample_rate_hz
-    h = 2 * fc * np.sinc(2 * fc * n) * np.hamming(taps)
-    return h / h.sum()
-
-
 @lru_cache(maxsize=8)
 def _anti_alias_taps(cutoff_hz: float, taps: int, sample_rate_hz: int) -> np.ndarray:
-    return _stacked_taps([_anti_alias_kernel(cutoff_hz, taps, sample_rate_hz)])
+    """Hamming-windowed sinc lowpass at ``cutoff_hz`` (at most Nyquist), unit DC gain."""
+    h = design_sinc_kernel(
+        0, min(cutoff_hz, sample_rate_hz / 2), taps, sample_rate_hz, normalized=False
+    )
+    return _stacked_taps([h / h.sum()])
 
 
 def multirate(

@@ -29,7 +29,7 @@ class EventizeOpts:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.threshold <= 1.0):
-            raise InvalidArgumentError("threshold must be in [0, 1]")
+            raise InvalidArgumentError(f"threshold must be in [0, 1], got {self.threshold:g}")
         for name in ("gap_merge_s", "min_event_s"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:

@@ -14,12 +14,19 @@ from typing import Callable
 import numpy as np
 
 from .core import Recording, WindowSpec, slice_windows
-from .detectors import Detector
+from .detectors import LinearDetector
 from .errors import InvalidArgumentError
 from .features import FeatureTensor
 from .metrics import HypothesisTrack
 
 Extractor = Callable[[np.ndarray], FeatureTensor]
+
+
+def check_budget(budget_s: float) -> None:
+    """Reject a shift budget that is negative or not finite."""
+    # zero is allowed: no measured window meets it, so bench exits 3
+    if not 0 <= budget_s < np.inf:
+        raise InvalidArgumentError(f"shift budget must be finite and >= 0, got {budget_s:g}")
 
 
 @dataclass
@@ -30,11 +37,9 @@ class LatencyReport:
     exclude_warmup: bool = True
 
     def __post_init__(self) -> None:
-        # zero is allowed: no measured window meets it, so bench exits 3
-        if not 0 <= self.shift_budget_s < np.inf:
-            raise InvalidArgumentError(
-                f"shift budget must be finite and >= 0, got {self.shift_budget_s:g}"
-            )
+        if self.extract_s.size == 0:
+            raise InvalidArgumentError("latency report is empty")
+        check_budget(self.shift_budget_s)
 
     @property
     def total_s(self) -> np.ndarray:
@@ -97,7 +102,7 @@ class LatencyReport:
 def run_stream(
     rec: Recording,
     extractor: Extractor,
-    detector: Detector,
+    detector: LinearDetector,
     spec: WindowSpec | None = None,
     budget_s: float | None = None,
     exclude_warmup: bool = True,
@@ -134,9 +139,3 @@ def run_stream(
     )
     return track, report
 
-
-def check_realtime(report: LatencyReport) -> tuple[bool, str]:
-    """Pass iff the slowest measured window fits inside the shift budget."""
-    if report.n_windows == 0:
-        raise InvalidArgumentError("latency report is empty")
-    return report.passed, report.summary()

@@ -336,10 +336,19 @@ def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
      ["--lr", "nan"], ["--l2", "-5"],
      ["--min-event-sec", "nan"], ["--gap-merge-sec", "nan"], ["--margins", "nan"],
      ["--detector", "energy", "--feature", "raw"],
-     ["--budget-sec", "nan"], ["--budget-sec", "-1"], ["--detector", "energy", "--lr", "50"]],
+     ["--budget-sec", "nan"], ["--budget-sec", "-1"], ["--detector", "energy", "--lr", "50"],
+     ["--threshold", "2"], ["--threshold", "0.5", "--gap-merge-sec", "-1"],
+     ["--gap-merge-sec", "-1"]],
 )
-def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys, extra):
-    # the last value of ``extra`` is the offending one, and the error shows it
+def test_bad_training_and_smoothing_values_are_validation_errors(
+    corpus, capsys, monkeypatch, extra
+):
+    # the last value of ``extra`` is the offending one, and the error shows it;
+    # --threshold selects run, --budget-sec bench, a training flag train, else eval
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the recording was streamed before the options were checked")
+
+    monkeypatch.setattr(rtbench, "run_stream", no_stream)
     model = str(corpus / "model.bin")
     if extra[0] in ("--batch-size", "--lr", "--l2", "--detector"):
         argv = ["train", "--rec", str(corpus / "train" / "rec.eeg"),
@@ -347,6 +356,9 @@ def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys,
                 "--out", str(corpus / "bad-model.bin")]
     elif extra[0] == "--budget-sec":
         argv = ["bench", "--rec", str(corpus / "test" / "rec.eeg"), "--model", model]
+    elif extra[0] == "--threshold":
+        argv = ["run", "--rec", str(corpus / "test" / "rec.eeg"), "--model", model,
+                "--out-hyp", str(corpus / "hyp-bad.txt")]
     else:
         argv = ["eval", "--rec", str(corpus / "test" / "rec.eeg"),
                 "--labels", str(corpus / "test" / "labels.txt"),
@@ -356,6 +368,29 @@ def test_bad_training_and_smoothing_values_are_validation_errors(corpus, capsys,
     assert err.startswith("error: ") and f"got {extra[-1]}" in err
     assert not (corpus / "bad-model.bin").exists()
     assert not (corpus / "eval-bad").exists()
+    assert not (corpus / "hyp-bad.txt").exists()
+
+
+def test_model_rejects_tensor_of_another_shape_and_equal_size(corpus, capsys):
+    # (20, 1, 800) and (10, 1, 1600) both hold 16 000 values
+    model = corpus / "raw.bin"
+    assert main([
+        "train", "--rec", str(corpus / "train" / "rec.eeg"),
+        "--labels", str(corpus / "train" / "labels.txt"), "--feature", "raw",
+        "--epochs", "2", "--out", str(model),
+    ]) == 0
+    narrow = corpus / "narrow"
+    assert main(["synth", "--out-dir", str(narrow), "--duration", "60", "--channels", "10",
+                 "--n-events", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    code = main([
+        "eval", "--rec", str(narrow / "rec.eeg"), "--labels", str(narrow / "labels.txt"),
+        "--model", str(model), "--window-sec", "8", "--out-dir", str(corpus / "narrow-eval"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(10, 1, 1600)" in err and "(20, 1, 800)" in err
+    assert not (corpus / "narrow-eval" / "report.json").exists()
 
 
 @pytest.mark.parametrize("detector", ["model", "energy"])

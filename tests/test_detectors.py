@@ -193,6 +193,12 @@ class TestDetectWindow:
         with pytest.raises(IncompatibleFeatureError):
             sv.LinearDetector(self.zero_model()).detect(dt.DetectorState(), feat)
 
+    def test_shape_mismatch_of_equal_size(self):
+        # (2, 1, 2) holds as many values as the model's (1, 1, 4)
+        feat = FeatureTensor(np.zeros((2, 1, 2)), "toy")
+        with pytest.raises(IncompatibleFeatureError, match=r"\(2, 1, 2\).*\(1, 1, 4\)"):
+            sv.LinearDetector(self.zero_model()).detect(dt.DetectorState(), feat)
+
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_scoring_stays_on_one_core(self):
         # a sincnet-sized model: a BLAS dot this long would wake a thread pool.

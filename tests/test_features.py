@@ -277,6 +277,14 @@ def same_convolve(row, kernel):
     return np.convolve(row, kernel)[start : start + row.size]
 
 
+def lowpass_oracle(cutoff_hz, taps, fs):
+    """Hamming-windowed sinc lowpass, cutoff clipped to Nyquist, scaled to unit DC gain."""
+    n = np.arange(taps) - (taps - 1) / 2
+    fc = min(cutoff_hz, fs / 2) / fs
+    h = 2 * fc * np.sinc(2 * fc * n) * np.hamming(taps)
+    return h / h.sum()
+
+
 def sinc_oracle(x, bank, fs):
     kernels = [ft.design_sinc_kernel(f1, f2, bank.kernel_len, fs) for f1, f2 in bank.bands]
     return np.stack([[same_convolve(row, k)[:: bank.stride] for row in x] for k in kernels])
@@ -441,12 +449,18 @@ class TestMultirate:
             anti_alias=True, anti_alias_cutoff_hz=40.0, anti_alias_taps=taps
         )
         x = 30 * np.random.default_rng(taps).normal(size=(5, n))
-        kernel = ft._anti_alias_kernel(40.0, taps, FS)
+        kernel = lowpass_oracle(40.0, taps, FS)
         filtered = np.stack([same_convolve(row, kernel) for row in x])
         for tensor, rate in zip(sv.multirate(x, params), params.rates_hz):
             want = filtered[:, None, :: FS // rate]
             assert tensor.shape == want.shape
             assert_matches_oracle(tensor.data, want)
+
+    @pytest.mark.parametrize("cutoff", [-30.0, 0.0, float("nan")])
+    def test_anti_alias_invalid_cutoff_rejected(self, cutoff):
+        params = ft.MultiRateParams(anti_alias=True, anti_alias_cutoff_hz=cutoff)
+        with pytest.raises(InvalidArgumentError):
+            sv.multirate(np.zeros((1, 800)), params)
 
     def test_non_divisor_rate(self):
         with pytest.raises(InvalidArgumentError):

@@ -6,7 +6,7 @@ import pytest
 import seizeval as sv
 from seizeval.errors import IncompatibleFeatureError, InvalidArgumentError
 from seizeval.features import get_extractor
-from seizeval.rtbench import LatencyReport, check_realtime, run_stream
+from seizeval.rtbench import LatencyReport, run_stream
 
 from oracles import batch_replay_scores
 
@@ -73,20 +73,19 @@ class TestCheckRealtime:
         )
 
     def test_pass(self):
-        passed, summary = check_realtime(self.report([0.05, 0.08, 0.06]))
-        assert passed and "PASS" in summary
+        report = self.report([0.05, 0.08, 0.06])
+        assert report.passed and "PASS" in report.summary()
 
     def test_fail(self):
-        passed, summary = check_realtime(self.report([0.05, 1.2]))
-        assert not passed and "FAIL" in summary
+        report = self.report([0.05, 1.2])
+        assert not report.passed and "FAIL" in report.summary()
 
     def test_boundary_inclusive(self):
-        passed, _ = check_realtime(self.report([1.0, 0.5]))
-        assert passed
+        assert self.report([1.0, 0.5]).passed
 
     def test_empty_report(self):
-        with pytest.raises(InvalidArgumentError):
-            check_realtime(self.report([]))
+        with pytest.raises(InvalidArgumentError, match="empty"):
+            self.report([])
 
     def test_warmup_exclusion(self):
         t = np.array([5.0, 0.01, 0.01])
