@@ -198,16 +198,18 @@ def cmd_eval(args) -> int:
     spec = _window_spec(args)
     wl = core.window_labels(rec, labels, spec)
     detector = detectors.LinearDetector(detectors.load_model(args.model), args.smoothing)
-    # reject bad event options before any output exists or the stream is scored
+    # reject bad event options before the stream is scored
     opts = metrics.EventizeOpts(gap_merge_s=args.gap_merge_sec, min_event_s=args.min_event_sec)
     for m in args.margins:
         metrics.margin(labels, [], m)
-    out = Path(args.out_dir) if args.out_dir else _default_run_dir(args.seed)
-    out.mkdir(parents=True, exist_ok=True)
     track, _, report = _score(
         rec, labels, wl, detector, spec, margins_s=tuple(args.margins),
         gap_merge_s=args.gap_merge_sec, min_event_s=args.min_event_sec,
     )
+    # only a scored stream creates --out-dir: a model that does not fit the
+    # recording fails on its first window
+    out = Path(args.out_dir) if args.out_dir else _default_run_dir(args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json() + "\n")
     (out / "report.txt").write_text(report.to_text())
     curves = report.curves

@@ -2,9 +2,10 @@
 
 Six extractors share one contract: input is a (channels, samples) float
 window at the pipeline rate, output is a 3-axis FeatureTensor. All of them
-are pure and deterministic. The ``sincnet`` callable from ``get_extractor``
-keeps outputs of the previous window to reuse (``SincCache``), but what it
-returns depends on the window alone.
+are pure and deterministic. The ``sincnet``, ``stft`` and ``bands`` callables
+from ``get_extractor`` keep per-stream state: the outputs of the previous
+window that the next one can reuse (``BlockCache``). What they return still
+depends on the window alone.
 """
 
 from __future__ import annotations
@@ -67,6 +68,105 @@ def extract_raw(samples: np.ndarray) -> FeatureTensor:
 
 
 # ---------------------------------------------------------------------------
+# per-stream block reuse (sincnet, stft, bands)
+
+
+def _frames(x: np.ndarray, length: int, stride: int, j0: int, j1: int, offset: int) -> np.ndarray:
+    """Read-only (channels, j1 - j0, length) view of the rows of ``x`` in frames.
+
+    Frame ``j`` holds the ``length`` samples from ``stride * j - offset`` on;
+    samples outside ``x`` read as zero. The samples are copied into a zeroed
+    buffer first, so a product over the view has a shape and layout that
+    depend only on ``(channels, j1 - j0, length)``, whatever the layout of
+    ``x``.
+    """
+    first = stride * j0 - offset
+    seg = np.zeros((x.shape[0], stride * (j1 - j0 - 1) + length))
+    lo, hi = max(first, 0), min(first + seg.shape[1], x.shape[1])
+    if hi > lo:
+        seg[:, lo - first : hi - first] = x[:, lo:hi]
+    return np.lib.stride_tricks.as_strided(
+        seg,
+        (seg.shape[0], j1 - j0, length),
+        (seg.strides[0], stride * seg.itemsize, seg.itemsize),
+        writeable=False,
+    )
+
+
+class BlockCache:
+    """What one stream's extractor keeps of its previous window.
+
+    Extractors whose interior outputs come in fixed blocks (``sincnet``,
+    ``stft``, ``bands``; see ``_fill_interior``) share it. It holds its own
+    copy of the previous window from the second block's samples on, and that
+    window's interior outputs from the second block on. The extractor writes
+    it only after a window succeeds, and it replaces its arrays rather than
+    writing into them, so tensors returned earlier never change. A cache
+    serves one stream and is not thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self.key: tuple | None = None  # (extractor, its parameters, window shape)
+        self.tail: np.ndarray | None = None
+        self.rows: np.ndarray | None = None  # interior outputs, time on the last axis
+
+    def shift(self, key: tuple, x: np.ndarray, n_blocks: int, step: int) -> int:
+        """Blocks ``m >= 1`` by which window ``x`` follows the previous one, or 0.
+
+        ``step`` is one block's samples. The first ``m`` blocks of outputs are
+        new; the other ``n_blocks - m`` can come from ``rows``.
+        """
+        if key != self.key:
+            return 0
+        n = x.shape[1]
+        # bit patterns, so -0.0 and 0.0 count as different samples
+        bits, tail = x.view(np.int64), self.tail.view(np.int64)
+        for m in range(1, n_blocks):
+            if np.array_equal(bits[:, : n - m * step], tail[:, (m - 1) * step :]):
+                return m
+        return 0
+
+    def keep(self, key: tuple, x: np.ndarray, rows: np.ndarray, step: int) -> None:
+        """Remember window ``x`` and its interior outputs after the first block."""
+        self.key = key
+        self.tail = x[:, step:].copy()
+        self.rows = rows.copy()
+
+
+def _fill_interior(
+    out: np.ndarray,
+    x: np.ndarray,
+    lo: int,
+    hi: int,
+    block: int,
+    step: int,
+    rows: Callable[[int, int], np.ndarray],
+    cache: BlockCache | None,
+    key: tuple,
+) -> None:
+    """Write the interior outputs ``out[..., lo:hi]`` of window ``x``.
+
+    ``rows(j0, j1)`` computes outputs ``j0 <= j < j1`` with time on the last
+    axis. They come in blocks of ``block`` outputs counted back from ``hi``;
+    the oldest block starts before ``lo`` and drops those placeholder
+    outputs. With a ``cache``, a window whose leading samples equal the
+    previous window's trailing samples, shifted by ``m`` whole blocks of
+    ``step`` samples, computes only its ``m`` newest blocks and takes the
+    others from the previous window. Each output comes from the same product
+    at the same row, fresh or reused, so the result is bit-identical to a
+    call without a cache.
+    """
+    n_blocks = -(-(hi - lo) // block)
+    m = cache.shift(key, x, n_blocks, step) if cache is not None else 0
+    if m:
+        out[..., lo : hi - m * block] = cache.rows[..., (m - 1) * block :]
+    for b in range(m or n_blocks):
+        first, end = hi - (b + 1) * block, hi - b * block
+        start = max(lo, first)  # outputs before lo are placeholders
+        out[..., start:end] = rows(first, end)[..., start - first :]
+
+
+# ---------------------------------------------------------------------------
 # STFT
 
 
@@ -118,16 +218,31 @@ class StftParams:
         return n
 
 
-def _frame_signal(x: np.ndarray, frame: int, hop: int, pad_to_frames: int | None) -> np.ndarray:
-    if pad_to_frames is not None:
-        needed = (pad_to_frames - 1) * hop + frame
-        if needed > x.shape[1]:
-            pad = needed - x.shape[1]
-            left = pad // 2
-            x = np.pad(x, ((0, 0), (left, pad - left)), mode="reflect")
-    if x.shape[1] < frame:
+@lru_cache(maxsize=8)
+def _frame_layout(n: int, frame: int, hop: int, pad_to_frames: int | None) -> tuple:
+    """Where the STFT frames of an ``n``-sample window read their samples.
+
+    Returns ``(n_frames, left, lo, hi, edges, edge_idx)``. A window too short
+    for ``pad_to_frames`` frames is reflect-padded, ``left`` samples in
+    front and the rest behind, so frame ``j`` reads ``frame`` samples from
+    ``hop * j - left`` on. Frames ``lo <= j < hi`` lie inside the window.
+    The others (read-only ``edges``) read padding: ``edge_idx[e]`` holds the
+    window samples that frame ``edges[e]`` reads, found by padding the sample
+    indices exactly as ``np.pad`` pads the samples.
+    """
+    needed = n if pad_to_frames is None else (pad_to_frames - 1) * hop + frame
+    pad = max(needed - n, 0)
+    left = pad // 2
+    src = np.pad(np.arange(n), (left, pad - left), mode="reflect")
+    if src.size < frame:
         raise InvalidArgumentError("frame longer than window")
-    return np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::hop, :]
+    n_frames = (src.size - frame) // hop + 1
+    lo = min(-(-left // hop), n_frames)
+    hi = max(lo, min(n_frames, (n + left - frame) // hop + 1))
+    edges = np.r_[0:lo, hi:n_frames]
+    edge_idx = src[hop * edges[:, None] + np.arange(frame)]
+    edges.flags.writeable = edge_idx.flags.writeable = False
+    return n_frames, left, lo, hi, edges, edge_idx
 
 
 def _hann(n: int) -> np.ndarray:
@@ -161,42 +276,99 @@ def _dft_basis(frame: int, nfft: int) -> np.ndarray:
     return basis
 
 
-def _stft_mags(x: np.ndarray, params: StftParams, fs: int) -> np.ndarray:
-    """Magnitudes shaped (channels, frames, bins), one channel at a time.
+# Interior STFT frames are computed in blocks of this many frames (1 s at
+# 200 Hz and hop 8), anchored at the last interior frame of the window.
+_FRAME_BLOCK = 25
+# Rows of one product: OpenBLAS keeps a product this small on one core.
+_MAX_ROWS = 100
 
-    Per-channel products keep every temporary small (about 160 KB for the
-    default preset), so the allocator reuses their memory from window to
-    window instead of faulting in fresh pages each time.
+
+def _spectral_rows(
+    frames: np.ndarray, basis: np.ndarray, averaging: np.ndarray | None, power: bool
+) -> np.ndarray:
+    """Magnitudes of ``frames`` (channels, n, frame), or their band means.
+
+    Returns (channels, bins, n), or (channels, n_bands, n) with the
+    ``averaging`` matrix (magnitudes squared first with ``power``). Channels
+    go in groups of at most ``_MAX_ROWS // n``, so every product has at most
+    ``_MAX_ROWS`` rows and every temporary stays small (160 KB for the
+    default preset).
     """
-    frame = params.frame_samples(fs)
-    nfft = params.nfft(fs)
-    frames = _frame_signal(x, frame, params.hop(fs), params.pad_to_frames)
-    basis = _dft_basis(frame, nfft)
-    bins = nfft // 2 + 1
-    mags = np.empty((frames.shape[0], frames.shape[1], bins))
-    for block, out in zip(frames, mags):
-        z = block @ basis
+    n = frames.shape[1]
+    bins = basis.shape[1] // 2
+    out = np.empty((frames.shape[0], bins if averaging is None else averaging.shape[1], n))
+    group = max(1, _MAX_ROWS // n)
+    for c in range(0, frames.shape[0], group):
+        z = frames[c : c + group] @ basis
         np.square(z, out=z)
-        np.add(z[:, :bins], z[:, bins:], out=out)
-        np.sqrt(out, out=out)
-    return mags
+        mags = np.add(z[..., :bins], z[..., bins:])
+        np.sqrt(mags, out=mags)
+        if averaging is not None:
+            if power:
+                np.square(mags, out=mags)
+            mags = (mags.reshape(-1, bins) @ averaging).reshape(-1, n, averaging.shape[1])
+        out[c : c + group] = mags.transpose(0, 2, 1)
+    return out
+
+
+def _spectral(
+    x: np.ndarray,
+    params: StftParams,
+    fs: int,
+    averaging: np.ndarray | None,
+    power: bool,
+    cache: BlockCache | None,
+    key: tuple,
+) -> FeatureTensor:
+    """``stft`` (no ``averaging``) or ``frequency_bands`` of window ``x``.
+
+    ``key`` names the extractor (its first item, also the tensor's id), its
+    parameters and the window shape, for ``cache``.
+
+    The reflect-padded edge frames form one product. The interior frames form
+    blocks of ``_FRAME_BLOCK`` frames counted back from the last one, and with
+    a ``cache`` a window that follows the previous one by whole blocks takes
+    all but its newest blocks from it (``_fill_interior``).
+    """
+    frame, hop = params.frame_samples(fs), params.hop(fs)
+    basis = _dft_basis(frame, params.nfft(fs))
+    n_frames, left, lo, hi, edges, edge_idx = _frame_layout(
+        x.shape[1], frame, hop, params.pad_to_frames
+    )
+    k = basis.shape[1] // 2 if averaging is None else averaging.shape[1]
+    out = np.empty((x.shape[0], k, n_frames))
+    step = hop * _FRAME_BLOCK
+
+    def rows(j0: int, j1: int) -> np.ndarray:
+        return _spectral_rows(_frames(x, frame, hop, j0, j1, left), basis, averaging, power)
+
+    _fill_interior(out, x, lo, hi, _FRAME_BLOCK, step, rows, cache, key)
+    if edges.size:
+        out[:, :, edges] = _spectral_rows(x[:, edge_idx], basis, averaging, power)
+    tensor = FeatureTensor(out, extractor_id=key[0])
+    if cache is not None:
+        cache.keep(key, x, out[..., lo + _FRAME_BLOCK : hi], step)
+    return tensor
 
 
 def stft(
     samples: np.ndarray,
     params: StftParams | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
+    cache: BlockCache | None = None,
 ) -> FeatureTensor:
     """Hann-windowed one-sided magnitude spectrogram, (channels, bins, frames).
 
     Magnitudes come from a cached Hann-DFT basis (``_dft_basis``) rather than
     a zero-padded FFT per frame. They differ from ``abs(rfft(frames * hann,
     n=nfft))`` by less than 1e-15 of the window's largest magnitude; band
-    averages differ by under 2e-14 relative.
+    averages differ by under 2e-14 relative. With a ``cache`` each frame is
+    computed once per stream, as in ``frequency_bands``.
     """
+    params = params or StftParams.shape_compat()
     x = _check_window(samples)
-    mags = _stft_mags(x, params or StftParams.shape_compat(), sample_rate_hz)
-    return FeatureTensor(np.transpose(mags, (0, 2, 1)), extractor_id="stft")
+    key = ("stft", params, sample_rate_hz, x.shape)
+    return _spectral(x, params, sample_rate_hz, None, False, cache, key)
 
 
 def stft_bin_freqs(params: StftParams, sample_rate_hz: int = PIPELINE_RATE_HZ) -> np.ndarray:
@@ -226,23 +398,13 @@ class BandSpec:
         return len(self.edges)
 
 
-def frequency_bands(
-    samples: np.ndarray,
-    params: StftParams | None = None,
-    bands: BandSpec | None = None,
-    sample_rate_hz: int = PIPELINE_RATE_HZ,
-    power: bool = False,
-) -> FeatureTensor:
-    """STFT magnitudes averaged per band, (channels, n_bands, frames)."""
-    params = params or StftParams.shape_compat()
-    bands = bands or BandSpec()
+@lru_cache(maxsize=8)
+def _band_averaging(params: StftParams, bands: BandSpec, sample_rate_hz: int) -> np.ndarray:
+    """Read-only (bins, n_bands) matrix: ``mags @ averaging`` are the band means."""
     nyquist = sample_rate_hz / 2
     for lo, hi in bands.edges:
         if hi > nyquist:
             raise InvalidArgumentError(f"band ({lo}, {hi}) exceeds Nyquist {nyquist}")
-    mags = _stft_mags(_check_window(samples), params, sample_rate_hz)
-    if power:
-        np.square(mags, out=mags)
     freqs = stft_bin_freqs(params, sample_rate_hz)
     averaging = np.zeros((freqs.size, bands.n_bands))
     for b, (lo, hi) in enumerate(bands.edges):
@@ -250,8 +412,32 @@ def frequency_bands(
         if not mask.any():
             raise InvalidArgumentError(f"band ({lo}, {hi}) covers no STFT bin")
         averaging[mask, b] = 1.0 / mask.sum()
-    out = np.transpose(mags @ averaging, (0, 2, 1))
-    return FeatureTensor(out, extractor_id="bands")
+    averaging.flags.writeable = False
+    return averaging
+
+
+def frequency_bands(
+    samples: np.ndarray,
+    params: StftParams | None = None,
+    bands: BandSpec | None = None,
+    sample_rate_hz: int = PIPELINE_RATE_HZ,
+    power: bool = False,
+    cache: BlockCache | None = None,
+) -> FeatureTensor:
+    """STFT magnitudes averaged per band, (channels, n_bands, frames).
+
+    Each frame's band means come from the same products at the same rows
+    whether they are computed fresh or taken from ``cache``, so a streamed
+    window is bit-identical to a call without a cache. With the default
+    preset at a 4 s window and 1 s shift, a streamed window computes 28 of
+    its 100 frames.
+    """
+    params = params or StftParams.shape_compat()
+    bands = bands or BandSpec()
+    averaging = _band_averaging(params, bands, sample_rate_hz)
+    x = _check_window(samples)
+    key = ("bands", params, bands, power, sample_rate_hz, x.shape)
+    return _spectral(x, params, sample_rate_hz, averaging, power, cache, key)
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +580,10 @@ def _fir_rows(x: np.ndarray, taps: np.ndarray, stride: int, j0: int, j1: int) ->
     as columns (``_stacked_taps``). Output ``j`` is centred on sample
     ``stride * j`` like ``np.convolve(row, kernel, "same")[::stride]``: it
     reads the ``kernel_len`` samples from ``stride * j - kernel_len // 2`` on,
-    and samples outside the window read as zero. The samples are copied into a
-    zeroed buffer first, so a call is one product whose shape depends only on
-    ``(channels, j1 - j0)`` and ``taps``, whatever the layout of ``x``.
+    and samples outside the window read as zero (``_frames``).
     """
     kernel_len = taps.shape[0]
-    first = stride * j0 - kernel_len // 2
-    seg = np.zeros((x.shape[0], stride * (j1 - j0 - 1) + kernel_len))
-    lo, hi = max(first, 0), min(first + seg.shape[1], x.shape[1])
-    if hi > lo:
-        seg[:, lo - first : hi - first] = x[:, lo:hi]
-    windows = np.lib.stride_tricks.as_strided(
-        seg,
-        (seg.shape[0], j1 - j0, kernel_len),
-        (seg.strides[0], stride * seg.itemsize, seg.itemsize),
-        writeable=False,
-    )
-    return windows @ taps
+    return _frames(x, kernel_len, stride, j0, j1, kernel_len // 2) @ taps
 
 
 @lru_cache(maxsize=8)
@@ -438,50 +611,11 @@ def _sinc_layout(n: int, kernel_len: int, stride: int) -> tuple[int, int, int]:
     return n_out, lo, hi
 
 
-class SincCache:
-    """What one stream's sinc extractor keeps of its previous window.
-
-    It holds its own copy of that window from the second block's samples on,
-    and the window's interior outputs from the second block on: together less
-    than one window's samples plus one output tensor. ``sinc_filterbank``
-    writes it only after a window succeeds and replaces its arrays rather
-    than writing into them, so tensors returned earlier never change. A cache
-    serves one stream and is not thread-safe.
-    """
-
-    def __init__(self) -> None:
-        self.key: tuple | None = None  # (bank, sample rate, window shape)
-        self.tail: np.ndarray | None = None
-        self.rows: np.ndarray | None = None  # (filters, channels, outputs)
-
-    def shift(self, key: tuple, x: np.ndarray, n_blocks: int, step: int) -> int:
-        """Blocks ``m >= 1`` by which window ``x`` follows the previous one, or 0.
-
-        ``step`` is one block's samples. The first ``m`` blocks of outputs are
-        new; the other ``n_blocks - m`` can come from ``rows``.
-        """
-        if key != self.key:
-            return 0
-        n = x.shape[1]
-        # bit patterns, so -0.0 and 0.0 count as different samples
-        bits, tail = x.view(np.int64), self.tail.view(np.int64)
-        for m in range(1, n_blocks):
-            if np.array_equal(bits[:, : n - m * step], tail[:, (m - 1) * step :]):
-                return m
-        return 0
-
-    def keep(self, key: tuple, x: np.ndarray, out: np.ndarray, lo: int, hi: int, step: int) -> None:
-        """Remember window ``x`` and its outputs ``out`` for the next call."""
-        self.key = key
-        self.tail = x[:, step:].copy()
-        self.rows = out[:, :, lo + _SINC_BLOCK : hi].copy()
-
-
 def sinc_filterbank(
     samples: np.ndarray,
     bank: SincBank | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
-    cache: SincCache | None = None,
+    cache: BlockCache | None = None,
 ) -> FeatureTensor:
     """Strided band-pass convolution, (n_filters, channels, ceil(N/stride)).
 
@@ -493,36 +627,27 @@ def sinc_filterbank(
     result by under 1e-15 of their largest magnitude.
 
     The outputs that read zero padding at either edge form one product each.
-    The interior outputs form blocks of ``_SINC_BLOCK`` outputs counted back
-    from the last one; the oldest block reads zeros in place of samples
-    before the window and drops those outputs. With a ``cache``, a window
-    whose leading samples equal the previous window's trailing samples,
-    shifted by ``m`` whole blocks, takes every block but the ``m`` newest
-    from the previous window. Each output comes from the same product at the
-    same row, fresh or reused, so the result is bit-identical to a call
-    without a cache.
+    The interior outputs form blocks of ``_SINC_BLOCK`` outputs, which a
+    ``cache`` lets a stream compute once (``_fill_interior``); the result is
+    bit-identical to a call without a cache.
     """
     x = _check_window(samples)
     bank = bank or SincBank()
     taps = _sinc_taps(bank, sample_rate_hz)
     n_out, lo, hi = _sinc_layout(x.shape[1], bank.kernel_len, bank.stride)
-    n_blocks = -(-(hi - lo) // _SINC_BLOCK)
     out = np.empty((bank.n_filters, x.shape[0], n_out))
-    key, step = (bank, sample_rate_hz, x.shape), bank.stride * _SINC_BLOCK
-    m = cache.shift(key, x, n_blocks, step) if cache is not None else 0
-    if m:
-        out[:, :, lo : hi - m * _SINC_BLOCK] = cache.rows[:, :, (m - 1) * _SINC_BLOCK :]
-    for b in range(m or n_blocks):
-        first, end = hi - (b + 1) * _SINC_BLOCK, hi - b * _SINC_BLOCK
-        block = _fir_rows(x, taps, bank.stride, first, end)
-        start = max(lo, first)  # outputs before lo are placeholders
-        out[:, :, start:end] = np.moveaxis(block[:, start - first :], 2, 0)
+    key, step = ("sincnet", bank, sample_rate_hz, x.shape), bank.stride * _SINC_BLOCK
+
+    def rows(j0: int, j1: int) -> np.ndarray:
+        return np.moveaxis(_fir_rows(x, taps, bank.stride, j0, j1), 2, 0)
+
+    _fill_interior(out, x, lo, hi, _SINC_BLOCK, step, rows, cache, key)
     for j0, j1 in ((0, lo), (hi, n_out)):
         if j1 > j0:
-            out[:, :, j0:j1] = np.moveaxis(_fir_rows(x, taps, bank.stride, j0, j1), 2, 0)
+            out[:, :, j0:j1] = rows(j0, j1)
     tensor = FeatureTensor(out, extractor_id="sincnet")
     if cache is not None:
-        cache.keep(key, x, out, lo, hi, step)
+        cache.keep(key, x, out[..., lo + _SINC_BLOCK : hi], step)
     return tensor
 
 
@@ -536,6 +661,19 @@ class MultiRateParams:
     anti_alias: bool = False
     anti_alias_cutoff_hz: float = 100.0
     anti_alias_taps: int = 101
+
+    def __post_init__(self) -> None:
+        for rate in self.rates_hz:
+            if not isinstance(rate, (int, np.integer)) or rate <= 0:
+                raise InvalidArgumentError(f"rates_hz must be positive integers, got {rate!r}")
+        if self.anti_alias_taps < 1:
+            raise InvalidArgumentError(
+                f"anti_alias_taps must be >= 1, got {self.anti_alias_taps}"
+            )
+        if not (np.isfinite(self.anti_alias_cutoff_hz) and self.anti_alias_cutoff_hz > 0):
+            raise InvalidArgumentError(
+                f"anti_alias_cutoff_hz must be finite and positive, got {self.anti_alias_cutoff_hz}"
+            )
 
 
 @lru_cache(maxsize=8)
@@ -562,7 +700,7 @@ def multirate(
         x = _fir_rows(x, taps, 1, 0, x.shape[1])[:, :, 0]
     out = []
     for rate in params.rates_hz:
-        if rate <= 0 or sample_rate_hz % rate != 0:
+        if sample_rate_hz % rate != 0:
             raise InvalidArgumentError(f"rate {rate} does not divide {sample_rate_hz}")
         factor = sample_rate_hz // rate
         out.append(
@@ -582,19 +720,24 @@ def get_extractor(
 ) -> Callable[[np.ndarray], FeatureTensor]:
     """Resolve an extractor by CLI name to a window -> FeatureTensor callable.
 
-    Call it once per stream: the ``sincnet`` callable carries a ``SincCache``
-    and is not thread-safe. ``multirate`` concatenates its per-rate streams
-    along the time axis so it fits the single-tensor detector interface.
+    Call it once per stream: the ``sincnet``, ``stft`` and ``bands`` callables
+    each carry a ``BlockCache``, so a window that follows the previous one by
+    whole blocks computes only its new outputs; they are not thread-safe.
+    ``raw``, ``lfcc`` and ``multirate`` keep no state. ``multirate``
+    concatenates its per-rate streams along the time axis so it fits the
+    single-tensor detector interface. Every callable but ``raw`` looks its
+    function up in this module when called, so a wrapper installed there
+    sees every window.
     """
     if name == "raw":
         return extract_raw
+    cache = BlockCache()
     if name == "sincnet":
-        cache = SincCache()
         return lambda w: sinc_filterbank(w, sample_rate_hz=sample_rate_hz, cache=cache)
     if name == "stft":
-        return lambda w: stft(w, sample_rate_hz=sample_rate_hz)
+        return lambda w: stft(w, sample_rate_hz=sample_rate_hz, cache=cache)
     if name == "bands":
-        return lambda w: frequency_bands(w, sample_rate_hz=sample_rate_hz)
+        return lambda w: frequency_bands(w, sample_rate_hz=sample_rate_hz, cache=cache)
     if name == "lfcc":
         return lambda w: lfcc(w, sample_rate_hz=sample_rate_hz)
     if name == "multirate":

@@ -390,7 +390,7 @@ def test_model_rejects_tensor_of_another_shape_and_equal_size(corpus, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "(10, 1, 1600)" in err and "(20, 1, 800)" in err
-    assert not (corpus / "narrow-eval" / "report.json").exists()
+    assert not (corpus / "narrow-eval").exists()
 
 
 @pytest.mark.parametrize("detector", ["model", "energy"])

@@ -123,8 +123,12 @@ class TestFrequencyBands:
 
 def rfft_stft_oracle(x, params):
     """Zero-padded per-frame rfft of the Hann-tapered frames, (channels, bins, frames)."""
-    frame, nfft = params.frame_samples(FS), params.nfft(FS)
-    frames = ft._frame_signal(x, frame, params.hop(FS), params.pad_to_frames)
+    frame, nfft, hop = params.frame_samples(FS), params.nfft(FS), params.hop(FS)
+    if params.pad_to_frames is not None:
+        # reflect-pad to pad_to_frames frames, the odd sample behind
+        pad = max((params.pad_to_frames - 1) * hop + frame - x.shape[1], 0)
+        x = np.pad(x, ((0, 0), (pad // 2, pad - pad // 2)), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::hop, :]
     taper = sps.get_window("hann", frame, fftbins=True)
     return np.transpose(np.abs(rfft(frames * taper, n=nfft, axis=2)), (0, 2, 1))
 
@@ -427,6 +431,86 @@ class TestSincStream:
         assert np.shares_memory(tensor.flat(), tensor.data)
 
 
+# samples per STFT block of the default preset: a 1 s shift at 200 Hz
+BANDS_STEP = ft._FRAME_BLOCK * ft.StftParams.shape_compat().hop(FS)
+
+
+class TestBandsStream:
+    """One ``get_extractor("bands")`` object returns what a fresh
+    ``frequency_bands`` call returns, bit for bit, whatever came before;
+    ``stft`` shares its frame blocks."""
+
+    @pytest.mark.parametrize("name,fresh", [("bands", "frequency_bands"), ("stft", "stft")])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=st.integers(0, STREAM_REC.shape[1]),
+        steps=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0, BANDS_STEP, 2 * BANDS_STEP]),
+                    st.integers(-3 * BANDS_STEP, 3 * BANDS_STEP),
+                ),
+                st.sampled_from([4, 12]),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_stream_equals_fresh(self, name, fresh, first, steps):
+        extract = ft.get_extractor(name)
+        start, returned = first, []
+        for shift, window_s in steps:
+            n = window_s * FS
+            start = min(max(start + shift, 0), STREAM_REC.shape[1] - n)
+            window = STREAM_REC[:, start : start + n]
+            got = extract(window)
+            assert got.data.tobytes() == getattr(ft, fresh)(window.copy()).data.tobytes()
+            returned.append((got, got.data.tobytes()))
+        # earlier tensors are never written by later calls
+        assert all(t.data.tobytes() == b for t, b in returned)
+
+    def test_computes_28_of_100_frames_per_channel(self, monkeypatch):
+        # 4 s windows at a 1 s shift: 25 new interior frames plus the 3
+        # reflect-padded edge frames; the first window computes 4 blocks of
+        # 25 (3 of them placeholders before frame 1) and the edges
+        counted = []
+        spectral_rows = ft._spectral_rows
+
+        def counting(frames, basis, averaging, power):
+            counted.append(frames.shape[1])
+            return spectral_rows(frames, basis, averaging, power)
+
+        monkeypatch.setattr(ft, "_spectral_rows", counting)
+        extract = ft.get_extractor("bands")
+        per_window = []
+        for k in range(5):
+            counted.clear()
+            extract(STREAM_REC[:, k * FS : k * FS + 4 * FS])
+            per_window.append(sum(counted))
+        assert per_window == [103, 28, 28, 28, 28]
+
+    def test_caller_buffer_mutated_in_place(self):
+        extract = ft.get_extractor("bands")
+        buf = STREAM_REC[:, : 4 * FS].copy()
+        extract(buf)
+        buf[:] = np.tile(STREAM_REC[:, :BANDS_STEP], 4 * FS // BANDS_STEP)
+        assert extract(buf).data.tobytes() == ft.frequency_bands(buf.copy()).data.tobytes()
+
+    def test_failed_window_leaves_cache_unchanged(self):
+        extract = ft.get_extractor("bands")
+        extract(STREAM_REC[:, : 4 * FS])
+        bad = STREAM_REC[:, BANDS_STEP : BANDS_STEP + 4 * FS].copy()
+        bad[1, -1] = np.nan
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            extract(bad)
+        nxt = STREAM_REC[:, BANDS_STEP : BANDS_STEP + 4 * FS]
+        assert extract(nxt).data.tobytes() == ft.frequency_bands(nxt).data.tobytes()
+
+    def test_flat_is_a_view(self):
+        tensor = ft.get_extractor("bands")(STREAM_REC[:, : 4 * FS])
+        assert np.shares_memory(tensor.flat(), tensor.data)
+
+
 class TestMultirate:
     def test_lengths(self):
         out = sv.multirate(np.zeros((20, 800)))
@@ -458,9 +542,22 @@ class TestMultirate:
 
     @pytest.mark.parametrize("cutoff", [-30.0, 0.0, float("nan")])
     def test_anti_alias_invalid_cutoff_rejected(self, cutoff):
-        params = ft.MultiRateParams(anti_alias=True, anti_alias_cutoff_hz=cutoff)
-        with pytest.raises(InvalidArgumentError):
-            sv.multirate(np.zeros((1, 800)), params)
+        with pytest.raises(InvalidArgumentError, match="anti_alias_cutoff_hz"):
+            ft.MultiRateParams(anti_alias=True, anti_alias_cutoff_hz=cutoff)
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("rates_hz", {"rates_hz": (200, 0)}),
+            ("rates_hz", {"rates_hz": (-50,)}),
+            ("rates_hz", {"rates_hz": (0.5,)}),
+            ("anti_alias_taps", {"anti_alias_taps": 0}),
+            ("anti_alias_cutoff_hz", {"anti_alias_cutoff_hz": float("inf")}),
+        ],
+    )
+    def test_invalid_params_rejected(self, field, kwargs):
+        with pytest.raises(InvalidArgumentError, match=field):
+            ft.MultiRateParams(**kwargs)
 
     def test_non_divisor_rate(self):
         with pytest.raises(InvalidArgumentError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import seizeval as sv
+from seizeval import features
 from seizeval.errors import IncompatibleFeatureError, InvalidArgumentError
 from seizeval.features import get_extractor
 from seizeval.rtbench import LatencyReport, run_stream
@@ -111,3 +112,27 @@ class TestCheckRealtime:
         csv = rep.per_window_csv()
         assert csv.startswith("window,extract_s,detect_s,total_s")
         assert "passed=1" in rep.to_kv()
+
+
+@pytest.mark.parametrize(
+    "name,attr,shape",
+    [("bands", "frequency_bands", (20, 7, 100)), ("sincnet", "sinc_filterbank", (7, 20, 400))],
+)
+def test_streaming_extractor_calls_module_function_once_per_window(monkeypatch, name, attr, shape):
+    # the traced benchmark wraps these module attributes; a callable that
+    # bypassed them would leave features.calls_per_window without a value
+    extractor = get_extractor(name)
+    calls = []
+    function = getattr(features, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(features, attr, counting)
+    rec, _ = sv.synth_recording(sv.SynthConfig(duration_s=13, events=[(5, 8)], seed=1))
+    n = int(np.prod(shape))
+    model = sv.LinearModel(np.zeros(n), 0.0, np.zeros(n), np.ones(n), name, shape)
+    track, _ = run_stream(rec, extractor, sv.LinearDetector(model))
+    assert track.scores.size == 10
+    assert calls == [(20, 800)] * 10
