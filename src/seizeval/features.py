@@ -2,10 +2,11 @@
 
 Six extractors share one contract: input is a (channels, samples) float
 window at the pipeline rate, output is a 3-axis FeatureTensor. All of them
-are pure and deterministic. The ``sincnet``, ``stft`` and ``bands`` callables
-from ``get_extractor`` keep per-stream state: the outputs of the previous
-window that the next one can reuse (``BlockCache``). What they return still
-depends on the window alone.
+are pure and deterministic. The ``sincnet`` and ``stft`` callables from
+``get_extractor`` keep per-stream state: the outputs of the previous window
+that the next one can reuse (``BlockCache``); ``frequency_bands`` takes the
+same cache, but the ``bands`` callable does not pass one. What they return
+still depends on the window alone.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class BlockCache:
     Extractors whose interior outputs come in fixed blocks (``sincnet``,
     ``stft``, ``bands``; see ``_fill_interior``) share it. It holds its own
     copy of the previous window from the second block's samples on, and that
-    window's interior outputs from the second block on. The extractor writes
-    it only after a window succeeds, and it replaces its arrays rather than
+    window's interior outputs from the second block on. It is written only
+    once all of a window's outputs are computed, so a window that fails its
+    input check leaves it as it was. It replaces its arrays rather than
     writing into them, so tensors returned earlier never change. A cache
     serves one stream and is not thread-safe.
     """
@@ -144,7 +146,7 @@ def _fill_interior(
     cache: BlockCache | None,
     key: tuple,
 ) -> None:
-    """Write the interior outputs ``out[..., lo:hi]`` of window ``x``.
+    """Write the interior outputs ``out[..., lo:hi]`` of window ``x``, last.
 
     ``rows(j0, j1)`` computes outputs ``j0 <= j < j1`` with time on the last
     axis. They come in blocks of ``block`` outputs counted back from ``hi``;
@@ -154,7 +156,8 @@ def _fill_interior(
     ``step`` samples, computes only its ``m`` newest blocks and takes the
     others from the previous window. Each output comes from the same product
     at the same row, fresh or reused, so the result is bit-identical to a
-    call without a cache.
+    call without a cache. The caller computes the other outputs first: this
+    writes the cache, so it is the window's last step.
     """
     n_blocks = -(-(hi - lo) // block)
     m = cache.shift(key, x, n_blocks, step) if cache is not None else 0
@@ -164,6 +167,8 @@ def _fill_interior(
         first, end = hi - (b + 1) * block, hi - b * block
         start = max(lo, first)  # outputs before lo are placeholders
         out[..., start:end] = rows(first, end)[..., start - first :]
+    if cache is not None:
+        cache.keep(key, x, out[..., lo + block : hi], step)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +347,10 @@ def _spectral(
     def rows(j0: int, j1: int) -> np.ndarray:
         return _spectral_rows(_frames(x, frame, hop, j0, j1, left), basis, averaging, power)
 
-    _fill_interior(out, x, lo, hi, _FRAME_BLOCK, step, rows, cache, key)
     if edges.size:
         out[:, :, edges] = _spectral_rows(x[:, edge_idx], basis, averaging, power)
-    tensor = FeatureTensor(out, extractor_id=key[0])
-    if cache is not None:
-        cache.keep(key, x, out[..., lo + _FRAME_BLOCK : hi], step)
-    return tensor
+    _fill_interior(out, x, lo, hi, _FRAME_BLOCK, step, rows, cache, key)
+    return FeatureTensor(out, extractor_id=key[0])
 
 
 def stft(
@@ -641,14 +643,11 @@ def sinc_filterbank(
     def rows(j0: int, j1: int) -> np.ndarray:
         return np.moveaxis(_fir_rows(x, taps, bank.stride, j0, j1), 2, 0)
 
-    _fill_interior(out, x, lo, hi, _SINC_BLOCK, step, rows, cache, key)
     for j0, j1 in ((0, lo), (hi, n_out)):
         if j1 > j0:
             out[:, :, j0:j1] = rows(j0, j1)
-    tensor = FeatureTensor(out, extractor_id="sincnet")
-    if cache is not None:
-        cache.keep(key, x, out[..., lo + _SINC_BLOCK : hi], step)
-    return tensor
+    _fill_interior(out, x, lo, hi, _SINC_BLOCK, step, rows, cache, key)
+    return FeatureTensor(out, extractor_id="sincnet")
 
 
 # ---------------------------------------------------------------------------
@@ -664,16 +663,23 @@ class MultiRateParams:
 
     def __post_init__(self) -> None:
         for rate in self.rates_hz:
-            if not isinstance(rate, (int, np.integer)) or rate <= 0:
+            if not _is_int(rate) or rate <= 0:
                 raise InvalidArgumentError(f"rates_hz must be positive integers, got {rate!r}")
-        if self.anti_alias_taps < 1:
+        if not _is_int(self.anti_alias_taps) or self.anti_alias_taps < 1:
             raise InvalidArgumentError(
-                f"anti_alias_taps must be >= 1, got {self.anti_alias_taps}"
+                f"anti_alias_taps must be an integer >= 1, got {self.anti_alias_taps!r}"
             )
-        if not (np.isfinite(self.anti_alias_cutoff_hz) and self.anti_alias_cutoff_hz > 0):
+        cutoff = self.anti_alias_cutoff_hz
+        real = _is_int(cutoff) or isinstance(cutoff, (float, np.floating))
+        if not (real and np.isfinite(cutoff) and cutoff > 0):
             raise InvalidArgumentError(
-                f"anti_alias_cutoff_hz must be finite and positive, got {self.anti_alias_cutoff_hz}"
+                f"anti_alias_cutoff_hz must be finite and positive, got {cutoff!r}"
             )
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, but not for ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @lru_cache(maxsize=8)
@@ -720,10 +726,10 @@ def get_extractor(
 ) -> Callable[[np.ndarray], FeatureTensor]:
     """Resolve an extractor by CLI name to a window -> FeatureTensor callable.
 
-    Call it once per stream: the ``sincnet``, ``stft`` and ``bands`` callables
-    each carry a ``BlockCache``, so a window that follows the previous one by
+    Call it once per stream: the ``sincnet`` and ``stft`` callables each
+    carry a ``BlockCache``, so a window that follows the previous one by
     whole blocks computes only its new outputs; they are not thread-safe.
-    ``raw``, ``lfcc`` and ``multirate`` keep no state. ``multirate``
+    ``raw``, ``bands``, ``lfcc`` and ``multirate`` keep no state. ``multirate``
     concatenates its per-rate streams along the time axis so it fits the
     single-tensor detector interface. Every callable but ``raw`` looks its
     function up in this module when called, so a wrapper installed there
@@ -731,13 +737,14 @@ def get_extractor(
     """
     if name == "raw":
         return extract_raw
-    cache = BlockCache()
     if name == "sincnet":
+        cache = BlockCache()
         return lambda w: sinc_filterbank(w, sample_rate_hz=sample_rate_hz, cache=cache)
     if name == "stft":
+        cache = BlockCache()
         return lambda w: stft(w, sample_rate_hz=sample_rate_hz, cache=cache)
     if name == "bands":
-        return lambda w: frequency_bands(w, sample_rate_hz=sample_rate_hz, cache=cache)
+        return lambda w: frequency_bands(w, sample_rate_hz=sample_rate_hz)
     if name == "lfcc":
         return lambda w: lfcc(w, sample_rate_hz=sample_rate_hz)
     if name == "multirate":

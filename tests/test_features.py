@@ -435,10 +435,16 @@ class TestSincStream:
 BANDS_STEP = ft._FRAME_BLOCK * ft.StftParams.shape_compat().hop(FS)
 
 
+def streamed_bands():
+    """``frequency_bands`` with one ``BlockCache`` kept across calls."""
+    cache = ft.BlockCache()
+    return lambda w: ft.frequency_bands(w, cache=cache)
+
+
 class TestBandsStream:
-    """One ``get_extractor("bands")`` object returns what a fresh
-    ``frequency_bands`` call returns, bit for bit, whatever came before;
-    ``stft`` shares its frame blocks."""
+    """``frequency_bands`` with one ``BlockCache`` returns what a fresh call
+    returns, bit for bit, whatever came before; the ``stft`` callable shares
+    its frame blocks."""
 
     @pytest.mark.parametrize("name,fresh", [("bands", "frequency_bands"), ("stft", "stft")])
     @settings(max_examples=60, deadline=None)
@@ -457,7 +463,7 @@ class TestBandsStream:
         ),
     )
     def test_stream_equals_fresh(self, name, fresh, first, steps):
-        extract = ft.get_extractor(name)
+        extract = streamed_bands() if name == "bands" else ft.get_extractor(name)
         start, returned = first, []
         for shift, window_s in steps:
             n = window_s * FS
@@ -481,7 +487,7 @@ class TestBandsStream:
             return spectral_rows(frames, basis, averaging, power)
 
         monkeypatch.setattr(ft, "_spectral_rows", counting)
-        extract = ft.get_extractor("bands")
+        extract = streamed_bands()
         per_window = []
         for k in range(5):
             counted.clear()
@@ -490,14 +496,14 @@ class TestBandsStream:
         assert per_window == [103, 28, 28, 28, 28]
 
     def test_caller_buffer_mutated_in_place(self):
-        extract = ft.get_extractor("bands")
+        extract = streamed_bands()
         buf = STREAM_REC[:, : 4 * FS].copy()
         extract(buf)
         buf[:] = np.tile(STREAM_REC[:, :BANDS_STEP], 4 * FS // BANDS_STEP)
         assert extract(buf).data.tobytes() == ft.frequency_bands(buf.copy()).data.tobytes()
 
     def test_failed_window_leaves_cache_unchanged(self):
-        extract = ft.get_extractor("bands")
+        extract = streamed_bands()
         extract(STREAM_REC[:, : 4 * FS])
         bad = STREAM_REC[:, BANDS_STEP : BANDS_STEP + 4 * FS].copy()
         bad[1, -1] = np.nan
@@ -507,7 +513,7 @@ class TestBandsStream:
         assert extract(nxt).data.tobytes() == ft.frequency_bands(nxt).data.tobytes()
 
     def test_flat_is_a_view(self):
-        tensor = ft.get_extractor("bands")(STREAM_REC[:, : 4 * FS])
+        tensor = streamed_bands()(STREAM_REC[:, : 4 * FS])
         assert np.shares_memory(tensor.flat(), tensor.data)
 
 
@@ -551,8 +557,13 @@ class TestMultirate:
             ("rates_hz", {"rates_hz": (200, 0)}),
             ("rates_hz", {"rates_hz": (-50,)}),
             ("rates_hz", {"rates_hz": (0.5,)}),
+            ("rates_hz", {"rates_hz": (True,)}),
             ("anti_alias_taps", {"anti_alias_taps": 0}),
+            ("anti_alias_taps", {"anti_alias_taps": 2.5}),
+            ("anti_alias_taps", {"anti_alias_taps": True}),
             ("anti_alias_cutoff_hz", {"anti_alias_cutoff_hz": float("inf")}),
+            ("anti_alias_cutoff_hz", {"anti_alias_cutoff_hz": "40"}),
+            ("anti_alias_cutoff_hz", {"anti_alias_cutoff_hz": None}),
         ],
     )
     def test_invalid_params_rejected(self, field, kwargs):
