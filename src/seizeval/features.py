@@ -146,7 +146,7 @@ def _fill_interior(
     cache: BlockCache | None,
     key: tuple,
 ) -> None:
-    """Write the interior outputs ``out[..., lo:hi]`` of window ``x``, last.
+    """Write the interior outputs ``out[..., lo:hi]`` of window ``x``.
 
     ``rows(j0, j1)`` computes outputs ``j0 <= j < j1`` with time on the last
     axis. They come in blocks of ``block`` outputs counted back from ``hi``;
@@ -156,8 +156,8 @@ def _fill_interior(
     ``step`` samples, computes only its ``m`` newest blocks and takes the
     others from the previous window. Each output comes from the same product
     at the same row, fresh or reused, so the result is bit-identical to a
-    call without a cache. The caller computes the other outputs first: this
-    writes the cache, so it is the window's last step.
+    call without a cache. It then writes the window to ``cache``, so callers
+    compute their other outputs first and call it last.
     """
     n_blocks = -(-(hi - lo) // block)
     m = cache.shift(key, x, n_blocks, step) if cache is not None else 0
