@@ -123,7 +123,7 @@ def cmd_ingest(args) -> int:
     rec = io.load_csv_recording(args.csv, sample_rate_hz=args.rate)
     if args.montage:
         rec = core.to_bipolar(rec, io.load_montage(args.montage))
-    if args.resample:
+    if args.resample is not None:
         rec = core.resample(rec, args.resample)
     io.save_recording(rec, args.out)
     print(f"wrote {args.out} ({rec.n_channels} ch @ {rec.sample_rate_hz} Hz)")

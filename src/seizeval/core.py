@@ -296,12 +296,25 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.background_amplitude_uv <= 0:
-            raise InvalidArgumentError("background_amplitude_uv must be > 0")
-        if self.ictal_amplitude_uv < 0:
-            raise InvalidArgumentError("ictal_amplitude_uv must be >= 0")
-        if self.duration_s <= 0 or self.n_channels <= 0:
-            raise InvalidArgumentError("duration and channel count must be positive")
+        # each condition holds only for good values, so NaN fails it
+        n = self.duration_s * self.sample_rate_hz
+        if not (math.isfinite(n) and round(n) >= 2):
+            raise InvalidArgumentError(
+                f"duration_s must be finite and hold at least 2 samples at "
+                f"{self.sample_rate_hz} Hz, got {self.duration_s}"
+            )
+        if self.n_channels <= 0:
+            raise InvalidArgumentError(f"n_channels must be positive, got {self.n_channels}")
+        for name, value, rule in (
+            ("background_amplitude_uv", self.background_amplitude_uv, "> 0"),
+            ("ictal_amplitude_uv", self.ictal_amplitude_uv, ">= 0"),
+            ("ictal_base_freq_hz", self.ictal_base_freq_hz, "> 0"),
+        ):
+            in_range = value >= 0 if rule == ">= 0" else value > 0
+            if not (math.isfinite(value) and in_range):
+                raise InvalidArgumentError(f"{name} must be finite and {rule}, got {value}")
+        if self.n_random_events < 0:
+            raise InvalidArgumentError(f"n_random_events must be >= 0, got {self.n_random_events}")
 
 
 def _pink_noise(rng: np.random.Generator, n_channels: int, n: int) -> np.ndarray:

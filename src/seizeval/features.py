@@ -242,12 +242,18 @@ def _frame_layout(n: int, frame: int, hop: int, pad_to_frames: int | None) -> tu
     if src.size < frame:
         raise InvalidArgumentError("frame longer than window")
     n_frames = (src.size - frame) // hop + 1
-    lo = min(-(-left // hop), n_frames)
-    hi = max(lo, min(n_frames, (n + left - frame) // hop + 1))
+    lo, hi = _interior(n, frame, hop, left, n_frames)
     edges = np.r_[0:lo, hi:n_frames]
     edge_idx = src[hop * edges[:, None] + np.arange(frame)]
     edges.flags.writeable = edge_idx.flags.writeable = False
     return n_frames, left, lo, hi, edges, edge_idx
+
+
+def _interior(n: int, length: int, stride: int, offset: int, n_out: int) -> tuple[int, int]:
+    """``(lo, hi)``: of ``n_out`` outputs, each reading ``length`` samples from
+    ``stride * j - offset`` on, ``lo <= j < hi`` lie inside an ``n``-sample window."""
+    lo = min(-(-offset // stride), n_out)
+    return lo, max(lo, min(n_out, (n - length + offset) // stride + 1))
 
 
 def _hann(n: int) -> np.ndarray:
@@ -289,15 +295,14 @@ _MAX_ROWS = 100
 
 
 def _spectral_rows(
-    frames: np.ndarray, basis: np.ndarray, averaging: np.ndarray | None, power: bool
+    frames: np.ndarray, basis: np.ndarray, averaging: np.ndarray | None
 ) -> np.ndarray:
     """Magnitudes of ``frames`` (channels, n, frame), or their band means.
 
     Returns (channels, bins, n), or (channels, n_bands, n) with the
-    ``averaging`` matrix (magnitudes squared first with ``power``). Channels
-    go in groups of at most ``_MAX_ROWS // n``, so every product has at most
-    ``_MAX_ROWS`` rows and every temporary stays small (160 KB for the
-    default preset).
+    ``averaging`` matrix. Channels go in groups of at most ``_MAX_ROWS // n``,
+    so every product has at most ``_MAX_ROWS`` rows and every temporary stays
+    small (160 KB for the default preset).
     """
     n = frames.shape[1]
     bins = basis.shape[1] // 2
@@ -309,8 +314,6 @@ def _spectral_rows(
         mags = np.add(z[..., :bins], z[..., bins:])
         np.sqrt(mags, out=mags)
         if averaging is not None:
-            if power:
-                np.square(mags, out=mags)
             mags = (mags.reshape(-1, bins) @ averaging).reshape(-1, n, averaging.shape[1])
         out[c : c + group] = mags.transpose(0, 2, 1)
     return out
@@ -321,7 +324,6 @@ def _spectral(
     params: StftParams,
     fs: int,
     averaging: np.ndarray | None,
-    power: bool,
     cache: BlockCache | None,
     key: tuple,
 ) -> FeatureTensor:
@@ -345,10 +347,10 @@ def _spectral(
     step = hop * _FRAME_BLOCK
 
     def rows(j0: int, j1: int) -> np.ndarray:
-        return _spectral_rows(_frames(x, frame, hop, j0, j1, left), basis, averaging, power)
+        return _spectral_rows(_frames(x, frame, hop, j0, j1, left), basis, averaging)
 
     if edges.size:
-        out[:, :, edges] = _spectral_rows(x[:, edge_idx], basis, averaging, power)
+        out[:, :, edges] = _spectral_rows(x[:, edge_idx], basis, averaging)
     _fill_interior(out, x, lo, hi, _FRAME_BLOCK, step, rows, cache, key)
     return FeatureTensor(out, extractor_id=key[0])
 
@@ -370,7 +372,7 @@ def stft(
     params = params or StftParams.shape_compat()
     x = _check_window(samples)
     key = ("stft", params, sample_rate_hz, x.shape)
-    return _spectral(x, params, sample_rate_hz, None, False, cache, key)
+    return _spectral(x, params, sample_rate_hz, None, cache, key)
 
 
 def stft_bin_freqs(params: StftParams, sample_rate_hz: int = PIPELINE_RATE_HZ) -> np.ndarray:
@@ -423,7 +425,6 @@ def frequency_bands(
     params: StftParams | None = None,
     bands: BandSpec | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
-    power: bool = False,
     cache: BlockCache | None = None,
 ) -> FeatureTensor:
     """STFT magnitudes averaged per band, (channels, n_bands, frames).
@@ -438,8 +439,8 @@ def frequency_bands(
     bands = bands or BandSpec()
     averaging = _band_averaging(params, bands, sample_rate_hz)
     x = _check_window(samples)
-    key = ("bands", params, bands, power, sample_rate_hz, x.shape)
-    return _spectral(x, params, sample_rate_hz, averaging, power, cache, key)
+    key = ("bands", params, bands, sample_rate_hz, x.shape)
+    return _spectral(x, params, sample_rate_hz, averaging, cache, key)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +453,6 @@ class LfccParams:
     hop_s: float = 0.15
     n_filters: int = 20
     n_coeffs: int = 8
-    pad_edges: bool = False
     log_floor: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -506,8 +506,6 @@ def lfcc(
     hop = int(round(params.hop_s * sample_rate_hz))
     if frame > x.shape[1]:
         raise InvalidArgumentError("LFCC frame longer than window")
-    if params.pad_edges:
-        x = np.pad(x, ((0, 0), (hop, hop)), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::hop, :]
     power = np.abs(np.fft.rfft(frames, axis=2)) ** 2
     bank = linear_triangular_filterbank(
@@ -523,18 +521,12 @@ def lfcc(
 
 
 def design_sinc_kernel(
-    f1_hz: float,
-    f2_hz: float,
-    kernel_len: int,
-    sample_rate_hz: int = PIPELINE_RATE_HZ,
-    windowed: bool = True,
-    normalized: bool = True,
+    f1_hz: float, f2_hz: float, kernel_len: int, sample_rate_hz: int = PIPELINE_RATE_HZ
 ) -> np.ndarray:
-    """Band-pass FIR as a difference of scaled sincs, Hamming-tapered.
-
-    With ``normalized`` the kernel is scaled so the peak of its magnitude
-    response is 1.
-    """
+    """Band-pass FIR as a difference of scaled sincs, Hamming-tapered and
+    scaled so the peak of its magnitude response (a 4096-point rfft) is 1."""
+    if kernel_len < 1:
+        raise InvalidArgumentError(f"kernel_len must be >= 1, got {kernel_len}")
     nyquist = sample_rate_hz / 2
     if not (0 <= f1_hz < f2_hz <= nyquist):
         raise InvalidArgumentError(
@@ -543,43 +535,30 @@ def design_sinc_kernel(
     n = np.arange(kernel_len) - (kernel_len - 1) / 2
     f1n, f2n = f1_hz / sample_rate_hz, f2_hz / sample_rate_hz
     h = 2 * f2n * np.sinc(2 * f2n * n) - 2 * f1n * np.sinc(2 * f1n * n)
-    if windowed:
-        h = h * np.hamming(kernel_len)
-    if normalized:
-        peak = np.abs(np.fft.rfft(h, n=4096)).max()
-        if peak > 0:
-            h = h / peak
-    return h
+    h = h * np.hamming(kernel_len)
+    return h / np.abs(np.fft.rfft(h, n=4096)).max()
 
 
 @dataclass(frozen=True)
 class SincBank:
-    n_filters: int = 7
     kernel_len: int = 80
     stride: int = 2
     bands: tuple[tuple[float, float], ...] = DEFAULT_BAND_EDGES
 
     def __post_init__(self) -> None:
-        if self.kernel_len % 2 != 0:
-            raise InvalidArgumentError("kernel_len must be even")
+        if self.kernel_len < 2 or self.kernel_len % 2 != 0:
+            raise InvalidArgumentError(f"kernel_len must be even and >= 2, got {self.kernel_len}")
         if self.stride < 1:
             raise InvalidArgumentError("stride must be >= 1")
-        if len(self.bands) != self.n_filters:
-            raise InvalidArgumentError("band list length must match n_filters")
-
-
-def _stacked_taps(kernels) -> np.ndarray:
-    """Read-only (kernel_len, n_kernels) matrix of the reversed kernels."""
-    taps = np.stack([k[::-1] for k in kernels], axis=1)
-    taps.flags.writeable = False
-    return taps
+        if not self.bands:
+            raise InvalidArgumentError("bands must not be empty")
 
 
 def _fir_rows(x: np.ndarray, taps: np.ndarray, stride: int, j0: int, j1: int) -> np.ndarray:
     """Outputs ``j0 <= j < j1`` of every row of ``x`` convolved with every kernel.
 
     Returns (channels, j1 - j0, kernels). ``taps`` holds the reversed kernels
-    as columns (``_stacked_taps``). Output ``j`` is centred on sample
+    as columns (``_sinc_taps``). Output ``j`` is centred on sample
     ``stride * j`` like ``np.convolve(row, kernel, "same")[::stride]``: it
     reads the ``kernel_len`` samples from ``stride * j - kernel_len // 2`` on,
     and samples outside the window read as zero (``_frames``).
@@ -590,27 +569,16 @@ def _fir_rows(x: np.ndarray, taps: np.ndarray, stride: int, j0: int, j1: int) ->
 
 @lru_cache(maxsize=8)
 def _sinc_taps(bank: SincBank, sample_rate_hz: int) -> np.ndarray:
-    """Read-only (kernel_len, n_filters) reversed sinc kernels of ``bank``."""
-    return _stacked_taps(
-        design_sinc_kernel(f1, f2, bank.kernel_len, sample_rate_hz) for f1, f2 in bank.bands
-    )
+    """Read-only (kernel_len, len(bank.bands)) matrix of the reversed sinc kernels."""
+    kernels = [design_sinc_kernel(f1, f2, bank.kernel_len, sample_rate_hz) for f1, f2 in bank.bands]
+    taps = np.stack([k[::-1] for k in kernels], axis=1)
+    taps.flags.writeable = False
+    return taps
 
 
 # Interior sinc outputs are computed in blocks of this many outputs (1 s at
 # 200 Hz and stride 2), anchored at the last interior output of the window.
 _SINC_BLOCK = 100
-
-
-def _sinc_layout(n: int, kernel_len: int, stride: int) -> tuple[int, int, int]:
-    """``(n_out, lo, hi)`` for a window of ``n`` samples.
-
-    Outputs ``lo <= j < hi`` are interior: their kernel lies inside the window,
-    so they depend on the window's samples alone. The others read zero padding.
-    """
-    n_out = -(-n // stride)
-    lo = min(-(-(kernel_len // 2) // stride), n_out)
-    hi = max(lo, min(n_out, (n - kernel_len + kernel_len // 2) // stride + 1))
-    return n_out, lo, hi
 
 
 def sinc_filterbank(
@@ -619,7 +587,7 @@ def sinc_filterbank(
     sample_rate_hz: int = PIPELINE_RATE_HZ,
     cache: BlockCache | None = None,
 ) -> FeatureTensor:
-    """Strided band-pass convolution, (n_filters, channels, ceil(N/stride)).
+    """Strided band-pass convolution, (len(bank.bands), channels, ceil(N/stride)).
 
     Each band's kernel is convolved with every channel, zero-padded and
     centred like ``np.convolve(row, kernel, "same")``, keeping every
@@ -636,8 +604,9 @@ def sinc_filterbank(
     x = _check_window(samples)
     bank = bank or SincBank()
     taps = _sinc_taps(bank, sample_rate_hz)
-    n_out, lo, hi = _sinc_layout(x.shape[1], bank.kernel_len, bank.stride)
-    out = np.empty((bank.n_filters, x.shape[0], n_out))
+    n_out = -(-x.shape[1] // bank.stride)
+    lo, hi = _interior(x.shape[1], bank.kernel_len, bank.stride, bank.kernel_len // 2, n_out)
+    out = np.empty((len(bank.bands), x.shape[0], n_out))
     key, step = ("sincnet", bank, sample_rate_hz, x.shape), bank.stride * _SINC_BLOCK
 
     def rows(j0: int, j1: int) -> np.ndarray:
@@ -657,24 +626,11 @@ def sinc_filterbank(
 @dataclass(frozen=True)
 class MultiRateParams:
     rates_hz: tuple[int, ...] = (200, 100, 50)
-    anti_alias: bool = False
-    anti_alias_cutoff_hz: float = 100.0
-    anti_alias_taps: int = 101
 
     def __post_init__(self) -> None:
         for rate in self.rates_hz:
             if not _is_int(rate) or rate <= 0:
                 raise InvalidArgumentError(f"rates_hz must be positive integers, got {rate!r}")
-        if not _is_int(self.anti_alias_taps) or self.anti_alias_taps < 1:
-            raise InvalidArgumentError(
-                f"anti_alias_taps must be an integer >= 1, got {self.anti_alias_taps!r}"
-            )
-        cutoff = self.anti_alias_cutoff_hz
-        real = _is_int(cutoff) or isinstance(cutoff, (float, np.floating))
-        if not (real and np.isfinite(cutoff) and cutoff > 0):
-            raise InvalidArgumentError(
-                f"anti_alias_cutoff_hz must be finite and positive, got {cutoff!r}"
-            )
 
 
 def _is_int(value) -> bool:
@@ -682,28 +638,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@lru_cache(maxsize=8)
-def _anti_alias_taps(cutoff_hz: float, taps: int, sample_rate_hz: int) -> np.ndarray:
-    """Hamming-windowed sinc lowpass at ``cutoff_hz`` (at most Nyquist), unit DC gain."""
-    h = design_sinc_kernel(
-        0, min(cutoff_hz, sample_rate_hz / 2), taps, sample_rate_hz, normalized=False
-    )
-    return _stacked_taps([h / h.sum()])
-
-
 def multirate(
     samples: np.ndarray,
     params: MultiRateParams | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
 ) -> list[FeatureTensor]:
-    """Decimated copies of the raw window, one tensor per rate."""
+    """Decimated copies of the raw window, one tensor per rate, with no anti-alias filter."""
     x = _check_window(samples)
     params = params or MultiRateParams()
-    if params.anti_alias:
-        taps = _anti_alias_taps(
-            params.anti_alias_cutoff_hz, params.anti_alias_taps, sample_rate_hz
-        )
-        x = _fir_rows(x, taps, 1, 0, x.shape[1])[:, :, 0]
     out = []
     for rate in params.rates_hz:
         if sample_rate_hz % rate != 0:
@@ -726,7 +668,7 @@ def get_extractor(
 ) -> Callable[[np.ndarray], FeatureTensor]:
     """Resolve an extractor by CLI name to a window -> FeatureTensor callable.
 
-    Call it once per stream: the ``sincnet`` and ``stft`` callables each
+    Each extractor runs at its default parameters. Call it once per stream: the ``sincnet`` and ``stft`` callables each
     carry a ``BlockCache``, so a window that follows the previous one by
     whole blocks computes only its new outputs; they are not thread-safe.
     ``raw``, ``bands``, ``lfcc`` and ``multirate`` keep no state. ``multirate``

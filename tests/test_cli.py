@@ -40,6 +40,39 @@ def test_synth_writes_files(tmp_path):
     assert (out / "labels.txt").read_text() == "10.000 20.000 seiz\n"
 
 
+@pytest.mark.parametrize(
+    "field,extra",
+    [
+        ("duration_s", ["--duration", "nan"]),
+        ("duration_s", ["--duration", "inf"]),
+        ("duration_s", ["--duration", "0.001"]),  # 0 samples
+        ("duration_s", ["--duration", "0.005"]),  # 1 sample
+        ("background_amplitude_uv", ["--background-uv", "nan"]),
+        ("background_amplitude_uv", ["--background-uv", "0"]),
+        ("ictal_amplitude_uv", ["--ictal-uv", "inf"]),
+        ("ictal_amplitude_uv", ["--ictal-uv", "-1"]),
+        ("ictal_base_freq_hz", ["--base-freq", "nan", "--n-events", "1"]),
+        ("ictal_base_freq_hz", ["--base-freq", "0"]),
+        ("n_random_events", ["--n-events", "-1"]),
+        ("n_channels", ["--channels", "0"]),
+    ],
+)
+def test_synth_bad_numbers_are_validation_errors(tmp_path, capsys, field, extra):
+    out = tmp_path / "synth"
+    assert main(["synth", "--out-dir", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
+def test_sweep_non_finite_duration_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--windows", "4", "--duration", "nan", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duration_s" in err
+    assert not out.exists()
+
+
 def test_ingest_csv(tmp_path):
     csv = tmp_path / "rec.csv"
     rows = ["FP1,F7"] + ["1.0,2.0"] * 100
@@ -48,6 +81,17 @@ def test_ingest_csv(tmp_path):
     assert main(["ingest", "--csv", str(csv), "--rate", "200", "--out", str(out)]) == 0
     rec = io.load_recording(out)
     assert rec.n_channels == 2 and rec.n_samples == 100
+
+
+@pytest.mark.parametrize("rate", ["0", "-1"])
+def test_ingest_bad_resample_rate_is_validation_error(tmp_path, capsys, rate):
+    csv = tmp_path / "rec.csv"
+    csv.write_text("FP1,F7\n" + "1.0,2.0\n" * 100)
+    out = tmp_path / "rec.eeg"
+    argv = ["ingest", "--csv", str(csv), "--rate", "200", "--resample", rate, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_ingest_unstorable_channel_name_is_validation_error(tmp_path, capsys):
