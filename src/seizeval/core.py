@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -195,29 +196,97 @@ class Window:
 # signal operations
 
 
-def resample(rec: Recording, target_hz: int) -> Recording:
-    """Polyphase windowed-sinc resampling (Kaiser beta=8, 64 taps/phase)."""
-    # imported here so that only resampling pays scipy's ~1 s import
-    from scipy import signal as sps
+# Rows of one resampling product. OpenBLAS runs a product on one thread while
+# rows * span * up multiply-adds stay small; 2**18 is under its threshold.
+_RESAMPLE_ROWS = 64
+_ONE_THREAD_MACS = 2**18
 
+
+def _lowpass(numtaps: int, cutoff: float) -> np.ndarray:
+    """Kaiser (beta 8) windowed-sinc low-pass with unit DC gain.
+
+    ``cutoff`` is relative to Nyquist. The design is that of
+    ``scipy.signal.firwin(numtaps, cutoff, window=("kaiser", 8.0))``.
+    """
+    m = np.arange(numtaps) - (numtaps - 1) / 2
+    h = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, 8.0)
+    return h / h.sum()
+
+
+@lru_cache(maxsize=8)
+def _polyphase_matrix(up: int, down: int) -> tuple[np.ndarray, int]:
+    """Read-only (span, up) matrix ``M`` of the ``up`` sub-filters, and ``reach``.
+
+    With ``h`` the low-pass of ``2 * half + 1`` taps scaled by ``up``, output
+    ``t`` is ``sum_i x[i] * h[half + t * down - i * up]``, with ``x`` extended
+    past both ends. Output ``q * up + r`` is therefore
+    ``x[q * down - reach :][:span] @ M[:, r]``: the ``up`` outputs of one
+    frame read one span of input samples.
+    """
+    half = 32 * max(up, down)
+    h = _lowpass(2 * half + 1, 1.0 / max(up, down)) * up
+    reach = half // up
+    i = np.arange(-reach, ((up - 1) * down + half) // up + 1)[:, None]
+    k = half + down * np.arange(up) - up * i
+    inside = (k >= 0) & (k <= 2 * half)
+    matrix = np.where(inside, h[np.where(inside, k, 0)], 0.0)
+    matrix.flags.writeable = False
+    return matrix, reach
+
+
+def resample(rec: Recording, target_hz: int) -> Recording:
+    """Polyphase windowed-sinc resampling (Kaiser beta=8, 64 taps/phase).
+
+    Each frame of ``span`` input samples, taken every ``down`` samples, gives
+    ``up`` outputs through one product with the cached polyphase matrix.
+    Each edge is extended along the line through the first and last
+    samples, so a DC offset or a linear trend passes the edges unbent. The
+    output holds ``round(n * target_hz / rate)`` samples, as
+    ``scipy.signal.resample_poly(..., padtype="line")`` computes them. A
+    recording of fewer than 2 samples, or one that would give no output
+    sample, raises InvalidArgumentError.
+    """
     if target_hz <= 0:
         raise InvalidArgumentError("target_hz must be positive")
     if target_hz == rec.sample_rate_hz:
         return replace(rec, samples=rec.samples.copy())
+    n = rec.n_samples
+    n_out = int(round(n * target_hz / rec.sample_rate_hz))
+    if n < 2 or n_out < 1:
+        raise InvalidArgumentError(
+            f"resampling needs at least 2 samples and 1 output sample: {n} samples "
+            f"at {rec.sample_rate_hz} Hz give {n_out} at {target_hz} Hz"
+        )
     g = math.gcd(target_hz, rec.sample_rate_hz)
     up, down = target_hz // g, rec.sample_rate_hz // g
-    half = 32 * max(up, down)
-    h = sps.firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", 8.0))
-    # line padding keeps edges sane for DC and slow trends
-    out = sps.resample_poly(
-        rec.samples.astype(np.float64), up, down, axis=1, window=h, padtype="line"
-    )
-    n_out = int(round(rec.n_samples * target_hz / rec.sample_rate_hz))
-    out = out[:, :n_out]
+    matrix, reach = _polyphase_matrix(up, down)
+    span = matrix.shape[0]
+    n_frames = -(-n_out // up)
+    ext = np.empty((n_frames - 1) * down + span)
+    # extension offsets: -reach..-1 before the first sample, 1.. after the last
+    before = np.arange(-reach, 0)
+    after = np.arange(1, ext.size - reach - n + 1)
+    frames = np.lib.stride_tricks.sliding_window_view(ext, span)[::down]
+    rows = max(1, min(_RESAMPLE_ROWS, _ONE_THREAD_MACS // (span * up)))
+    chunk = np.empty((rows, span))
+    prod = np.empty((rows, up))
+    out = np.empty((rec.n_channels, n_out), dtype=np.float32)
+    for x, y in zip(rec.samples, out):
+        ext[reach : reach + n] = x
+        first, last = ext[reach], ext[reach + n - 1]
+        slope = (last - first) / (n - 1)
+        ext[:reach] = first + slope * before
+        ext[reach + n :] = last + slope * after
+        for q0 in range(0, n_frames, rows):
+            m = min(rows, n_frames - q0)
+            np.copyto(chunk[:m], frames[q0 : q0 + m])
+            np.matmul(chunk[:m], matrix, out=prod[:m])
+            t0 = q0 * up
+            y[t0 : t0 + m * up] = prod[:m].reshape(-1)[: n_out - t0]
     return Recording(
         sample_rate_hz=target_hz,
         channel_names=list(rec.channel_names),
-        samples=out.astype(np.float32),
+        samples=out,
         montage=rec.montage,
     )
 

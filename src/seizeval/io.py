@@ -154,14 +154,18 @@ def load_csv_recording(
     sample_rate_hz: int,
     montage: Montage = Montage.UNIPOLAR,
 ) -> Recording:
-    """Import CSV: header row = channel names, one sample per row."""
+    """Import CSV: header row = channel names, one sample per row.
+
+    Every cell must be a finite number within float32 range; the first one
+    that is not raises LabelParseError naming its line and column.
+    """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             names = [name.strip() for name in next(reader)]
         except StopIteration:
             raise MalformedHeaderError(f"{path}: empty CSV") from None
-        rows = []
+        rows, line_nos = [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -173,7 +177,19 @@ def load_csv_recording(
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise LabelParseError(path, line_no, str(exc)) from exc
-    samples = np.asarray(rows, dtype=np.float32).T
+            line_nos.append(line_no)
+    values = np.asarray(rows)
+    # NaN fails the comparison too
+    bad = np.argwhere(~(np.abs(values) <= np.finfo(np.float32).max))
+    if bad.size:
+        row_no, col = bad[0]
+        raise LabelParseError(
+            path,
+            line_nos[row_no],
+            f"column {col + 1} ({names[col]}): {rows[row_no][col]!r} is not a finite "
+            "float32 value",
+        )
+    samples = values.astype(np.float32).T
     return Recording(
         sample_rate_hz=sample_rate_hz,
         channel_names=names,

@@ -94,6 +94,27 @@ def test_ingest_bad_resample_rate_is_validation_error(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate,target", [(256, 200), (200, 100)])
+def test_ingest_resample_of_one_sample_is_validation_error(tmp_path, capsys, rate, target):
+    csv = tmp_path / "one.csv"
+    csv.write_text("FP1,F7\n1.0,2.0\n")
+    out = tmp_path / "one.eeg"
+    argv = ["ingest", "--csv", str(csv), "--rate", str(rate), "--resample", str(target),
+            "--out", str(out)]  # fmt: skip
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: resampling needs at least 2 samples")
+    assert not out.exists()
+
+
+def test_ingest_non_finite_csv_cell_is_validation_error(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("FP1,F7\n1.0,nan\n1e39,2\n")
+    out = tmp_path / "bad.eeg"
+    assert main(["ingest", "--csv", str(csv), "--rate", "200", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {csv}: line 2: column 2 (F7): nan")
+    assert not out.exists()
+
+
 def test_ingest_unstorable_channel_name_is_validation_error(tmp_path, capsys):
     csv = tmp_path / "rec.csv"
     csv.write_text("FP1,F\u00e47\n" + "1.0,2.0\n" * 10, encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 import seizeval as sv
+from seizeval import core
 from seizeval.core import DEFAULT_BIPOLAR_PAIRS, DEFAULT_UNIPOLAR_CHANNELS
 from seizeval.errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
 
@@ -38,8 +41,8 @@ class TestResample:
 
     def test_sinusoid_oracle(self):
         # 10 Hz sine at 200 Hz -> 100 Hz, compared against the analytic sine.
-        # Edge taps see zero padding, so the per-sample check covers the
-        # interior where the 129-tap filter fully overlaps real data.
+        # Edge taps see the line extension, not the sine, so the per-sample
+        # check covers the interior where the 129-tap filter reads only data.
         fs, target, f0 = 200, 100, 10.0
         t = np.arange(10 * fs) / fs
         rec = make_rec(np.sin(2 * np.pi * f0 * t), fs=fs)
@@ -53,15 +56,59 @@ class TestResample:
         with pytest.raises(InvalidArgumentError):
             sv.resample(rec, 0)
 
-    def test_scipy_loaded_only_by_resample(self):
-        # a fresh interpreter: importing the package and its CLI must not load scipy
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, n):
+        # the line extension through the first and last samples needs two
+        with pytest.raises(InvalidArgumentError, match="at least 2 samples"):
+            sv.resample(make_rec(np.ones((2, n)), fs=256), 200)
+
+    def test_empty_output_rejected(self):
+        # 2 samples at 200 Hz round to 0 samples at 50 Hz
+        with pytest.raises(InvalidArgumentError, match="give 0"):
+            sv.resample(make_rec(np.ones((1, 2)), fs=200), 50)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50, 333, 5000])
+    @pytest.mark.parametrize(
+        "fs,target",
+        [(256, 200), (100, 200), (200, 100), (250, 200), (200, 250), (500, 200),
+         (200, 256), (173, 200)],
+    )
+    def test_matches_scipy_resample_poly(self, fs, target, n):
+        rng = np.random.default_rng(n)
+        x = (rng.normal(scale=40, size=(3, n)) + np.linspace(-20, 60, n)).astype(np.float32)
+        out = sv.resample(make_rec(x, fs=fs), target)
+        g = math.gcd(fs, target)
+        up, down = target // g, fs // g
+        h = sps.firwin(64 * max(up, down) + 1, 1.0 / max(up, down), window=("kaiser", 8.0))
+        n_out = round(n * target / fs)
+        want = sps.resample_poly(x.astype(np.float64), up, down, axis=1, window=h,
+                                 padtype="line")[:, :n_out].astype(np.float32)  # fmt: skip
+        assert out.samples.dtype == np.float32 and out.samples.shape == want.shape
+        assert np.max(np.abs(out.samples - want)) <= 1e-6 * np.max(np.abs(want))
+
+    def test_polyphase_matrix_cached_and_read_only(self):
+        core._polyphase_matrix.cache_clear()
+        rec = make_rec(np.ones((2, 1000)), fs=256)
+        for _ in range(3):
+            sv.resample(rec, 200)
+        sv.resample(make_rec(np.ones((1, 500)), fs=200), 256)
+        info = core._polyphase_matrix.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        matrix, _ = core._polyphase_matrix(25, 32)
+        assert matrix.shape[1] == 25 and not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    def test_scipy_not_loaded(self):
+        # a fresh interpreter: the package, its CLI and resampling load no scipy
         code = (
             "import json, sys\n"
             "import numpy as np\n"
             "import seizeval, seizeval.cli\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "rec = seizeval.Recording(100, ['A'], np.ones((1, 400), np.float32))\n"
-            "print(json.dumps([loaded, seizeval.resample(rec, 200).n_samples]))\n"
+            "n = seizeval.resample(rec, 200).n_samples\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([loaded, n]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
         proc = subprocess.run(

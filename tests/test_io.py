@@ -211,6 +211,20 @@ class TestCsv:
             io.load_csv_recording(path, 200)
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e39", "-3.5e38"])
+    def test_non_finite_or_out_of_range_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "rec.csv"
+        path.write_text(f"FP1,F7\n1,2\n\n3,{cell}\n")
+        with pytest.raises(LabelParseError, match=r"column 2 \(F7\)") as exc:
+            io.load_csv_recording(path, 200)
+        assert exc.value.line_no == 4  # the blank line 3 still counts
+
+    def test_float32_max_accepted(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("FP1\n3.4028234663852886e38\n-1\n")
+        rec = io.load_csv_recording(path, 200)
+        assert rec.samples[0, 0] == np.finfo(np.float32).max
+
 
 class TestLabels:
     def test_single_event(self, tmp_path):
