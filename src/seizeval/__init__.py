@@ -26,8 +26,6 @@ from .detectors import (
 from .features import (
     BandSpec,
     FeatureTensor,
-    LfccParams,
-    MultiRateParams,
     SincBank,
     StftParams,
     design_sinc_kernel,

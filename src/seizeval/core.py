@@ -165,10 +165,10 @@ class WindowSpec:
     shift_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.window_s >= self.shift_s > 0):
+        # a finite window bounds the shift; NaN fails every comparison
+        if not (math.isfinite(self.window_s) and self.window_s >= self.shift_s > 0):
             raise InvalidArgumentError(
-                f"require window_s >= shift_s > 0 (got window {self.window_s:g} "
-                f"and shift {self.shift_s:g})"
+                f"need finite window_s >= shift_s > 0, got {self.window_s:g} and {self.shift_s:g}"
             )
 
     def window_samples(self, fs: int) -> int:
@@ -182,6 +182,8 @@ def _as_samples(seconds: float, fs: int, what: str) -> int:
     n = seconds * fs
     if abs(n - round(n)) > 1e-6:
         raise InvalidArgumentError(f"{what}={seconds} is not a whole number of samples at {fs} Hz")
+    if round(n) < 1:
+        raise InvalidArgumentError(f"{what} must be at least one sample at {fs} Hz, got {seconds}")
     return int(round(n))
 
 
@@ -350,27 +352,24 @@ def window_labels(rec: Recording, labels: LabelTrack, spec: WindowSpec) -> np.nd
 
 @dataclass
 class SynthConfig:
-    """Desk-scale synthetic EEG: pink-noise background plus spike-wave ictal bursts."""
+    """Desk-scale synthetic EEG at the pipeline rate: pink noise plus spike-wave ictal bursts."""
 
     duration_s: float = 60.0
     n_channels: int = 20
-    sample_rate_hz: int = PIPELINE_RATE_HZ
     background_amplitude_uv: float = 20.0
     ictal_amplitude_uv: float = 100.0
     ictal_base_freq_hz: float = 3.0
     events: list[tuple[float, float]] | None = None
     n_random_events: int = 0
-    min_event_s: float = 5.0
-    max_event_s: float = 15.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         # each condition holds only for good values, so NaN fails it
-        n = self.duration_s * self.sample_rate_hz
+        n = self.duration_s * PIPELINE_RATE_HZ
         if not (math.isfinite(n) and round(n) >= 2):
             raise InvalidArgumentError(
                 f"duration_s must be finite and hold at least 2 samples at "
-                f"{self.sample_rate_hz} Hz, got {self.duration_s}"
+                f"{PIPELINE_RATE_HZ} Hz, got {self.duration_s}"
             )
         if self.n_channels <= 0:
             raise InvalidArgumentError(f"n_channels must be positive, got {self.n_channels}")
@@ -402,7 +401,7 @@ def _pink_noise(rng: np.random.Generator, n_channels: int, n: int) -> np.ndarray
 def synth_recording(cfg: SynthConfig) -> tuple[Recording, LabelTrack]:
     """Generate a seeded synthetic recording and its exactly matching labels."""
     rng = np.random.default_rng(cfg.seed)
-    fs = cfg.sample_rate_hz
+    fs = PIPELINE_RATE_HZ
     n = int(round(cfg.duration_s * fs))
     samples = cfg.background_amplitude_uv * _pink_noise(rng, cfg.n_channels, n)
 
@@ -445,7 +444,7 @@ def _place_random_events(
     attempts = 0
     while len(intervals) < cfg.n_random_events and attempts < 1000:
         attempts += 1
-        length = float(rng.uniform(cfg.min_event_s, cfg.max_event_s))
+        length = float(rng.uniform(5.0, 15.0))  # random events last 5 to 15 s
         if length >= cfg.duration_s:
             continue
         start = float(rng.uniform(0, cfg.duration_s - length))

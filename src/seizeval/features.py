@@ -1,16 +1,18 @@
 """Per-window signal feature extractors.
 
 Six extractors share one contract: input is a (channels, samples) float
-window at the pipeline rate, output is a 3-axis FeatureTensor. All of them
-are pure and deterministic. The ``sincnet`` and ``stft`` callables from
-``get_extractor`` keep per-stream state: the outputs of the previous window
-that the next one can reuse (``BlockCache``); ``frequency_bands`` takes the
-same cache, but the ``bands`` callable does not pass one. What they return
-still depends on the window alone.
+window at the recording's rate, output is a 3-axis FeatureTensor. Each has
+one configuration, the one the CLI runs. All of them are pure and
+deterministic. The ``sincnet`` and ``stft`` callables from ``get_extractor``
+keep per-stream state: the outputs of the previous window that the next one
+can reuse (``BlockCache``); ``frequency_bands`` takes the same cache, but the
+``bands`` callable does not pass one. What they return still depends on the
+window alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -45,6 +47,11 @@ class FeatureTensor:
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1)
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, but not for ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_window(samples: np.ndarray) -> np.ndarray:
@@ -177,50 +184,40 @@ def _fill_interior(
 
 @dataclass(frozen=True)
 class StftParams:
-    """Framing parameters for the Hann-tapered magnitude spectrogram.
+    """Framing of the Hann-tapered magnitude spectrogram.
 
-    Two presets are provided: ``literal`` keeps the stated frame length and
-    50% hop with no padding; ``shape_compat`` (the default elsewhere) pins
-    fft_size=198 / hop=8 with reflect padding so a 4 s, 200 Hz window maps
-    to a 100x100 spectrogram.
+    The defaults are the pipeline's framing: 0.125 s frames (25 samples at
+    200 Hz) every 8 samples, a 198-point DFT, and reflect padding to 100
+    frames, so a 4 s, 200 Hz window maps to a 100x100 spectrogram.
+    ``pad_to_frames=None`` frames the window unpadded.
     """
 
     frame_len_s: float = 0.125
-    hop_fraction: float = 0.5
-    fft_size: int | None = None
-    hop_samples: int | None = None
-    pad_to_frames: int | None = None
+    fft_size: int = 198
+    hop_samples: int = 8
+    pad_to_frames: int | None = 100
 
     def __post_init__(self) -> None:
-        if not (0 < self.hop_fraction <= 1):
-            raise InvalidArgumentError("hop_fraction must be in (0, 1]")
-        if self.frame_len_s <= 0:
-            raise InvalidArgumentError("frame_len_s must be positive")
-
-    @classmethod
-    def literal(cls) -> "StftParams":
-        return cls()
-
-    @classmethod
-    def shape_compat(cls) -> "StftParams":
-        return cls(fft_size=198, hop_samples=8, pad_to_frames=100)
+        frame = self.frame_len_s
+        if not (math.isfinite(frame) and frame > 0):
+            raise InvalidArgumentError(f"frame_len_s must be finite and > 0, got {frame}")
+        for name in ("fft_size", "hop_samples", "pad_to_frames"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1 or name == "pad_to_frames" and value is None):
+                raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
 
     def frame_samples(self, fs: int) -> int:
+        """Samples per frame at ``fs``: at least 1 and at most ``fft_size``."""
         n = int(round(self.frame_len_s * fs))
         if n < 1:
             raise InvalidArgumentError("frame shorter than one sample")
-        return n
-
-    def hop(self, fs: int) -> int:
-        if self.hop_samples is not None:
-            return self.hop_samples
-        return max(1, int(round(self.frame_samples(fs) * self.hop_fraction)))
-
-    def nfft(self, fs: int) -> int:
-        n = self.fft_size if self.fft_size is not None else self.frame_samples(fs)
-        if n < self.frame_samples(fs):
+        if n > self.fft_size:
             raise InvalidArgumentError("fft_size must be >= frame length")
         return n
+
+
+# the framing every pipeline window uses, built once
+PIPELINE_STFT = StftParams()
 
 
 @lru_cache(maxsize=8)
@@ -302,7 +299,7 @@ def _spectral_rows(
     Returns (channels, bins, n), or (channels, n_bands, n) with the
     ``averaging`` matrix. Channels go in groups of at most ``_MAX_ROWS // n``,
     so every product has at most ``_MAX_ROWS`` rows and every temporary stays
-    small (160 KB for the default preset).
+    small (160 KB for the pipeline framing).
     """
     n = frames.shape[1]
     bins = basis.shape[1] // 2
@@ -337,8 +334,8 @@ def _spectral(
     a ``cache`` a window that follows the previous one by whole blocks takes
     all but its newest blocks from it (``_fill_interior``).
     """
-    frame, hop = params.frame_samples(fs), params.hop(fs)
-    basis = _dft_basis(frame, params.nfft(fs))
+    frame, hop = params.frame_samples(fs), params.hop_samples
+    basis = _dft_basis(frame, params.fft_size)
     n_frames, left, lo, hi, edges, edge_idx = _frame_layout(
         x.shape[1], frame, hop, params.pad_to_frames
     )
@@ -357,7 +354,7 @@ def _spectral(
 
 def stft(
     samples: np.ndarray,
-    params: StftParams | None = None,
+    params: StftParams = PIPELINE_STFT,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
     cache: BlockCache | None = None,
 ) -> FeatureTensor:
@@ -369,15 +366,13 @@ def stft(
     averages differ by under 2e-14 relative. With a ``cache`` each frame is
     computed once per stream, as in ``frequency_bands``.
     """
-    params = params or StftParams.shape_compat()
     x = _check_window(samples)
     key = ("stft", params, sample_rate_hz, x.shape)
     return _spectral(x, params, sample_rate_hz, None, cache, key)
 
 
 def stft_bin_freqs(params: StftParams, sample_rate_hz: int = PIPELINE_RATE_HZ) -> np.ndarray:
-    nfft = params.nfft(sample_rate_hz)
-    return np.arange(nfft // 2 + 1) * sample_rate_hz / nfft
+    return np.arange(params.fft_size // 2 + 1) * sample_rate_hz / params.fft_size
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +384,8 @@ class BandSpec:
     edges: tuple[tuple[float, float], ...] = DEFAULT_BAND_EDGES
 
     def __post_init__(self) -> None:
+        if not self.edges:
+            raise InvalidArgumentError("edges must not be empty")
         prev_hi = 0.0
         for lo, hi in self.edges:
             if lo >= hi:
@@ -422,7 +419,7 @@ def _band_averaging(params: StftParams, bands: BandSpec, sample_rate_hz: int) ->
 
 def frequency_bands(
     samples: np.ndarray,
-    params: StftParams | None = None,
+    params: StftParams = PIPELINE_STFT,
     bands: BandSpec | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
     cache: BlockCache | None = None,
@@ -431,11 +428,10 @@ def frequency_bands(
 
     Each frame's band means come from the same products at the same rows
     whether they are computed fresh or taken from ``cache``, so a streamed
-    window is bit-identical to a call without a cache. With the default
-    preset at a 4 s window and 1 s shift, a streamed window computes 28 of
+    window is bit-identical to a call without a cache. With the pipeline
+    framing at a 4 s window and 1 s shift, a streamed window computes 28 of
     its 100 frames.
     """
-    params = params or StftParams.shape_compat()
     bands = bands or BandSpec()
     averaging = _band_averaging(params, bands, sample_rate_hz)
     x = _check_window(samples)
@@ -447,19 +443,13 @@ def frequency_bands(
 # LFCC
 
 
-@dataclass(frozen=True)
-class LfccParams:
-    frame_len_s: float = 0.3
-    hop_s: float = 0.15
-    n_filters: int = 20
-    n_coeffs: int = 8
-    log_floor: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.n_coeffs > self.n_filters:
-            raise InvalidArgumentError("n_coeffs must not exceed n_filters")
-        if self.frame_len_s <= 0 or self.hop_s <= 0:
-            raise InvalidArgumentError("frame and hop must be positive")
+# LFCC: 0.3 s frames every 0.15 s, 20 linear triangular filters whose energies
+# are floored before the log, and the first 8 cepstral coefficients
+_LFCC_FRAME_S = 0.3
+_LFCC_HOP_S = 0.15
+_LFCC_FILTERS = 20
+_LFCC_COEFFS = 8
+_LFCC_LOG_FLOOR = 1e-10
 
 
 def linear_triangular_filterbank(
@@ -494,25 +484,20 @@ def _dct_basis(n: int, n_coeffs: int) -> np.ndarray:
     return basis
 
 
-def lfcc(
-    samples: np.ndarray,
-    params: LfccParams | None = None,
-    sample_rate_hz: int = PIPELINE_RATE_HZ,
-) -> FeatureTensor:
-    """Absolute linear-frequency cepstral coefficients, (channels, n_coeffs, frames)."""
+def lfcc(samples: np.ndarray, sample_rate_hz: int = PIPELINE_RATE_HZ) -> FeatureTensor:
+    """Absolute linear-frequency cepstral coefficients, (channels, 8, frames)."""
     x = _check_window(samples)
-    params = params or LfccParams()
-    frame = int(round(params.frame_len_s * sample_rate_hz))
-    hop = int(round(params.hop_s * sample_rate_hz))
+    frame = int(round(_LFCC_FRAME_S * sample_rate_hz))
+    hop = int(round(_LFCC_HOP_S * sample_rate_hz))
+    if min(frame, hop) < 1:
+        raise InvalidArgumentError(f"LFCC frame or hop is under one sample at {sample_rate_hz} Hz")
     if frame > x.shape[1]:
         raise InvalidArgumentError("LFCC frame longer than window")
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::hop, :]
     power = np.abs(np.fft.rfft(frames, axis=2)) ** 2
-    bank = linear_triangular_filterbank(
-        params.n_filters, power.shape[2], sample_rate_hz, frame
-    )
-    energies = np.maximum(power @ bank.T, params.log_floor)
-    ceps = np.log(energies) @ _dct_basis(params.n_filters, params.n_coeffs)
+    bank = linear_triangular_filterbank(_LFCC_FILTERS, power.shape[2], sample_rate_hz, frame)
+    energies = np.maximum(power @ bank.T, _LFCC_LOG_FLOOR)
+    ceps = np.log(energies) @ _dct_basis(_LFCC_FILTERS, _LFCC_COEFFS)
     return FeatureTensor(np.abs(np.transpose(ceps, (0, 2, 1))), extractor_id="lfcc")
 
 
@@ -623,37 +608,19 @@ def sinc_filterbank(
 # multi-rate raw
 
 
-@dataclass(frozen=True)
-class MultiRateParams:
-    rates_hz: tuple[int, ...] = (200, 100, 50)
-
-    def __post_init__(self) -> None:
-        for rate in self.rates_hz:
-            if not _is_int(rate) or rate <= 0:
-                raise InvalidArgumentError(f"rates_hz must be positive integers, got {rate!r}")
+# rates of the decimated copies that multirate returns
+_MULTIRATE_RATES_HZ = (200, 100, 50)
 
 
-def _is_int(value) -> bool:
-    """True for Python and numpy integers, but not for ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def multirate(
-    samples: np.ndarray,
-    params: MultiRateParams | None = None,
-    sample_rate_hz: int = PIPELINE_RATE_HZ,
-) -> list[FeatureTensor]:
-    """Decimated copies of the raw window, one tensor per rate, with no anti-alias filter."""
+def multirate(samples: np.ndarray, sample_rate_hz: int = PIPELINE_RATE_HZ) -> list[FeatureTensor]:
+    """Decimated copies of the raw window at 200, 100 and 50 Hz, with no anti-alias filter."""
     x = _check_window(samples)
-    params = params or MultiRateParams()
     out = []
-    for rate in params.rates_hz:
+    for rate in _MULTIRATE_RATES_HZ:
         if sample_rate_hz % rate != 0:
             raise InvalidArgumentError(f"rate {rate} does not divide {sample_rate_hz}")
         factor = sample_rate_hz // rate
-        out.append(
-            FeatureTensor(x[:, None, ::factor], extractor_id=f"multirate@{rate}")
-        )
+        out.append(FeatureTensor(x[:, None, ::factor], extractor_id=f"multirate@{rate}"))
     return out
 
 
@@ -668,14 +635,15 @@ def get_extractor(
 ) -> Callable[[np.ndarray], FeatureTensor]:
     """Resolve an extractor by CLI name to a window -> FeatureTensor callable.
 
-    Each extractor runs at its default parameters. Call it once per stream: the ``sincnet`` and ``stft`` callables each
-    carry a ``BlockCache``, so a window that follows the previous one by
-    whole blocks computes only its new outputs; they are not thread-safe.
-    ``raw``, ``bands``, ``lfcc`` and ``multirate`` keep no state. ``multirate``
+    Each extractor has one configuration, the one the CLI runs. Call this
+    once per stream: the ``sincnet`` and ``stft`` callables each carry a
+    ``BlockCache``, so a window that follows the previous one by whole blocks
+    computes only its new outputs; they are not thread-safe. ``raw``,
+    ``bands``, ``lfcc`` and ``multirate`` keep no state. ``multirate``
     concatenates its per-rate streams along the time axis so it fits the
     single-tensor detector interface. Every callable but ``raw`` looks its
-    function up in this module when called, so a wrapper installed there
-    sees every window.
+    function up in this module when called, so a wrapper installed there sees
+    every window.
     """
     if name == "raw":
         return extract_raw

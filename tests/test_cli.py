@@ -257,6 +257,23 @@ def test_sweep_rejects_window_below_shift(tmp_path):
     assert "rejected" in out.read_text()
 
 
+def test_sweep_rejects_non_finite_and_sub_sample_settings(tmp_path):
+    # a rejected setting is a row; the sweep goes on to the next one
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--windows", "inf,4", "--feature", "raw",
+        "--duration", "60", "--n-events", "2", "--out", str(out),
+    ]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["value"], r["status"]) for r in rows] == [
+        ("inf", "rejected: need finite window_s >= shift_s > 0, got inf and 1"),
+        ("4", "ok"),
+    ]
+    assert main(["sweep", "--shifts", "1e-09", "--duration", "60", "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    assert row["status"] == "rejected: shift_s must be at least one sample at 200 Hz, got 1e-09"
+
+
 def test_sweep_row_matches_eval_report(tmp_path):
     """A sweep row is eval's report.json, flattened, for the same seeds and defaults."""
     out = tmp_path / "sweep.csv"
@@ -403,7 +420,7 @@ def test_non_utf8_text_input_is_validation_error(corpus, capsys, flag):
      ["--detector", "energy", "--feature", "raw"],
      ["--budget-sec", "nan"], ["--budget-sec", "-1"], ["--detector", "energy", "--lr", "50"],
      ["--threshold", "2"], ["--threshold", "0.5", "--gap-merge-sec", "-1"],
-     ["--gap-merge-sec", "-1"]],
+     ["--gap-merge-sec", "-1"], ["--window-sec", "inf"], ["--shift-sec", "1e-09"]],
 )
 def test_bad_training_and_smoothing_values_are_validation_errors(
     corpus, capsys, monkeypatch, extra
@@ -434,6 +451,36 @@ def test_bad_training_and_smoothing_values_are_validation_errors(
     assert not (corpus / "bad-model.bin").exists()
     assert not (corpus / "eval-bad").exists()
     assert not (corpus / "hyp-bad.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "run", "eval", "bench"])
+def test_non_finite_window_is_validation_error(corpus, capsys, command):
+    rec, labels = str(corpus / "test" / "rec.eeg"), str(corpus / "test" / "labels.txt")
+    out = corpus / "out"
+    argv = {
+        "extract": ["--rec", rec, "--out", str(out)],
+        "train": ["--rec", rec, "--labels", labels, "--out", str(out)],
+        "run": ["--rec", rec, "--model", str(corpus / "model.bin"), "--out-hyp", str(out)],
+        "eval": ["--rec", rec, "--labels", labels, "--model", str(corpus / "model.bin"),
+                 "--out-dir", str(out)],
+        "bench": ["--rec", rec, "--model", str(corpus / "model.bin"), "--out", str(out)],
+    }[command]
+    assert main([command, *argv, "--window-sec", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: need finite window_s")
+    assert list(corpus.glob("out*")) == []
+
+
+def test_extract_lfcc_below_4_hz_is_validation_error(tmp_path, capsys):
+    # 0.15 s, the LFCC hop, is under one sample at 2 Hz
+    src = tmp_path / "slow.csv"
+    src.write_text("FP1,F7\n" + "1.0,2.0\n" * 40)
+    rec = tmp_path / "slow.eeg"
+    assert main(["ingest", "--csv", str(src), "--rate", "2", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "tensor"
+    assert main(["extract", "--rec", str(rec), "--feature", "lfcc", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: LFCC frame or hop is under one sample at 2 Hz\n"
+    assert not (tmp_path / "tensor.npy").exists()
 
 
 def test_model_rejects_tensor_of_another_shape_and_equal_size(corpus, capsys):

@@ -14,6 +14,11 @@ from oracles import dft_magnitude
 FS = 200
 
 
+# the stated 0.125 s frame at a 50% hop (12 samples at 200 Hz), with no DFT
+# padding and no reflect padding
+LITERAL = ft.StftParams(fft_size=25, hop_samples=12, pad_to_frames=None)
+
+
 def sine_window(freq_hz, n_channels=20, n=800, fs=FS, phase=0.0):
     t = np.arange(n) / fs
     return np.tile(np.sin(2 * np.pi * freq_hz * t + phase), (n_channels, 1))
@@ -37,13 +42,13 @@ class TestRaw:
 
 class TestStft:
     def test_shape_compat_preset(self):
-        out = sv.stft(np.zeros((20, 800)), ft.StftParams.shape_compat())
+        # the pipeline framing maps a 4 s window to a 100x100 spectrogram
+        out = sv.stft(np.zeros((20, 800)), ft.StftParams())
         assert out.shape == (20, 100, 100)
 
     def test_literal_preset_no_padding(self):
-        params = ft.StftParams.literal()
-        out = sv.stft(np.ones((2, 800)), params)
-        frame, hop = params.frame_samples(FS), params.hop(FS)
+        out = sv.stft(np.ones((2, 800)), LITERAL)
+        frame, hop = LITERAL.frame_samples(FS), LITERAL.hop_samples
         assert out.shape[2] == (800 - frame) // hop + 1
         assert out.shape[1] == frame // 2 + 1
 
@@ -54,7 +59,7 @@ class TestStft:
     def test_sinusoid_peak_bin(self):
         # 1 s frames give 1 Hz bins, so the peak must sit on the 8 Hz bin;
         # the short default frame is checked against the DFT oracle below
-        params = ft.StftParams(frame_len_s=1.0, hop_fraction=0.25)
+        params = ft.StftParams(frame_len_s=1.0, fft_size=200, hop_samples=50, pad_to_frames=None)
         out = sv.stft(sine_window(8.0, n_channels=1), params)
         freqs = ft.stft_bin_freqs(params)
         expected_bin = int(np.argmin(np.abs(freqs - 8.0)))
@@ -67,17 +72,17 @@ class TestStft:
         frame = np.sin(2 * np.pi * 8.0 * np.arange(25) / FS) + 0.01 * rng.normal(size=25)
         taper = np.hanning(26)[:25]  # periodic hann
         oracle = dft_magnitude(frame * taper, 198)
-        params = ft.StftParams(fft_size=198, hop_samples=25)
+        params = ft.StftParams(hop_samples=25, pad_to_frames=None)
         out = sv.stft(frame[None, :25], params)
         np.testing.assert_allclose(out.data[0, :, 0], oracle, atol=1e-8)
 
     def test_frame_longer_than_window(self):
         with pytest.raises(InvalidArgumentError):
-            sv.stft(np.zeros((1, 10)), ft.StftParams(frame_len_s=0.125))
+            sv.stft(np.zeros((1, 10)), ft.StftParams(pad_to_frames=None))
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(2)
-        params = ft.StftParams(fft_size=198, hop_samples=25)
+        params = ft.StftParams(hop_samples=25, pad_to_frames=None)
         taper = sps.get_window("hann", 25, fftbins=True)
         for _ in range(20):
             frame = rng.normal(size=25)
@@ -87,6 +92,27 @@ class TestStft:
             total = doubled[0] + 2 * doubled[1:-1].sum() + doubled[-1]
             energy = np.sum((frame * taper) ** 2)
             assert abs(total - nfft * energy) / (nfft * energy) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "make,field,kwargs",
+    [
+        (ft.StftParams, "hop_samples", {"hop_samples": 0}),
+        (ft.StftParams, "hop_samples", {"hop_samples": -8}),
+        (ft.StftParams, "hop_samples", {"hop_samples": 2.5}),
+        (ft.StftParams, "hop_samples", {"hop_samples": True}),
+        (ft.StftParams, "fft_size", {"fft_size": 0}),
+        (ft.StftParams, "fft_size", {"fft_size": 198.0}),
+        (ft.StftParams, "pad_to_frames", {"pad_to_frames": 0}),
+        (ft.StftParams, "frame_len_s", {"frame_len_s": np.nan}),
+        (ft.StftParams, "frame_len_s", {"frame_len_s": np.inf}),
+        (ft.StftParams, "frame_len_s", {"frame_len_s": 0.0}),
+        (ft.BandSpec, "edges", {"edges": ()}),
+    ],
+)
+def test_invalid_framing_rejected(make, field, kwargs):
+    with pytest.raises(InvalidArgumentError, match=field):
+        make(**kwargs)
 
 
 class TestFrequencyBands:
@@ -123,7 +149,7 @@ class TestFrequencyBands:
 
 def rfft_stft_oracle(x, params):
     """Zero-padded per-frame rfft of the Hann-tapered frames, (channels, bins, frames)."""
-    frame, nfft, hop = params.frame_samples(FS), params.nfft(FS), params.hop(FS)
+    frame, nfft, hop = params.frame_samples(FS), params.fft_size, params.hop_samples
     if params.pad_to_frames is not None:
         # reflect-pad to pad_to_frames frames, the odd sample behind
         pad = max((params.pad_to_frames - 1) * hop + frame - x.shape[1], 0)
@@ -147,12 +173,13 @@ def assert_matches_oracle(got, want):
 
 
 PRESETS = {
+    # the pipeline framing
     "shape_compat": (
-        ft.StftParams.shape_compat(),
+        ft.StftParams(),
         ft.BandSpec(((0.5, 3), (3, 9.5), (20, 45), (60, 99.9))),
     ),
     # 8 Hz bins: the default (1, 4) band would cover none of them
-    "literal": (ft.StftParams.literal(), ft.BandSpec(((0, 10), (10, 40), (40, 100)))),
+    "literal": (LITERAL, ft.BandSpec(((0, 10), (10, 40), (40, 100)))),
 }
 
 
@@ -179,7 +206,7 @@ class TestDftBasis:
 
     def test_default_bands_match_rfft_oracle(self):
         x = np.random.default_rng(5).normal(size=(20, 800))
-        params = ft.StftParams.shape_compat()
+        params = ft.StftParams()
         assert_matches_oracle(
             sv.frequency_bands(x).data, bands_oracle(x, params, ft.BandSpec())
         )
@@ -203,7 +230,7 @@ class TestDftBasis:
 
     def test_band_covering_no_bin(self):
         with pytest.raises(InvalidArgumentError, match="covers no STFT bin"):
-            sv.frequency_bands(np.zeros((1, 800)), ft.StftParams.literal())
+            sv.frequency_bands(np.zeros((1, 800)), LITERAL)
 
 
 class TestLfcc:
@@ -228,9 +255,11 @@ class TestLfcc:
         assert shift[0] > 0
         np.testing.assert_allclose(shift, shift[0], atol=1e-6)
 
-    def test_coeffs_le_filters(self):
-        with pytest.raises(InvalidArgumentError):
-            ft.LfccParams(n_filters=4, n_coeffs=8)
+    @pytest.mark.parametrize("fs", [2, 3])
+    def test_hop_under_one_sample_rejected(self, fs):
+        # 0.15 s rounds to 0 samples below 4 Hz
+        with pytest.raises(InvalidArgumentError, match=f"under one sample at {fs} Hz"):
+            ft.get_extractor("lfcc", fs)(np.ones((2, 4 * fs)))
 
     @pytest.mark.parametrize("n_filters,n_coeffs", [(20, 8), (20, 20), (7, 3), (1, 1)])
     def test_dct_basis_matches_scipy_dct(self, n_filters, n_coeffs):
@@ -442,7 +471,7 @@ class TestSincStream:
 
 
 # samples per STFT block of the default preset: a 1 s shift at 200 Hz
-BANDS_STEP = ft._FRAME_BLOCK * ft.StftParams.shape_compat().hop(FS)
+BANDS_STEP = ft._FRAME_BLOCK * ft.PIPELINE_STFT.hop_samples
 
 
 def streamed_bands():
@@ -537,22 +566,9 @@ class TestMultirate:
         for t in out:
             assert np.all(t.data == 2.5)
 
-    @pytest.mark.parametrize(
-        "field,kwargs",
-        [
-            ("rates_hz", {"rates_hz": (200, 0)}),
-            ("rates_hz", {"rates_hz": (-50,)}),
-            ("rates_hz", {"rates_hz": (0.5,)}),
-            ("rates_hz", {"rates_hz": (True,)}),
-        ],
-    )
-    def test_invalid_params_rejected(self, field, kwargs):
-        with pytest.raises(InvalidArgumentError, match=field):
-            ft.MultiRateParams(**kwargs)
-
     def test_non_divisor_rate(self):
-        with pytest.raises(InvalidArgumentError):
-            sv.multirate(np.zeros((1, 800)), ft.MultiRateParams(rates_hz=(60,)))
+        with pytest.raises(InvalidArgumentError, match="rate 200 does not divide 256"):
+            sv.multirate(np.zeros((1, 800)), sample_rate_hz=256)
 
 
 class TestDeterminismAndDump:
