@@ -24,10 +24,8 @@ from .detectors import (
     train_linear,
 )
 from .features import (
-    BandSpec,
     FeatureTensor,
     SincBank,
-    StftParams,
     design_sinc_kernel,
     extract_raw,
     frequency_bands,

@@ -318,10 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seizeval",
         description="Real-time EEG seizure detection pipeline and scorer",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every flag is spelt out in full: "--n-event" is an error, not "--n-events"
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a synthetic recording + labels")
+    p = add("synth", help="generate a synthetic recording + labels")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--channels", type=int, default=20)
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="convert CSV to the .eeg binary format")
+    p = add("ingest", help="convert CSV to the .eeg binary format")
     p.add_argument("--csv", required=True)
     p.add_argument("--rate", type=int, required=True)
     p.add_argument("--montage", help="apply a bipolar montage spec file")
@@ -341,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("extract", help="dump feature tensors for debugging")
+    p = add("extract", help="dump feature tensors for debugging")
     p.add_argument("--rec", required=True)
     p.add_argument("--feature", choices=features.EXTRACTOR_NAMES, default="raw")
     _add_window_args(p)
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="writes OUT.npy, or OUT.K.npy for each window K with --window-index -1")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="fit a detector model on labelled training data")
+    p = add("train", help="fit a detector model on labelled training data")
     p.add_argument("--rec", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--detector", choices=["linear", "energy"], default="linear",
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("run", help="stream a recording and export hypotheses")
+    p = add("run", help="stream a recording and export hypotheses")
     p.add_argument("--rec", required=True)
     _add_detector_args(p)
     _add_window_args(p)
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-latency")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("eval", help="full metrics report")
+    p = add("eval", help="full metrics report")
     p.add_argument("--rec", required=True)
     p.add_argument("--labels", required=True)
     _add_detector_args(p)
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="real-time latency benchmark")
+    p = add("bench", help="real-time latency benchmark")
     p.add_argument("--rec", required=True)
     _add_detector_args(p)
     _add_window_args(p)
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", help="per-window times CSV")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("sweep", help="window/shift parameter sweep on synth data")
+    p = add("sweep", help="window/shift parameter sweep on synth data")
     p.add_argument("--windows", help="comma list of window sizes (s)")
     p.add_argument("--shifts", help="comma list of shift lengths (s)")
     _add_window_args(p)
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("report", help="pretty-print a report.json")
+    p = add("report", help="pretty-print a report.json")
     p.add_argument("--json", required=True)
     p.set_defaults(func=cmd_report)
 

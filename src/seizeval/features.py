@@ -1,9 +1,12 @@
 """Per-window signal feature extractors.
 
 Six extractors share one contract: input is a (channels, samples) float
-window at the recording's rate, output is a 3-axis FeatureTensor. Each has
-one configuration, the one the CLI runs. All of them are pure and
-deterministic. The ``sincnet`` and ``stft`` callables from ``get_extractor``
+window at the recording's rate, output is one 3-axis FeatureTensor
+(``multirate`` joins its three decimated copies into one). Each has one
+configuration, the one the CLI runs, held in module constants rather than
+settings objects: ``stft`` and ``frequency_bands`` frame every window the
+same way and take only the window, the rate and an optional cache. All of
+them are pure and deterministic. The ``sincnet`` and ``stft`` callables from ``get_extractor``
 keep per-stream state: the outputs of the previous window that the next one
 can reuse (``BlockCache``); ``frequency_bands`` takes the same cache, but the
 ``bands`` callable does not pass one. What they return still depends on the
@@ -12,7 +15,6 @@ window alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -47,11 +49,6 @@ class FeatureTensor:
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1)
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers, but not for ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_window(samples: np.ndarray) -> np.ndarray:
@@ -115,7 +112,7 @@ class BlockCache:
     """
 
     def __init__(self) -> None:
-        self.key: tuple | None = None  # (extractor, its parameters, window shape)
+        self.key: tuple | None = None  # (extractor, its bank if any, rate, window shape)
         self.tail: np.ndarray | None = None
         self.rows: np.ndarray | None = None  # interior outputs, time on the last axis
 
@@ -182,66 +179,46 @@ def _fill_interior(
 # STFT
 
 
-@dataclass(frozen=True)
-class StftParams:
-    """Framing of the Hann-tapered magnitude spectrogram.
-
-    The defaults are the pipeline's framing: 0.125 s frames (25 samples at
-    200 Hz) every 8 samples, a 198-point DFT, and reflect padding to 100
-    frames, so a 4 s, 200 Hz window maps to a 100x100 spectrogram.
-    ``pad_to_frames=None`` frames the window unpadded.
-    """
-
-    frame_len_s: float = 0.125
-    fft_size: int = 198
-    hop_samples: int = 8
-    pad_to_frames: int | None = 100
-
-    def __post_init__(self) -> None:
-        frame = self.frame_len_s
-        if not (math.isfinite(frame) and frame > 0):
-            raise InvalidArgumentError(f"frame_len_s must be finite and > 0, got {frame}")
-        for name in ("fft_size", "hop_samples", "pad_to_frames"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1 or name == "pad_to_frames" and value is None):
-                raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
-
-    def frame_samples(self, fs: int) -> int:
-        """Samples per frame at ``fs``: at least 1 and at most ``fft_size``."""
-        n = int(round(self.frame_len_s * fs))
-        if n < 1:
-            raise InvalidArgumentError("frame shorter than one sample")
-        if n > self.fft_size:
-            raise InvalidArgumentError("fft_size must be >= frame length")
-        return n
+# The pipeline's framing: 0.125 s frames (25 samples at 200 Hz) every 8
+# samples, a 198-point DFT, and reflect padding to 100 frames, so a 4 s,
+# 200 Hz window maps to a 100x100 spectrogram.
+_FRAME_S = 0.125
+_FFT_SIZE = 198
+_HOP = 8
+_PAD_TO_FRAMES = 100
 
 
-# the framing every pipeline window uses, built once
-PIPELINE_STFT = StftParams()
+def _frame_samples(fs: int) -> int:
+    """Samples per STFT frame at ``fs``: at least 1 and at most ``_FFT_SIZE``."""
+    n = int(round(_FRAME_S * fs))
+    if n < 1:
+        raise InvalidArgumentError("frame shorter than one sample")
+    if n > _FFT_SIZE:
+        raise InvalidArgumentError(
+            f"a {_FRAME_S} s frame is {n} samples at {fs} Hz, more than the {_FFT_SIZE}-point DFT"
+        )
+    return n
 
 
 @lru_cache(maxsize=8)
-def _frame_layout(n: int, frame: int, hop: int, pad_to_frames: int | None) -> tuple:
+def _frame_layout(n: int, frame: int) -> tuple:
     """Where the STFT frames of an ``n``-sample window read their samples.
 
     Returns ``(n_frames, left, lo, hi, edges, edge_idx)``. A window too short
-    for ``pad_to_frames`` frames is reflect-padded, ``left`` samples in
+    for ``_PAD_TO_FRAMES`` frames is reflect-padded, ``left`` samples in
     front and the rest behind, so frame ``j`` reads ``frame`` samples from
-    ``hop * j - left`` on. Frames ``lo <= j < hi`` lie inside the window.
+    ``_HOP * j - left`` on. Frames ``lo <= j < hi`` lie inside the window.
     The others (read-only ``edges``) read padding: ``edge_idx[e]`` holds the
     window samples that frame ``edges[e]`` reads, found by padding the sample
     indices exactly as ``np.pad`` pads the samples.
     """
-    needed = n if pad_to_frames is None else (pad_to_frames - 1) * hop + frame
-    pad = max(needed - n, 0)
+    pad = max((_PAD_TO_FRAMES - 1) * _HOP + frame - n, 0)
     left = pad // 2
     src = np.pad(np.arange(n), (left, pad - left), mode="reflect")
-    if src.size < frame:
-        raise InvalidArgumentError("frame longer than window")
-    n_frames = (src.size - frame) // hop + 1
-    lo, hi = _interior(n, frame, hop, left, n_frames)
+    n_frames = (src.size - frame) // _HOP + 1
+    lo, hi = _interior(n, frame, _HOP, left, n_frames)
     edges = np.r_[0:lo, hi:n_frames]
-    edge_idx = src[hop * edges[:, None] + np.arange(frame)]
+    edge_idx = src[_HOP * edges[:, None] + np.arange(frame)]
     edges.flags.writeable = edge_idx.flags.writeable = False
     return n_frames, left, lo, hi, edges, edge_idx
 
@@ -317,44 +294,35 @@ def _spectral_rows(
 
 
 def _spectral(
-    x: np.ndarray,
-    params: StftParams,
-    fs: int,
-    averaging: np.ndarray | None,
-    cache: BlockCache | None,
-    key: tuple,
+    x: np.ndarray, fs: int, averaging: np.ndarray | None, cache: BlockCache | None, key: tuple
 ) -> FeatureTensor:
     """``stft`` (no ``averaging``) or ``frequency_bands`` of window ``x``.
 
-    ``key`` names the extractor (its first item, also the tensor's id), its
-    parameters and the window shape, for ``cache``.
+    ``key`` names the extractor (its first item, also the tensor's id), the
+    rate and the window shape, for ``cache``.
 
     The reflect-padded edge frames form one product. The interior frames form
     blocks of ``_FRAME_BLOCK`` frames counted back from the last one, and with
     a ``cache`` a window that follows the previous one by whole blocks takes
     all but its newest blocks from it (``_fill_interior``).
     """
-    frame, hop = params.frame_samples(fs), params.hop_samples
-    basis = _dft_basis(frame, params.fft_size)
-    n_frames, left, lo, hi, edges, edge_idx = _frame_layout(
-        x.shape[1], frame, hop, params.pad_to_frames
-    )
+    frame = _frame_samples(fs)
+    basis = _dft_basis(frame, _FFT_SIZE)
+    n_frames, left, lo, hi, edges, edge_idx = _frame_layout(x.shape[1], frame)
     k = basis.shape[1] // 2 if averaging is None else averaging.shape[1]
     out = np.empty((x.shape[0], k, n_frames))
-    step = hop * _FRAME_BLOCK
 
     def rows(j0: int, j1: int) -> np.ndarray:
-        return _spectral_rows(_frames(x, frame, hop, j0, j1, left), basis, averaging)
+        return _spectral_rows(_frames(x, frame, _HOP, j0, j1, left), basis, averaging)
 
     if edges.size:
         out[:, :, edges] = _spectral_rows(x[:, edge_idx], basis, averaging)
-    _fill_interior(out, x, lo, hi, _FRAME_BLOCK, step, rows, cache, key)
+    _fill_interior(out, x, lo, hi, _FRAME_BLOCK, _HOP * _FRAME_BLOCK, rows, cache, key)
     return FeatureTensor(out, extractor_id=key[0])
 
 
 def stft(
     samples: np.ndarray,
-    params: StftParams = PIPELINE_STFT,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
     cache: BlockCache | None = None,
 ) -> FeatureTensor:
@@ -367,48 +335,27 @@ def stft(
     computed once per stream, as in ``frequency_bands``.
     """
     x = _check_window(samples)
-    key = ("stft", params, sample_rate_hz, x.shape)
-    return _spectral(x, params, sample_rate_hz, None, cache, key)
+    return _spectral(x, sample_rate_hz, None, cache, ("stft", sample_rate_hz, x.shape))
 
 
-def stft_bin_freqs(params: StftParams, sample_rate_hz: int = PIPELINE_RATE_HZ) -> np.ndarray:
-    return np.arange(params.fft_size // 2 + 1) * sample_rate_hz / params.fft_size
+def stft_bin_freqs(sample_rate_hz: int = PIPELINE_RATE_HZ) -> np.ndarray:
+    return np.arange(_FFT_SIZE // 2 + 1) * sample_rate_hz / _FFT_SIZE
 
 
 # ---------------------------------------------------------------------------
 # frequency bands
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    edges: tuple[tuple[float, float], ...] = DEFAULT_BAND_EDGES
-
-    def __post_init__(self) -> None:
-        if not self.edges:
-            raise InvalidArgumentError("edges must not be empty")
-        prev_hi = 0.0
-        for lo, hi in self.edges:
-            if lo >= hi:
-                raise InvalidArgumentError(f"band ({lo}, {hi}) is inverted")
-            if lo < prev_hi - 1e-9:
-                raise InvalidArgumentError("bands must be ordered")
-            prev_hi = hi
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.edges)
-
-
 @lru_cache(maxsize=8)
-def _band_averaging(params: StftParams, bands: BandSpec, sample_rate_hz: int) -> np.ndarray:
+def _band_averaging(sample_rate_hz: int) -> np.ndarray:
     """Read-only (bins, n_bands) matrix: ``mags @ averaging`` are the band means."""
     nyquist = sample_rate_hz / 2
-    for lo, hi in bands.edges:
+    for lo, hi in DEFAULT_BAND_EDGES:
         if hi > nyquist:
             raise InvalidArgumentError(f"band ({lo}, {hi}) exceeds Nyquist {nyquist}")
-    freqs = stft_bin_freqs(params, sample_rate_hz)
-    averaging = np.zeros((freqs.size, bands.n_bands))
-    for b, (lo, hi) in enumerate(bands.edges):
+    freqs = stft_bin_freqs(sample_rate_hz)
+    averaging = np.zeros((freqs.size, len(DEFAULT_BAND_EDGES)))
+    for b, (lo, hi) in enumerate(DEFAULT_BAND_EDGES):
         mask = (freqs >= lo) & (freqs < hi)
         if not mask.any():
             raise InvalidArgumentError(f"band ({lo}, {hi}) covers no STFT bin")
@@ -419,8 +366,6 @@ def _band_averaging(params: StftParams, bands: BandSpec, sample_rate_hz: int) ->
 
 def frequency_bands(
     samples: np.ndarray,
-    params: StftParams = PIPELINE_STFT,
-    bands: BandSpec | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
     cache: BlockCache | None = None,
 ) -> FeatureTensor:
@@ -428,15 +373,12 @@ def frequency_bands(
 
     Each frame's band means come from the same products at the same rows
     whether they are computed fresh or taken from ``cache``, so a streamed
-    window is bit-identical to a call without a cache. With the pipeline
-    framing at a 4 s window and 1 s shift, a streamed window computes 28 of
-    its 100 frames.
+    window is bit-identical to a call without a cache. At 200 Hz, a 4 s
+    window and a 1 s shift, a streamed window computes 28 of its 100 frames.
     """
-    bands = bands or BandSpec()
-    averaging = _band_averaging(params, bands, sample_rate_hz)
+    averaging = _band_averaging(sample_rate_hz)
     x = _check_window(samples)
-    key = ("bands", params, bands, sample_rate_hz, x.shape)
-    return _spectral(x, params, sample_rate_hz, averaging, cache, key)
+    return _spectral(x, sample_rate_hz, averaging, cache, ("bands", sample_rate_hz, x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -612,16 +554,16 @@ def sinc_filterbank(
 _MULTIRATE_RATES_HZ = (200, 100, 50)
 
 
-def multirate(samples: np.ndarray, sample_rate_hz: int = PIPELINE_RATE_HZ) -> list[FeatureTensor]:
-    """Decimated copies of the raw window at 200, 100 and 50 Hz, with no anti-alias filter."""
+def multirate(samples: np.ndarray, sample_rate_hz: int = PIPELINE_RATE_HZ) -> FeatureTensor:
+    """Copies of the raw window decimated to 200, 100 and 50 Hz, with no
+    anti-alias filter, joined on the time axis: (channels, 1, samples)."""
     x = _check_window(samples)
-    out = []
+    copies = []
     for rate in _MULTIRATE_RATES_HZ:
         if sample_rate_hz % rate != 0:
             raise InvalidArgumentError(f"rate {rate} does not divide {sample_rate_hz}")
-        factor = sample_rate_hz // rate
-        out.append(FeatureTensor(x[:, None, ::factor], extractor_id=f"multirate@{rate}"))
-    return out
+        copies.append(x[:, None, :: sample_rate_hz // rate])
+    return FeatureTensor(np.concatenate(copies, axis=2), extractor_id="multirate")
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +581,11 @@ def get_extractor(
     once per stream: the ``sincnet`` and ``stft`` callables each carry a
     ``BlockCache``, so a window that follows the previous one by whole blocks
     computes only its new outputs; they are not thread-safe. ``raw``,
-    ``bands``, ``lfcc`` and ``multirate`` keep no state. ``multirate``
-    concatenates its per-rate streams along the time axis so it fits the
-    single-tensor detector interface. Every callable but ``raw`` looks its
-    function up in this module when called, so a wrapper installed there sees
-    every window.
+    ``bands``, ``lfcc`` and ``multirate`` keep no state. Each callable
+    returns the one tensor its function returns (``multirate`` included) and
+    passes it nothing but the rate and, for ``sincnet`` and ``stft``, the
+    cache. Every callable but ``raw`` looks its function up in this module
+    when called, so a wrapper installed there sees every window.
     """
     if name == "raw":
         return extract_raw
@@ -652,19 +594,13 @@ def get_extractor(
         return lambda w: sinc_filterbank(w, sample_rate_hz=sample_rate_hz, cache=cache)
     if name == "stft":
         cache = BlockCache()
-        return lambda w: stft(w, sample_rate_hz=sample_rate_hz, cache=cache)
+        return lambda w: stft(w, sample_rate_hz, cache)
     if name == "bands":
-        return lambda w: frequency_bands(w, sample_rate_hz=sample_rate_hz)
+        return lambda w: frequency_bands(w, sample_rate_hz)
     if name == "lfcc":
-        return lambda w: lfcc(w, sample_rate_hz=sample_rate_hz)
+        return lambda w: lfcc(w, sample_rate_hz)
     if name == "multirate":
-
-        def _multi(w: np.ndarray) -> FeatureTensor:
-            streams = multirate(w, sample_rate_hz=sample_rate_hz)
-            data = np.concatenate([t.data for t in streams], axis=2)
-            return FeatureTensor(data, extractor_id="multirate")
-
-        return _multi
+        return lambda w: multirate(w, sample_rate_hz)
     raise InvalidArgumentError(
         f"unknown extractor {name!r}; expected one of {EXTRACTOR_NAMES}"
     )

@@ -19,6 +19,10 @@ from .errors import DegenerateDatasetError, InvalidArgumentError
 Interval = tuple[float, float]
 
 SECONDS_PER_DAY = 86400.0
+# the most sensitive operating point must keep TNR at or above this
+MIN_TNR = 0.95
+# a hypothesis onset up to this long before a seizure onset still detects it
+ONSET_SEARCH_BEFORE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,8 @@ def epoch_counts(
     )
 
 
-def ovlp(labels: LabelTrack, hyp: list[Interval]) -> tuple[ConfusionCounts, int]:
-    """Any-overlap event scoring; also returns the false-alarm event count."""
+def ovlp(labels: LabelTrack, hyp: list[Interval]) -> ConfusionCounts:
+    """Any-overlap event scoring; ``fp`` counts the false-alarm events."""
     _check_hyp(hyp)
     seizures = [(ev.start_s, ev.stop_s) for ev in labels.seizure_events]
     counts = ConfusionCounts()
@@ -134,15 +138,13 @@ def ovlp(labels: LabelTrack, hyp: list[Interval]) -> tuple[ConfusionCounts, int]
             counts.tp += 1
         else:
             counts.fn += 1
-    fa = 0
     for h in hyp:
         if not any(_overlap(lab, h) > 0 for lab in seizures):
             counts.fp += 1
-            fa += 1
     for bg in labels.background_intervals():
         if not any(_overlap(bg, h) > 0 for h in hyp):
             counts.tn += 1
-    return counts, fa
+    return counts
 
 
 def taes(labels: LabelTrack, hyp: list[Interval]) -> ConfusionCounts:
@@ -197,20 +199,19 @@ class OnsetLatency:
     n_missed: int
 
 
-def onset_latency(
-    labels: LabelTrack, hyp: list[Interval], search_before_s: float = 5.0
-) -> OnsetLatency:
+def onset_latency(labels: LabelTrack, hyp: list[Interval]) -> OnsetLatency:
     """Mean delay from label onset to the earliest matching hypothesis onset.
 
-    A hypothesis matches when its onset falls in [onset - search_before_s,
-    offset]; events with no match are excluded from the mean and counted.
+    A hypothesis matches when its onset falls in [onset -
+    ONSET_SEARCH_BEFORE_S, offset]; events with no match are excluded from
+    the mean and counted.
     """
     _check_hyp(hyp)
     latencies = []
     missed = 0
     for ev in labels.seizure_events:
         candidates = [
-            h[0] for h in hyp if ev.start_s - search_before_s <= h[0] <= ev.stop_s
+            h[0] for h in hyp if ev.start_s - ONSET_SEARCH_BEFORE_S <= h[0] <= ev.stop_s
         ]
         if candidates:
             latencies.append(min(candidates) - ev.start_s)
@@ -291,13 +292,13 @@ class OperatingPoints:
     tnr95_threshold: float | None  # None when TNR >= 0.95 is unattainable
 
 
-def operating_points(curves: Curves, min_tnr: float = 0.95) -> OperatingPoints:
+def operating_points(curves: Curves) -> OperatingPoints:
     """Threshold selection: max TPR+TNR, and the most sensitive point with
-    TNR above the floor. Ties break to the lowest threshold."""
+    TNR >= MIN_TNR. Ties break to the lowest threshold."""
     tnr = 1.0 - curves.fpr
     j = curves.tpr + tnr
     best = np.flatnonzero(j >= j.max() - 1e-12)[-1]  # thresholds descend
-    qualifying = np.flatnonzero(tnr >= min_tnr)
+    qualifying = np.flatnonzero(tnr >= MIN_TNR)
     tnr95 = float(curves.thresholds[qualifying[-1]]) if qualifying.size else None
     return OperatingPoints(
         youden_threshold=float(curves.thresholds[best]),
@@ -434,7 +435,7 @@ def evaluate_track(
 
     hyp_youden = events_at(points.youden_threshold)
     epoch_cc = epoch_counts(window_labels, track.scores >= points.youden_threshold)
-    ovlp_cc, ovlp_fa = ovlp(labels, hyp_youden)
+    ovlp_cc = ovlp(labels, hyp_youden)
     taes_cc = taes(labels, hyp_youden)
 
     margin_onset: dict[float, float] = {}
@@ -457,7 +458,7 @@ def evaluate_track(
         epoch_tnr=epoch_cc.tnr,
         ovlp_tpr=ovlp_cc.tpr,
         ovlp_tnr=ovlp_cc.tnr,
-        ovlp_fa_per_24h=fa_per_24h(ovlp_fa, track.total_duration_s),
+        ovlp_fa_per_24h=fa_per_24h(ovlp_cc.fp, track.total_duration_s),
         taes_tpr=taes_cc.tpr,
         taes_tnr=taes_cc.tnr,
         taes_fa_per_24h=fa_per_24h(taes_cc.fp, track.total_duration_s),

@@ -40,7 +40,7 @@ def background_intervals_ms(label_events, duration_s: float):
 
 
 def grid_ovlp(label_events, hyp_events, duration_s: float):
-    """(tp, tn, fp, fn, fa_count) by cell counting."""
+    """(tp, tn, fp, fn) by cell counting; fp counts the false-alarm events."""
     lab = rasterize(label_events, duration_s)
     hyp = rasterize(hyp_events, duration_s)
     tp = fn = fp = tn = 0
@@ -55,7 +55,7 @@ def grid_ovlp(label_events, hyp_events, duration_s: float):
     for i0, i1 in background_intervals_ms(label_events, duration_s):
         if not hyp[i0:i1].any():
             tn += 1
-    return tp, tn, fp, fn, fp
+    return tp, tn, fp, fn
 
 
 def grid_taes(label_events, hyp_events, duration_s: float):
@@ -88,12 +88,13 @@ def grid_margin(label_events, hyp_events, margin_s: float):
     return onset / len(label_events), offset / len(label_events)
 
 
-def grid_onset_latency(label_events, hyp_events, search_before_s: float = 5.0):
-    """(mean latency or None, n_missed) via all-pairs earliest-onset scan."""
+def grid_onset_latency(label_events, hyp_events):
+    """(mean latency or None, n_missed) via all-pairs earliest-onset scan;
+    onsets up to 5 s before a seizure's onset count."""
     latencies = []
     missed = 0
     for a, b in label_events:
-        lo, hi = to_ms(a) - to_ms(search_before_s), to_ms(b)
+        lo, hi = to_ms(a) - to_ms(5.0), to_ms(b)
         onsets = [to_ms(h[0]) for h in hyp_events if lo <= to_ms(h[0]) <= hi]
         if onsets:
             latencies.append((min(onsets) - to_ms(a)) / MS)

@@ -65,20 +65,26 @@ def test_criterion_01_feature_shapes():
     t0 = time.perf_counter()
     assert sv.frequency_bands(x).shape == (20, 7, 100)
     assert sv.sinc_filterbank(x).shape == (7, 20, 400)
-    assert sv.stft(x, ft.StftParams()).shape == (20, 100, 100)
-    assert [t.shape[2] for t in sv.multirate(x)] == [800, 400, 200]
+    assert sv.stft(x).shape == (20, 100, 100)
+    # the 200, 100 and 50 Hz copies, joined on the time axis
+    multi = sv.multirate(x)
+    assert multi.shape == (20, 1, 1400)
+    want = np.concatenate([x, x[:, ::2], x[:, ::4]], axis=1)[:, None, :]
+    assert multi.data.tobytes() == want.tobytes()
     assert time.perf_counter() - t0 < 1.0
 
 
 @criterion(2, "frame energy identity within 1e-6 over 100 random frames")
 def test_criterion_02_parseval():
     rng = np.random.default_rng(1)
-    params = ft.StftParams(hop_samples=25, pad_to_frames=None)
     taper = sps.get_window("hann", 25, fftbins=True)
+    # 817 samples at 200 Hz hold 100 frames unpadded, so frame 0 is x[:25]
+    window = np.zeros((1, 817))
     t0 = time.perf_counter()
     for _ in range(100):
         frame = rng.normal(size=25)
-        mags = sv.stft(frame[None, :], params).data[0, :, 0]
+        window[0, :25] = frame
+        mags = sv.stft(window).data[0, :, 0]
         sq = mags**2
         total = sq[0] + 2 * sq[1:-1].sum() + sq[-1]
         energy = 198 * np.sum((frame * taper) ** 2)
@@ -90,8 +96,8 @@ def test_criterion_02_parseval():
 def test_criterion_03_metric_oracle_equivalence():
     t0 = time.perf_counter()
     for track, lab, hyp in PAIRS_1000:
-        cc, fa = sv.ovlp(track, hyp)
-        assert (cc.tp, cc.tn, cc.fp, cc.fn, fa) == oracles.grid_ovlp(lab, hyp, 60.0)
+        cc = sv.ovlp(track, hyp)
+        assert (cc.tp, cc.tn, cc.fp, cc.fn) == oracles.grid_ovlp(lab, hyp, 60.0)
 
         tc = sv.taes(track, hyp)
         want = oracles.grid_taes(lab, hyp, 60.0)
@@ -122,7 +128,7 @@ def test_criterion_04_ordering_invariants():
     for track, lab, hyp in PAIRS_1000:
         if not lab:
             continue
-        cc, _ = sv.ovlp(track, hyp)
+        cc = sv.ovlp(track, hyp)
         assert sv.taes(track, hyp).tpr <= cc.tpr + 1e-12
         on3, off3 = sv.margin(track, hyp, 3.0)
         on5, off5 = sv.margin(track, hyp, 5.0)

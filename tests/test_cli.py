@@ -41,6 +41,22 @@ def test_synth_writes_files(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--n-event", "3", "--dur", "30"],
+        ["sweep", "--windows", "4", "--n-event", "2", "--duration", "60"],
+    ],
+)
+def test_abbreviated_flag_is_validation_error(tmp_path, capsys, argv):
+    # "--n-event" is not read as "--n-events"
+    out = tmp_path / "out"
+    flag = "--out-dir" if argv[0] == "synth" else "--out"
+    assert main(argv + [flag, str(out)]) == 1
+    assert "unrecognized arguments: --n-event" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "field,extra",
     [
         ("duration_s", ["--duration", "nan"]),

@@ -13,10 +13,12 @@ from oracles import dft_magnitude
 
 FS = 200
 
-
-# the stated 0.125 s frame at a 50% hop (12 samples at 200 Hz), with no DFT
-# padding and no reflect padding
-LITERAL = ft.StftParams(fft_size=25, hop_samples=12, pad_to_frames=None)
+# The one STFT framing, restated for the oracles: 0.125 s frames every 8
+# samples, a 198-point DFT, reflect padding to 100 frames. At 200 Hz a frame
+# is 25 samples, and a window of 99 * 8 + 25 = 817 samples or more is
+# framed unpadded: frame j is x[8j : 8j + 25].
+FRAME_S, NFFT, HOP, PAD_TO_FRAMES = 0.125, 198, 8, 100
+UNPADDED_N = (PAD_TO_FRAMES - 1) * HOP + 25
 
 
 def sine_window(freq_hz, n_channels=20, n=800, fs=FS, phase=0.0):
@@ -43,76 +45,70 @@ class TestRaw:
 class TestStft:
     def test_shape_compat_preset(self):
         # the pipeline framing maps a 4 s window to a 100x100 spectrogram
-        out = sv.stft(np.zeros((20, 800)), ft.StftParams())
+        out = sv.stft(np.zeros((20, 800)))
         assert out.shape == (20, 100, 100)
 
     def test_literal_preset_no_padding(self):
-        out = sv.stft(np.ones((2, 800)), LITERAL)
-        frame, hop = LITERAL.frame_samples(FS), LITERAL.hop_samples
-        assert out.shape[2] == (800 - frame) // hop + 1
-        assert out.shape[1] == frame // 2 + 1
+        # a window long enough for 100 frames is framed as it is
+        for n in (UNPADDED_N, UNPADDED_N + HOP - 1, UNPADDED_N + HOP, 2400):
+            out = sv.stft(np.ones((2, n)))
+            assert out.shape == (2, NFFT // 2 + 1, (n - 25) // HOP + 1)
 
     def test_zero_window(self):
         out = sv.stft(np.zeros((3, 800)))
         assert np.all(out.data == 0)
 
     def test_sinusoid_peak_bin(self):
-        # 1 s frames give 1 Hz bins, so the peak must sit on the 8 Hz bin;
-        # the short default frame is checked against the DFT oracle below
-        params = ft.StftParams(frame_len_s=1.0, fft_size=200, hop_samples=50, pad_to_frames=None)
-        out = sv.stft(sine_window(8.0, n_channels=1), params)
-        freqs = ft.stft_bin_freqs(params)
-        expected_bin = int(np.argmin(np.abs(freqs - 8.0)))
-        peaks = out.data[0].argmax(axis=0)
-        assert np.all(peaks == expected_bin)
+        # at 1584 Hz a frame fills the 198-point DFT and the bins are 8 Hz
+        # apart, so an 80 Hz sine must peak on bin 10 in every frame
+        fs = 1584
+        out = sv.stft(sine_window(80.0, n_channels=1, n=fs, fs=fs), fs)
+        assert ft.stft_bin_freqs(fs)[10] == 80.0
+        assert out.shape == (1, 100, (fs - NFFT) // HOP + 1)
+        assert np.all(out.data[0].argmax(axis=0) == 10)
 
     def test_peak_bin_matches_direct_dft(self):
-        # one frame, direct DFT summation as the oracle
+        # frames of an unpadded window, direct DFT summation as the oracle
         rng = np.random.default_rng(1)
-        frame = np.sin(2 * np.pi * 8.0 * np.arange(25) / FS) + 0.01 * rng.normal(size=25)
+        x = sine_window(8.0, n_channels=1, n=UNPADDED_N)[0] + 0.01 * rng.normal(size=UNPADDED_N)
+        out = sv.stft(x[None, :])
         taper = np.hanning(26)[:25]  # periodic hann
-        oracle = dft_magnitude(frame * taper, 198)
-        params = ft.StftParams(hop_samples=25, pad_to_frames=None)
-        out = sv.stft(frame[None, :25], params)
-        np.testing.assert_allclose(out.data[0, :, 0], oracle, atol=1e-8)
+        for j in (0, 1, 57, 99):
+            oracle = dft_magnitude(x[HOP * j : HOP * j + 25] * taper, NFFT)
+            np.testing.assert_allclose(out.data[0, :, j], oracle, atol=1e-8)
 
     def test_frame_longer_than_window(self):
-        with pytest.raises(InvalidArgumentError):
-            sv.stft(np.zeros((1, 10)), ft.StftParams(pad_to_frames=None))
+        # a window shorter than one frame is reflect-padded to 100 frames
+        for n in (1, 10):
+            x = np.random.default_rng(n).normal(size=(1, n))
+            out = sv.stft(x)
+            assert out.shape == (1, 100, 100)
+            assert_matches_oracle(out.data, rfft_stft_oracle(x, FS))
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(2)
-        params = ft.StftParams(hop_samples=25, pad_to_frames=None)
         taper = sps.get_window("hann", 25, fftbins=True)
         for _ in range(20):
-            frame = rng.normal(size=25)
-            out = sv.stft(frame[None, :], params).data[0, :, 0]
-            nfft = 198
+            x = rng.normal(size=UNPADDED_N)
+            j = int(rng.integers(PAD_TO_FRAMES))
+            frame = x[HOP * j : HOP * j + 25]
+            out = sv.stft(x[None, :]).data[0, :, j]
             doubled = out**2
             total = doubled[0] + 2 * doubled[1:-1].sum() + doubled[-1]
             energy = np.sum((frame * taper) ** 2)
-            assert abs(total - nfft * energy) / (nfft * energy) < 1e-6
+            assert abs(total - NFFT * energy) / (NFFT * energy) < 1e-6
 
-
-@pytest.mark.parametrize(
-    "make,field,kwargs",
-    [
-        (ft.StftParams, "hop_samples", {"hop_samples": 0}),
-        (ft.StftParams, "hop_samples", {"hop_samples": -8}),
-        (ft.StftParams, "hop_samples", {"hop_samples": 2.5}),
-        (ft.StftParams, "hop_samples", {"hop_samples": True}),
-        (ft.StftParams, "fft_size", {"fft_size": 0}),
-        (ft.StftParams, "fft_size", {"fft_size": 198.0}),
-        (ft.StftParams, "pad_to_frames", {"pad_to_frames": 0}),
-        (ft.StftParams, "frame_len_s", {"frame_len_s": np.nan}),
-        (ft.StftParams, "frame_len_s", {"frame_len_s": np.inf}),
-        (ft.StftParams, "frame_len_s", {"frame_len_s": 0.0}),
-        (ft.BandSpec, "edges", {"edges": ()}),
-    ],
-)
-def test_invalid_framing_rejected(make, field, kwargs):
-    with pytest.raises(InvalidArgumentError, match=field):
-        make(**kwargs)
+    @pytest.mark.parametrize(
+        "fs,match",
+        [
+            (3, "frame shorter than one sample"),  # 0.375 samples
+            (2000, "250 samples at 2000 Hz, more than the 198-point DFT"),
+        ],
+        ids=["3Hz", "2000Hz"],
+    )
+    def test_frame_outside_dft_rejected(self, fs, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            sv.stft(np.zeros((1, 4 * fs)), fs)
 
 
 class TestFrequencyBands:
@@ -133,10 +129,8 @@ class TestFrequencyBands:
         assert np.all(means[2] > 10 * means[4:])  # vs (30,50), (50,70), (70,100)
 
     def test_band_above_nyquist(self):
-        with pytest.raises(InvalidArgumentError):
-            sv.frequency_bands(
-                np.zeros((1, 800)), bands=ft.BandSpec(((1, 4), (90, 150)))
-            )
+        with pytest.raises(InvalidArgumentError, match=r"band \(50, 70\) exceeds Nyquist 50"):
+            sv.frequency_bands(np.zeros((1, 400)), 100)
 
     def test_phase_invariance(self):
         a = sv.frequency_bands(sine_window(10.0, 1)).data[0].mean(axis=1)
@@ -147,23 +141,22 @@ class TestFrequencyBands:
         np.testing.assert_allclose(a, b, rtol=0.05, atol=0.02 * a.max())
 
 
-def rfft_stft_oracle(x, params):
+def rfft_stft_oracle(x, fs):
     """Zero-padded per-frame rfft of the Hann-tapered frames, (channels, bins, frames)."""
-    frame, nfft, hop = params.frame_samples(FS), params.fft_size, params.hop_samples
-    if params.pad_to_frames is not None:
-        # reflect-pad to pad_to_frames frames, the odd sample behind
-        pad = max((params.pad_to_frames - 1) * hop + frame - x.shape[1], 0)
-        x = np.pad(x, ((0, 0), (pad // 2, pad - pad // 2)), mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::hop, :]
+    frame = int(round(FRAME_S * fs))
+    # reflect-pad to 100 frames, the odd sample behind
+    pad = max((PAD_TO_FRAMES - 1) * HOP + frame - x.shape[1], 0)
+    x = np.pad(x, ((0, 0), (pad // 2, pad - pad // 2)), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::HOP, :]
     taper = sps.get_window("hann", frame, fftbins=True)
-    return np.transpose(np.abs(rfft(frames * taper, n=nfft, axis=2)), (0, 2, 1))
+    return np.transpose(np.abs(rfft(frames * taper, n=NFFT, axis=2)), (0, 2, 1))
 
 
-def bands_oracle(x, params, bands):
-    spec = rfft_stft_oracle(x, params)
-    freqs = ft.stft_bin_freqs(params, FS)
+def bands_oracle(x, fs):
+    spec = rfft_stft_oracle(x, fs)
+    freqs = np.arange(NFFT // 2 + 1) * fs / NFFT
     return np.stack(
-        [spec[:, (freqs >= lo) & (freqs < hi), :].mean(axis=1) for lo, hi in bands.edges],
+        [spec[:, (freqs >= lo) & (freqs < hi), :].mean(axis=1) for lo, hi in ft.DEFAULT_BAND_EDGES],
         axis=1,
     )
 
@@ -172,44 +165,47 @@ def assert_matches_oracle(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+# (rate, window length) cases of the one framing. "shape_compat" windows are
+# too short for 100 frames and are reflect-padded to exactly 100;
+# "literal" windows are framed as they are, frame j reading the samples from
+# 8j on (817 samples is the shortest such window at 200 Hz).
 PRESETS = {
-    # the pipeline framing
-    "shape_compat": (
-        ft.StftParams(),
-        ft.BandSpec(((0.5, 3), (3, 9.5), (20, 45), (60, 99.9))),
-    ),
-    # 8 Hz bins: the default (1, 4) band would cover none of them
-    "literal": (LITERAL, ft.BandSpec(((0, 10), (10, 40), (40, 100)))),
+    "shape_compat": [(fs, n) for fs in (200, 250, 256) for n in (37, 800)] + [(250, 817), (256, 817)],
+    "literal": [(200, UNPADDED_N)] + [(fs, 2400) for fs in (200, 250, 256)],
 }
+
+
+def preset_windows(preset, n_channels):
+    """(rate, window, frames) for each case of ``preset``, with the frame count it must give."""
+    for fs, n in PRESETS[preset]:
+        x = 30 * np.random.default_rng([n_channels, fs, n]).normal(size=(n_channels, n))
+        frame = int(round(FRAME_S * fs))
+        frames = PAD_TO_FRAMES if preset == "shape_compat" else (n - frame) // HOP + 1
+        yield fs, x, frames
 
 
 class TestDftBasis:
     @pytest.mark.parametrize("n_channels", [1, 20])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_stft_matches_rfft_oracle(self, preset, n_channels):
-        params, _ = PRESETS[preset]
-        x = 30 * np.random.default_rng(n_channels).normal(size=(n_channels, 800))
-        got = sv.stft(x, params).data
-        want = rfft_stft_oracle(x, params)
-        assert got.shape == want.shape
-        assert_matches_oracle(got, want)
+        for fs, x, frames in preset_windows(preset, n_channels):
+            got = sv.stft(x, fs).data
+            want = rfft_stft_oracle(x, fs)
+            assert got.shape == want.shape == (n_channels, NFFT // 2 + 1, frames)
+            assert_matches_oracle(got, want)
 
     @pytest.mark.parametrize("n_channels", [1, 20])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_bands_match_rfft_oracle(self, preset, n_channels):
-        params, bands = PRESETS[preset]
-        x = 30 * np.random.default_rng(n_channels).normal(size=(n_channels, 800))
-        got = sv.frequency_bands(x, params, bands).data
-        want = bands_oracle(x, params, bands)
-        assert got.shape == want.shape
-        assert_matches_oracle(got, want)
+        for fs, x, frames in preset_windows(preset, n_channels):
+            got = sv.frequency_bands(x, fs).data
+            want = bands_oracle(x, fs)
+            assert got.shape == want.shape == (n_channels, len(ft.DEFAULT_BAND_EDGES), frames)
+            assert_matches_oracle(got, want)
 
     def test_default_bands_match_rfft_oracle(self):
         x = np.random.default_rng(5).normal(size=(20, 800))
-        params = ft.StftParams()
-        assert_matches_oracle(
-            sv.frequency_bands(x).data, bands_oracle(x, params, ft.BandSpec())
-        )
+        assert_matches_oracle(sv.frequency_bands(x).data, bands_oracle(x, FS))
 
     def test_repeated_calls_bit_identical(self):
         x = np.random.default_rng(6).normal(size=(20, 800))
@@ -229,8 +225,9 @@ class TestDftBasis:
             assert ft._hann(n).tobytes() == sps.get_window("hann", n, fftbins=True).tobytes()
 
     def test_band_covering_no_bin(self):
-        with pytest.raises(InvalidArgumentError, match="covers no STFT bin"):
-            sv.frequency_bands(np.zeros((1, 800)), LITERAL)
+        # at 800 Hz the bins are 4.04 Hz apart: none lies in [1, 4)
+        with pytest.raises(InvalidArgumentError, match=r"band \(1, 4\) covers no STFT bin"):
+            sv.frequency_bands(np.zeros((1, 3200)), 800)
 
 
 class TestLfcc:
@@ -470,8 +467,8 @@ class TestSincStream:
         assert np.shares_memory(tensor.flat(), tensor.data)
 
 
-# samples per STFT block of the default preset: a 1 s shift at 200 Hz
-BANDS_STEP = ft._FRAME_BLOCK * ft.PIPELINE_STFT.hop_samples
+# samples per STFT block: a 1 s shift at 200 Hz
+BANDS_STEP = ft._FRAME_BLOCK * HOP
 
 
 def streamed_bands():
@@ -558,13 +555,17 @@ class TestBandsStream:
 
 class TestMultirate:
     def test_lengths(self):
-        out = sv.multirate(np.zeros((20, 800)))
-        assert [t.shape for t in out] == [(20, 1, 800), (20, 1, 400), (20, 1, 200)]
+        # the 200, 100 and 50 Hz copies, one after the other on the time axis
+        x = np.random.default_rng(3).normal(size=(20, 800))
+        out = sv.multirate(x)
+        assert out.extractor_id == "multirate"
+        assert out.shape == (20, 1, 800 + 400 + 200)
+        want = np.concatenate([x, x[:, ::2], x[:, ::4]], axis=1)[:, None, :]
+        assert out.data.tobytes() == want.tobytes()
 
     def test_constant(self):
         out = sv.multirate(np.full((1, 800), 2.5))
-        for t in out:
-            assert np.all(t.data == 2.5)
+        assert np.all(out.data == 2.5)
 
     def test_non_divisor_rate(self):
         with pytest.raises(InvalidArgumentError, match="rate 200 does not divide 256"):

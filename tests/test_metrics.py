@@ -96,15 +96,15 @@ class TestEpoch:
 
 class TestOvlp:
     def test_overlap_is_tp(self):
-        cc, fa = sv.ovlp(track([(10, 20)]), [(18.0, 25.0)])
-        assert (cc.tp, cc.fn, cc.fp) == (1, 0, 0) and fa == 0
+        cc = sv.ovlp(track([(10, 20)]), [(18.0, 25.0)])
+        assert (cc.tp, cc.fn, cc.fp) == (1, 0, 0)
 
     def test_disjoint(self):
-        cc, fa = sv.ovlp(track([(10, 20)]), [(21.0, 25.0)])
-        assert cc.fn == 1 and cc.fp == 1 and fa == 1
+        cc = sv.ovlp(track([(10, 20)]), [(21.0, 25.0)])
+        assert cc.fn == 1 and cc.fp == 1
 
     def test_touching_is_not_overlap(self):
-        cc, _ = sv.ovlp(track([(10, 20)]), [(20.0, 25.0)])
+        cc = sv.ovlp(track([(10, 20)]), [(20.0, 25.0)])
         assert cc.tp == 0 and cc.fn == 1
 
 
@@ -244,8 +244,8 @@ class TestGridOracleEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(100):
             t, lab, hyp = random_pair(rng)
-            cc, fa = sv.ovlp(t, hyp)
-            assert (cc.tp, cc.tn, cc.fp, cc.fn, fa) == oracles.grid_ovlp(lab, hyp, 60.0)
+            cc = sv.ovlp(t, hyp)
+            assert (cc.tp, cc.tn, cc.fp, cc.fn) == oracles.grid_ovlp(lab, hyp, 60.0)
             tc = sv.taes(t, hyp)
             otp, otn, ofp, ofn = oracles.grid_taes(lab, hyp, 60.0)
             for got, want in ((tc.tp, otp), (tc.tn, otn), (tc.fp, ofp), (tc.fn, ofn)):
@@ -259,7 +259,7 @@ class TestInvariants:
             t, lab, hyp = random_pair(rng)
             if not lab:
                 continue
-            cc, _ = sv.ovlp(t, hyp)
+            cc = sv.ovlp(t, hyp)
             tc = sv.taes(t, hyp)
             assert tc.tpr <= cc.tpr + 1e-12
 
@@ -279,13 +279,13 @@ class TestInvariants:
         t = track([(10, 20), (30, 35)], duration=60.0)
         hyp = [(12.0, 18.0), (40.0, 42.0)]
         longer = track([(10, 20), (30, 35)], duration=120.0)
-        cc_a, fa_a = sv.ovlp(t, hyp)
-        cc_b, fa_b = sv.ovlp(longer, hyp)
+        cc_a = sv.ovlp(t, hyp)
+        cc_b = sv.ovlp(longer, hyp)
         assert (cc_a.tp, cc_a.fn, cc_a.fp) == (cc_b.tp, cc_b.fn, cc_b.fp)
         assert sv.taes(t, hyp).tpr == sv.taes(longer, hyp).tpr
         assert sv.margin(t, hyp, 3.0) == sv.margin(longer, hyp, 3.0)
         assert sv.onset_latency(t, hyp).mean_s == sv.onset_latency(longer, hyp).mean_s
-        assert sv.fa_per_24h(fa_b, 120.0) < sv.fa_per_24h(fa_a, 60.0)
+        assert sv.fa_per_24h(cc_b.fp, 120.0) < sv.fa_per_24h(cc_a.fp, 60.0)
 
 
 class TestReport:
