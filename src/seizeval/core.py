@@ -199,7 +199,9 @@ class Window:
 
 
 # Rows of one resampling product. OpenBLAS runs a product on one thread while
-# rows * span * up multiply-adds stay small; 2**18 is under its threshold.
+# its multiply-adds (rows * inner size * columns) stay small; 2**18 is under
+# its threshold. The resampler and the sinc filterbank (features._fir_rows)
+# cut their products to at most this many.
 _RESAMPLE_ROWS = 64
 _ONE_THREAD_MACS = 2**18
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PIPELINE_RATE_HZ
+from .core import _ONE_THREAD_MACS, PIPELINE_RATE_HZ
 from .errors import InvalidArgumentError
 
 DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
@@ -76,26 +76,21 @@ def extract_raw(samples: np.ndarray) -> FeatureTensor:
 # per-stream block reuse (sincnet, stft, bands)
 
 
-def _frames(x: np.ndarray, length: int, stride: int, j0: int, j1: int, offset: int) -> np.ndarray:
-    """Read-only (channels, j1 - j0, length) view of the rows of ``x`` in frames.
+def _frames(x: np.ndarray, length: int, stride: int, first: int, n: int) -> np.ndarray:
+    """Read-only (channels, n, length) view of the rows of ``x`` in frames.
 
-    Frame ``j`` holds the ``length`` samples from ``stride * j - offset`` on;
+    Frame ``j`` holds the ``length`` samples from ``first + stride * j`` on;
     samples outside ``x`` read as zero. The samples are copied into a zeroed
     buffer first, so a product over the view has a shape and layout that
-    depend only on ``(channels, j1 - j0, length)``, whatever the layout of
-    ``x``.
+    depend only on ``(channels, n, length)``, whatever the layout of ``x``.
     """
-    first = stride * j0 - offset
-    seg = np.zeros((x.shape[0], stride * (j1 - j0 - 1) + length))
+    seg = np.zeros((x.shape[0], stride * (n - 1) + length))
     lo, hi = max(first, 0), min(first + seg.shape[1], x.shape[1])
     if hi > lo:
         seg[:, lo - first : hi - first] = x[:, lo:hi]
-    return np.lib.stride_tricks.as_strided(
-        seg,
-        (seg.shape[0], j1 - j0, length),
-        (seg.strides[0], stride * seg.itemsize, seg.itemsize),
-        writeable=False,
-    )
+    seg.flags.writeable = False
+    strides = (seg.strides[0], stride * seg.itemsize, seg.itemsize)
+    return np.ndarray((seg.shape[0], n, length), seg.dtype, seg, 0, strides)
 
 
 class BlockCache:
@@ -313,7 +308,7 @@ def _spectral(
     out = np.empty((x.shape[0], k, n_frames))
 
     def rows(j0: int, j1: int) -> np.ndarray:
-        return _spectral_rows(_frames(x, frame, _HOP, j0, j1, left), basis, averaging)
+        return _spectral_rows(_frames(x, frame, _HOP, _HOP * j0 - left, j1 - j0), basis, averaging)
 
     if edges.size:
         out[:, :, edges] = _spectral_rows(x[:, edge_idx], basis, averaging)
@@ -473,25 +468,16 @@ class SincBank:
     bands: tuple[tuple[float, float], ...] = DEFAULT_BAND_EDGES
 
     def __post_init__(self) -> None:
+        for name in ("kernel_len", "stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InvalidArgumentError(f"{name} must be an int, got {value!r}")
         if self.kernel_len < 2 or self.kernel_len % 2 != 0:
             raise InvalidArgumentError(f"kernel_len must be even and >= 2, got {self.kernel_len}")
         if self.stride < 1:
             raise InvalidArgumentError("stride must be >= 1")
         if not self.bands:
             raise InvalidArgumentError("bands must not be empty")
-
-
-def _fir_rows(x: np.ndarray, taps: np.ndarray, stride: int, j0: int, j1: int) -> np.ndarray:
-    """Outputs ``j0 <= j < j1`` of every row of ``x`` convolved with every kernel.
-
-    Returns (channels, j1 - j0, kernels). ``taps`` holds the reversed kernels
-    as columns (``_sinc_taps``). Output ``j`` is centred on sample
-    ``stride * j`` like ``np.convolve(row, kernel, "same")[::stride]``: it
-    reads the ``kernel_len`` samples from ``stride * j - kernel_len // 2`` on,
-    and samples outside the window read as zero (``_frames``).
-    """
-    kernel_len = taps.shape[0]
-    return _frames(x, kernel_len, stride, j0, j1, kernel_len // 2) @ taps
 
 
 @lru_cache(maxsize=8)
@@ -501,6 +487,61 @@ def _sinc_taps(bank: SincBank, sample_rate_hz: int) -> np.ndarray:
     taps = np.stack([k[::-1] for k in kernels], axis=1)
     taps.flags.writeable = False
     return taps
+
+
+# Consecutive outputs that one row of a banded product gives (``_sinc_banded``).
+# It divides _SINC_BLOCK, so a block is a whole number of rows per channel.
+_SINC_GROUP = 5
+
+
+@lru_cache(maxsize=8)
+def _sinc_banded(bank: SincBank, sample_rate_hz: int) -> np.ndarray:
+    """Read-only (stride * (_SINC_GROUP - 1) + kernel_len, _SINC_GROUP * n_bands) matrix.
+
+    Column block ``j`` holds ``_sinc_taps`` shifted down by ``stride * j``
+    rows and zeros elsewhere, so the samples from ``stride * j0 -
+    kernel_len // 2`` on, times this matrix, give outputs ``j0 + j`` of every
+    band for ``0 <= j < _SINC_GROUP``.
+    """
+    taps = _sinc_taps(bank, sample_rate_hz)
+    kernel_len, n_bands = taps.shape
+    banded = np.zeros((bank.stride * (_SINC_GROUP - 1) + kernel_len, _SINC_GROUP * n_bands))
+    for j in range(_SINC_GROUP):
+        banded[bank.stride * j : bank.stride * j + kernel_len, j * n_bands : (j + 1) * n_bands] = taps
+    banded.flags.writeable = False
+    return banded
+
+
+def _fir_rows(x: np.ndarray, banded: np.ndarray, stride: int, j0: int, j1: int) -> np.ndarray:
+    """Outputs ``j0 <= j < j1`` of every row of ``x`` convolved with every kernel.
+
+    Returns (kernels, channels, j1 - j0). Output ``j`` is centred on sample
+    ``stride * j`` like ``np.convolve(row, kernel, "same")[::stride]``: it
+    reads the ``kernel_len`` samples from ``stride * j - kernel_len // 2`` on,
+    and samples outside the window read as zero (``_frames``).
+
+    Each channel's outputs come in groups of ``_SINC_GROUP`` from ``j0`` on;
+    the last group may run past ``j1`` and its extra outputs are dropped. One
+    row of samples per group, channel-major, is copied into one contiguous
+    array and multiplied by the ``banded`` matrix (``_sinc_banded``) in
+    chunks of at most ``core._ONE_THREAD_MACS`` multiply-adds, counted from
+    the first row, so OpenBLAS runs each chunk on one core. A range of the
+    same length on a window of the same shape thus puts each output at the
+    same row of a product of the same shape.
+    """
+    width, cols = banded.shape
+    kernel_len = width - stride * (_SINC_GROUP - 1)
+    n_groups = -(-(j1 - j0) // _SINC_GROUP)
+    first = stride * j0 - kernel_len // 2
+    rows = np.ascontiguousarray(_frames(x, width, stride * _SINC_GROUP, first, n_groups))
+    rows = rows.reshape(-1, width)
+    prod = np.empty((rows.shape[0], cols))
+    chunk = max(1, _ONE_THREAD_MACS // (width * cols))
+    for r in range(0, rows.shape[0], chunk):
+        np.matmul(rows[r : r + chunk], banded, out=prod[r : r + chunk])
+    # row (channel, group), column (output in group, band) -> (band, channel, output)
+    n_bands = cols // _SINC_GROUP
+    return prod.reshape(x.shape[0], -1, n_bands).transpose(2, 0, 1)[..., : j1 - j0]
 
 
 # Interior sinc outputs are computed in blocks of this many outputs (1 s at
@@ -519,25 +560,29 @@ def sinc_filterbank(
     Each band's kernel is convolved with every channel, zero-padded and
     centred like ``np.convolve(row, kernel, "same")``, keeping every
     ``stride``-th output. The kernels are designed once per ``(bank, fs)``
-    (``_sinc_taps``) and applied as direct, strided FIR products that compute
-    only the kept outputs. Outputs differ from the per-row ``np.convolve``
-    result by under 1e-15 of their largest magnitude.
+    and laid out as a cached banded matrix (``_sinc_banded``): one row of
+    ``stride * (_SINC_GROUP - 1) + kernel_len`` samples gives ``_SINC_GROUP``
+    (5) consecutive kept outputs of every band, so only the kept outputs are
+    computed. The rows go through BLAS products small enough to run on one
+    core (``_fir_rows``). Outputs
+    differ from the per-row ``np.convolve`` result by under 1e-15 of their
+    largest magnitude.
 
-    The outputs that read zero padding at either edge form one product each.
+    The outputs that read zero padding at either edge form one range each.
     The interior outputs form blocks of ``_SINC_BLOCK`` outputs, which a
     ``cache`` lets a stream compute once (``_fill_interior``); the result is
     bit-identical to a call without a cache.
     """
     x = _check_window(samples)
     bank = bank or SincBank()
-    taps = _sinc_taps(bank, sample_rate_hz)
+    banded = _sinc_banded(bank, sample_rate_hz)
     n_out = -(-x.shape[1] // bank.stride)
     lo, hi = _interior(x.shape[1], bank.kernel_len, bank.stride, bank.kernel_len // 2, n_out)
     out = np.empty((len(bank.bands), x.shape[0], n_out))
     key, step = ("sincnet", bank, sample_rate_hz, x.shape), bank.stride * _SINC_BLOCK
 
     def rows(j0: int, j1: int) -> np.ndarray:
-        return np.moveaxis(_fir_rows(x, taps, bank.stride, j0, j1), 2, 0)
+        return _fir_rows(x, banded, bank.stride, j0, j1)
 
     for j0, j1 in ((0, lo), (hi, n_out)):
         if j1 > j0:

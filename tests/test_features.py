@@ -378,17 +378,55 @@ class TestSincFilterbank:
             ("kernel_len", {"kernel_len": 7}),
             ("stride", {"stride": 0}),
             ("bands", {"bands": ()}),
+            # a float or a bool is not a length or a step, even when it is whole
+            ("kernel_len", {"kernel_len": 80.0}),
+            ("kernel_len", {"kernel_len": True}),
+            ("stride", {"stride": 2.5}),
+            ("stride", {"stride": 2.0}),
+            ("stride", {"stride": True}),
         ],
     )
     def test_invalid_bank_rejected(self, field, kwargs):
         with pytest.raises(InvalidArgumentError, match=field):
             ft.SincBank(**kwargs)
 
+    def test_numpy_integers_accepted(self):
+        bank = ft.SincBank(np.int64(80), np.int32(2))
+        assert bank == ft.SincBank()
+        x = np.random.default_rng(3).normal(size=(2, 300))
+        assert sv.sinc_filterbank(x, bank).data.tobytes() == sv.sinc_filterbank(x).data.tobytes()
+
+    @pytest.mark.parametrize("bank", [ft.SincBank(), ft.SincBank(64, 3, ((0.5, 3), (40, 99)))])
+    def test_banded_cached_and_read_only(self, bank):
+        banded = ft._sinc_banded(bank, FS)
+        assert banded is ft._sinc_banded(ft.SincBank(bank.kernel_len, bank.stride, bank.bands), FS)
+        assert not banded.flags.writeable
+        with pytest.raises(ValueError):
+            banded[0, 0] = 1.0
+        taps, g = ft._sinc_taps(bank, FS), ft._SINC_GROUP
+        k, n_bands = taps.shape
+        assert banded.shape == (bank.stride * (g - 1) + k, g * n_bands)
+        for j in range(g):
+            block = banded[:, j * n_bands : (j + 1) * n_bands]
+            np.testing.assert_array_equal(block[bank.stride * j : bank.stride * j + k], taps)
+            assert not block[: bank.stride * j].any() and not block[bank.stride * j + k :].any()
+
 
 # samples per sinc block: a window shifted by a whole number of these reuses outputs
 SINC_STEP = ft._SINC_BLOCK * ft.SincBank().stride
 # 60 s of a random recording; streams slice their windows from it
 STREAM_REC = 30 * np.random.default_rng(11).normal(size=(3, 60 * FS))
+# 30 s of 22 channels, for streams whose blocks take several products each
+WIDE_REC = 30 * np.random.default_rng(12).normal(size=(22, 30 * FS))
+
+
+def sinc_steps(max_size):
+    """Lists of (shift in samples, window length in s) for a sinc stream;
+    shifts by whole blocks come up often, so outputs get reused."""
+    shift = st.one_of(
+        st.sampled_from([0, SINC_STEP, 2 * SINC_STEP]), st.integers(-3 * SINC_STEP, 3 * SINC_STEP)
+    )
+    return st.lists(st.tuples(shift, st.sampled_from([4, 12])), min_size=1, max_size=max_size)
 
 
 class TestSincStream:
@@ -396,20 +434,7 @@ class TestSincStream:
     ``sinc_filterbank`` call returns, bit for bit, whatever came before."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        first=st.integers(0, STREAM_REC.shape[1]),
-        steps=st.lists(
-            st.tuples(
-                st.one_of(
-                    st.sampled_from([0, SINC_STEP, 2 * SINC_STEP]),
-                    st.integers(-3 * SINC_STEP, 3 * SINC_STEP),
-                ),
-                st.sampled_from([4, 12]),
-            ),
-            min_size=1,
-            max_size=10,
-        ),
-    )
+    @given(first=st.integers(0, STREAM_REC.shape[1]), steps=sinc_steps(10))
     def test_stream_equals_fresh(self, first, steps):
         extract = ft.get_extractor("sincnet")
         start, returned = first, []
@@ -441,6 +466,42 @@ class TestSincStream:
             extract(STREAM_REC[:, k * FS : k * FS + 4 * FS])
             per_window.append(sum(counted))
         assert per_window == [439, 139, 139, 139, 139]
+
+    @pytest.mark.parametrize("n_channels", [20, 22])
+    @settings(max_examples=15, deadline=None)
+    @given(first=st.integers(0, WIDE_REC.shape[1]), steps=sinc_steps(6))
+    def test_stream_equals_fresh_across_products(self, n_channels, first, steps):
+        # at 20 or more channels one block's rows span several products
+        banded = ft._sinc_banded(ft.SincBank(), FS)
+        block_rows = n_channels * ft._SINC_BLOCK // ft._SINC_GROUP
+        assert block_rows * banded.size > ft._ONE_THREAD_MACS
+        rec = WIDE_REC[:n_channels]
+        extract = ft.get_extractor("sincnet")
+        start = first
+        for shift, window_s in steps:
+            n = window_s * FS
+            start = min(max(start + shift, 0), rec.shape[1] - n)
+            window = rec[:, start : start + n]
+            assert extract(window).data.tobytes() == ft.sinc_filterbank(window.copy()).data.tobytes()
+
+    @pytest.mark.parametrize("n_channels,bank", [
+        (3, ft.SincBank()), (22, ft.SincBank()), (22, ft.SincBank(stride=1)),
+        (40, ft.SincBank(512, 1, ((1, 4),))),  # a row of 516 samples
+    ])  # fmt: skip
+    def test_products_stay_on_one_core(self, monkeypatch, n_channels, bank):
+        # OpenBLAS runs a product of at most _ONE_THREAD_MACS multiply-adds on
+        # one thread; every product the filterbank takes stays under it
+        macs = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        window = np.random.default_rng(n_channels).normal(size=(n_channels, 4 * FS))
+        ft.sinc_filterbank(window, bank)
+        assert macs and max(macs) <= ft._ONE_THREAD_MACS
 
     def test_caller_buffer_mutated_in_place(self):
         # the cache compares against its own copy: after the buffer is
