@@ -4,13 +4,17 @@ Six extractors share one contract: input is a (channels, samples) float
 window at the recording's rate, output is one 3-axis FeatureTensor
 (``multirate`` joins its three decimated copies into one). Each has one
 configuration, the one the CLI runs, held in module constants rather than
-settings objects: ``stft`` and ``frequency_bands`` frame every window the
-same way and take only the window, the rate and an optional cache. All of
-them are pure and deterministic. The ``sincnet`` and ``stft`` callables from ``get_extractor``
-keep per-stream state: the outputs of the previous window that the next one
-can reuse (``BlockCache``); ``frequency_bands`` takes the same cache, but the
-``bands`` callable does not pass one. What they return still depends on the
-window alone.
+settings objects, so each takes at most the window, the rate and, for
+``sinc_filterbank``, ``stft`` and ``frequency_bands``, an optional cache.
+The sinc filterbank, for one, always runs the 7 bands of
+``DEFAULT_BAND_EDGES`` with 80-tap kernels and a stride of 2. All of them
+are pure and deterministic, and those three block extractors return
+read-only tensors. The ``sincnet`` and ``stft`` callables from
+``get_extractor`` keep per-stream state: a ``BlockCache`` that holds the
+previous window and the tensor returned for it, whose outputs the next
+window can reuse. ``frequency_bands`` takes the same cache, but the
+``bands`` callable does not pass one. What they return still depends on
+the window alone.
 """
 
 from __future__ import annotations
@@ -94,44 +98,22 @@ def _frames(x: np.ndarray, length: int, stride: int, first: int, n: int) -> np.n
 
 
 class BlockCache:
-    """What one stream's extractor keeps of its previous window.
+    """The previous window of one stream, for the extractors whose interior
+    outputs come in fixed blocks (``sincnet``, ``stft``, ``bands``; see
+    ``_fill_interior``).
 
-    Extractors whose interior outputs come in fixed blocks (``sincnet``,
-    ``stft``, ``bands``; see ``_fill_interior``) share it. It holds its own
-    copy of the previous window from the second block's samples on, and that
-    window's interior outputs from the second block on. It is written only
-    once all of a window's outputs are computed, so a window that fails its
-    input check leaves it as it was. It replaces its arrays rather than
-    writing into them, so tensors returned earlier never change. A cache
-    serves one stream and is not thread-safe.
+    It holds the window's ``key`` (extractor, rate, window shape), its own
+    copy of the window's ``samples``, and ``out``, the output array of the
+    tensor returned for it, which ``_fill_interior`` has made read-only. It
+    is written only once all of a window's outputs are computed, so a window
+    that fails its input check leaves it as it was. A cache serves one
+    stream and is not thread-safe.
     """
 
     def __init__(self) -> None:
-        self.key: tuple | None = None  # (extractor, its bank if any, rate, window shape)
-        self.tail: np.ndarray | None = None
-        self.rows: np.ndarray | None = None  # interior outputs, time on the last axis
-
-    def shift(self, key: tuple, x: np.ndarray, n_blocks: int, step: int) -> int:
-        """Blocks ``m >= 1`` by which window ``x`` follows the previous one, or 0.
-
-        ``step`` is one block's samples. The first ``m`` blocks of outputs are
-        new; the other ``n_blocks - m`` can come from ``rows``.
-        """
-        if key != self.key:
-            return 0
-        n = x.shape[1]
-        # bit patterns, so -0.0 and 0.0 count as different samples
-        bits, tail = x.view(np.int64), self.tail.view(np.int64)
-        for m in range(1, n_blocks):
-            if np.array_equal(bits[:, : n - m * step], tail[:, (m - 1) * step :]):
-                return m
-        return 0
-
-    def keep(self, key: tuple, x: np.ndarray, rows: np.ndarray, step: int) -> None:
-        """Remember window ``x`` and its interior outputs after the first block."""
-        self.key = key
-        self.tail = x[:, step:].copy()
-        self.rows = rows.copy()
+        self.key: tuple | None = None
+        self.samples: np.ndarray | None = None
+        self.out: np.ndarray | None = None
 
 
 def _fill_interior(
@@ -145,29 +127,38 @@ def _fill_interior(
     cache: BlockCache | None,
     key: tuple,
 ) -> None:
-    """Write the interior outputs ``out[..., lo:hi]`` of window ``x``.
+    """Write the interior outputs ``out[..., lo:hi]`` of window ``x``, then
+    make ``out`` read-only.
 
     ``rows(j0, j1)`` computes outputs ``j0 <= j < j1`` with time on the last
     axis. They come in blocks of ``block`` outputs counted back from ``hi``;
     the oldest block starts before ``lo`` and drops those placeholder
     outputs. With a ``cache``, a window whose leading samples equal the
     previous window's trailing samples, shifted by ``m`` whole blocks of
-    ``step`` samples, computes only its ``m`` newest blocks and takes the
-    others from the previous window. Each output comes from the same product
-    at the same row, fresh or reused, so the result is bit-identical to a
-    call without a cache. It then writes the window to ``cache``, so callers
-    compute their other outputs first and call it last.
+    ``step`` samples, computes only its ``m`` newest blocks and reads the
+    others from the previous window's outputs. Each output comes from the
+    same product at the same row, fresh or reused, so the result is
+    bit-identical to a call without a cache. It then records the window in
+    ``cache``, so callers compute their other outputs first and call it last.
     """
     n_blocks = -(-(hi - lo) // block)
-    m = cache.shift(key, x, n_blocks, step) if cache is not None else 0
+    m = 0
+    if cache is not None and cache.key == key:
+        # bit patterns, so -0.0 and 0.0 count as different samples
+        n, bits, prev = x.shape[1], x.view(np.int64), cache.samples.view(np.int64)
+        for k in range(1, n_blocks):
+            if np.array_equal(bits[:, : n - k * step], prev[:, k * step :]):
+                m = k
+                break
     if m:
-        out[..., lo : hi - m * block] = cache.rows[..., (m - 1) * block :]
+        out[..., lo : hi - m * block] = cache.out[..., lo + m * block : hi]
     for b in range(m or n_blocks):
         first, end = hi - (b + 1) * block, hi - b * block
         start = max(lo, first)  # outputs before lo are placeholders
         out[..., start:end] = rows(first, end)[..., start - first :]
+    out.flags.writeable = False
     if cache is not None:
-        cache.keep(key, x, out[..., lo + block : hi], step)
+        cache.key, cache.samples, cache.out = key, x.copy(), out
 
 
 # ---------------------------------------------------------------------------
@@ -461,29 +452,24 @@ def design_sinc_kernel(
     return h / np.abs(np.fft.rfft(h, n=4096)).max()
 
 
-@dataclass(frozen=True)
-class SincBank:
-    kernel_len: int = 80
-    stride: int = 2
-    bands: tuple[tuple[float, float], ...] = DEFAULT_BAND_EDGES
+# The pipeline's sinc filterbank: the 7 bands of DEFAULT_BAND_EDGES, 80-tap
+# kernels, and every 2nd output kept, so a 4 s, 200 Hz window maps to 7x400.
+_SINC_KERNEL_LEN = 80
+_SINC_STRIDE = 2
 
-    def __post_init__(self) -> None:
-        for name in ("kernel_len", "stride"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidArgumentError(f"{name} must be an int, got {value!r}")
-        if self.kernel_len < 2 or self.kernel_len % 2 != 0:
-            raise InvalidArgumentError(f"kernel_len must be even and >= 2, got {self.kernel_len}")
-        if self.stride < 1:
-            raise InvalidArgumentError("stride must be >= 1")
-        if not self.bands:
-            raise InvalidArgumentError("bands must not be empty")
+
+class SincBank:
+    """The sinc filterbank's one configuration, read from module constants."""
+
+    kernel_len = _SINC_KERNEL_LEN
+    stride = _SINC_STRIDE
+    bands = DEFAULT_BAND_EDGES
 
 
 @lru_cache(maxsize=8)
-def _sinc_taps(bank: SincBank, sample_rate_hz: int) -> np.ndarray:
-    """Read-only (kernel_len, len(bank.bands)) matrix of the reversed sinc kernels."""
-    kernels = [design_sinc_kernel(f1, f2, bank.kernel_len, sample_rate_hz) for f1, f2 in bank.bands]
+def _sinc_taps(sample_rate_hz: int) -> np.ndarray:
+    """Read-only (80, 7) matrix of the reversed sinc kernels."""
+    kernels = [design_sinc_kernel(*b, _SINC_KERNEL_LEN, sample_rate_hz) for b in DEFAULT_BAND_EDGES]
     taps = np.stack([k[::-1] for k in kernels], axis=1)
     taps.flags.writeable = False
     return taps
@@ -495,30 +481,30 @@ _SINC_GROUP = 5
 
 
 @lru_cache(maxsize=8)
-def _sinc_banded(bank: SincBank, sample_rate_hz: int) -> np.ndarray:
-    """Read-only (stride * (_SINC_GROUP - 1) + kernel_len, _SINC_GROUP * n_bands) matrix.
+def _sinc_banded(sample_rate_hz: int) -> np.ndarray:
+    """Read-only (88, 35) matrix: ``_SINC_GROUP`` (5) shifted copies of the taps.
 
-    Column block ``j`` holds ``_sinc_taps`` shifted down by ``stride * j``
-    rows and zeros elsewhere, so the samples from ``stride * j0 -
-    kernel_len // 2`` on, times this matrix, give outputs ``j0 + j`` of every
-    band for ``0 <= j < _SINC_GROUP``.
+    Column block ``j`` holds ``_sinc_taps`` shifted down by ``2 * j`` rows
+    and zeros elsewhere, so the 88 samples from ``2 * j0 - 40`` on, times
+    this matrix, give outputs ``j0 + j`` of every band for ``0 <= j < 5``.
     """
-    taps = _sinc_taps(bank, sample_rate_hz)
-    kernel_len, n_bands = taps.shape
-    banded = np.zeros((bank.stride * (_SINC_GROUP - 1) + kernel_len, _SINC_GROUP * n_bands))
+    taps = _sinc_taps(sample_rate_hz)
+    n_bands = taps.shape[1]
+    banded = np.zeros((_SINC_STRIDE * (_SINC_GROUP - 1) + _SINC_KERNEL_LEN, _SINC_GROUP * n_bands))
     for j in range(_SINC_GROUP):
-        banded[bank.stride * j : bank.stride * j + kernel_len, j * n_bands : (j + 1) * n_bands] = taps
+        first = _SINC_STRIDE * j
+        banded[first : first + _SINC_KERNEL_LEN, j * n_bands : (j + 1) * n_bands] = taps
     banded.flags.writeable = False
     return banded
 
 
-def _fir_rows(x: np.ndarray, banded: np.ndarray, stride: int, j0: int, j1: int) -> np.ndarray:
+def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Outputs ``j0 <= j < j1`` of every row of ``x`` convolved with every kernel.
 
     Returns (kernels, channels, j1 - j0). Output ``j`` is centred on sample
-    ``stride * j`` like ``np.convolve(row, kernel, "same")[::stride]``: it
-    reads the ``kernel_len`` samples from ``stride * j - kernel_len // 2`` on,
-    and samples outside the window read as zero (``_frames``).
+    ``2 * j`` like ``np.convolve(row, kernel, "same")[::2]``: it reads the 80
+    samples from ``2 * j - 40`` on, and samples outside the window read as
+    zero (``_frames``).
 
     Each channel's outputs come in groups of ``_SINC_GROUP`` from ``j0`` on;
     the last group may run past ``j1`` and its extra outputs are dropped. One
@@ -530,10 +516,9 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, stride: int, j0: int, j1: int) 
     same row of a product of the same shape.
     """
     width, cols = banded.shape
-    kernel_len = width - stride * (_SINC_GROUP - 1)
     n_groups = -(-(j1 - j0) // _SINC_GROUP)
-    first = stride * j0 - kernel_len // 2
-    rows = np.ascontiguousarray(_frames(x, width, stride * _SINC_GROUP, first, n_groups))
+    first = _SINC_STRIDE * j0 - _SINC_KERNEL_LEN // 2
+    rows = np.ascontiguousarray(_frames(x, width, _SINC_STRIDE * _SINC_GROUP, first, n_groups))
     rows = rows.reshape(-1, width)
     prod = np.empty((rows.shape[0], cols))
     chunk = max(1, _ONE_THREAD_MACS // (width * cols))
@@ -551,43 +536,42 @@ _SINC_BLOCK = 100
 
 def sinc_filterbank(
     samples: np.ndarray,
-    bank: SincBank | None = None,
     sample_rate_hz: int = PIPELINE_RATE_HZ,
     cache: BlockCache | None = None,
 ) -> FeatureTensor:
-    """Strided band-pass convolution, (len(bank.bands), channels, ceil(N/stride)).
+    """Strided band-pass convolution, (7, channels, ceil(N / 2)).
 
-    Each band's kernel is convolved with every channel, zero-padded and
-    centred like ``np.convolve(row, kernel, "same")``, keeping every
-    ``stride``-th output. The kernels are designed once per ``(bank, fs)``
-    and laid out as a cached banded matrix (``_sinc_banded``): one row of
-    ``stride * (_SINC_GROUP - 1) + kernel_len`` samples gives ``_SINC_GROUP``
-    (5) consecutive kept outputs of every band, so only the kept outputs are
-    computed. The rows go through BLAS products small enough to run on one
-    core (``_fir_rows``). Outputs
+    The configuration is fixed: the 7 bands of ``DEFAULT_BAND_EDGES``,
+    80-tap kernels and a stride of 2. Each band's kernel is convolved with
+    every channel, zero-padded and centred like ``np.convolve(row, kernel,
+    "same")``, keeping every 2nd output. The kernels are designed once per
+    rate and laid out as a cached banded matrix (``_sinc_banded``): one row
+    of 88 samples gives ``_SINC_GROUP`` (5) consecutive kept outputs of
+    every band, so only the kept outputs are computed. The rows go through
+    BLAS products small enough to run on one core (``_fir_rows``). Outputs
     differ from the per-row ``np.convolve`` result by under 1e-15 of their
     largest magnitude.
 
     The outputs that read zero padding at either edge form one range each.
     The interior outputs form blocks of ``_SINC_BLOCK`` outputs, which a
     ``cache`` lets a stream compute once (``_fill_interior``); the result is
-    bit-identical to a call without a cache.
+    bit-identical to a call without a cache. The returned tensor is
+    read-only.
     """
     x = _check_window(samples)
-    bank = bank or SincBank()
-    banded = _sinc_banded(bank, sample_rate_hz)
-    n_out = -(-x.shape[1] // bank.stride)
-    lo, hi = _interior(x.shape[1], bank.kernel_len, bank.stride, bank.kernel_len // 2, n_out)
-    out = np.empty((len(bank.bands), x.shape[0], n_out))
-    key, step = ("sincnet", bank, sample_rate_hz, x.shape), bank.stride * _SINC_BLOCK
+    banded = _sinc_banded(sample_rate_hz)
+    n_out = -(-x.shape[1] // _SINC_STRIDE)
+    lo, hi = _interior(x.shape[1], _SINC_KERNEL_LEN, _SINC_STRIDE, _SINC_KERNEL_LEN // 2, n_out)
+    out = np.empty((len(DEFAULT_BAND_EDGES), x.shape[0], n_out))
 
     def rows(j0: int, j1: int) -> np.ndarray:
-        return _fir_rows(x, banded, bank.stride, j0, j1)
+        return _fir_rows(x, banded, j0, j1)
 
     for j0, j1 in ((0, lo), (hi, n_out)):
         if j1 > j0:
             out[:, :, j0:j1] = rows(j0, j1)
-    _fill_interior(out, x, lo, hi, _SINC_BLOCK, step, rows, cache, key)
+    key = ("sincnet", sample_rate_hz, x.shape)
+    _fill_interior(out, x, lo, hi, _SINC_BLOCK, _SINC_STRIDE * _SINC_BLOCK, rows, cache, key)
     return FeatureTensor(out, extractor_id="sincnet")
 
 
@@ -622,21 +606,23 @@ def get_extractor(
 ) -> Callable[[np.ndarray], FeatureTensor]:
     """Resolve an extractor by CLI name to a window -> FeatureTensor callable.
 
-    Each extractor has one configuration, the one the CLI runs. Call this
-    once per stream: the ``sincnet`` and ``stft`` callables each carry a
-    ``BlockCache``, so a window that follows the previous one by whole blocks
-    computes only its new outputs; they are not thread-safe. ``raw``,
-    ``bands``, ``lfcc`` and ``multirate`` keep no state. Each callable
-    returns the one tensor its function returns (``multirate`` included) and
-    passes it nothing but the rate and, for ``sincnet`` and ``stft``, the
-    cache. Every callable but ``raw`` looks its function up in this module
-    when called, so a wrapper installed there sees every window.
+    Each extractor has one configuration, the one the CLI runs; ``sincnet``
+    is the fixed 7-band, 80-tap, stride-2 filterbank. Call this once per
+    stream: the ``sincnet`` and ``stft`` callables each carry a
+    ``BlockCache`` of the previous window and its tensor, so a window that
+    follows the previous one by whole blocks computes only its new outputs;
+    they are not thread-safe. ``raw``, ``bands``, ``lfcc`` and ``multirate``
+    keep no state. Each callable returns the one tensor its function returns
+    (``multirate`` included; read-only for ``sincnet``, ``stft`` and
+    ``bands``) and passes it nothing but the rate and, for ``sincnet`` and
+    ``stft``, the cache. Every callable but ``raw`` looks its function up in
+    this module when called, so a wrapper installed there sees every window.
     """
     if name == "raw":
         return extract_raw
     if name == "sincnet":
         cache = BlockCache()
-        return lambda w: sinc_filterbank(w, sample_rate_hz=sample_rate_hz, cache=cache)
+        return lambda w: sinc_filterbank(w, sample_rate_hz, cache)
     if name == "stft":
         cache = BlockCache()
         return lambda w: stft(w, sample_rate_hz, cache)

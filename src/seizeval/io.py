@@ -149,12 +149,8 @@ def load_recording(path: str | Path) -> Recording:
     return Recording(fs, names, samples.reshape(n_channels, n_samples), montage)
 
 
-def load_csv_recording(
-    path: str | Path,
-    sample_rate_hz: int,
-    montage: Montage = Montage.UNIPOLAR,
-) -> Recording:
-    """Import CSV: header row = channel names, one sample per row.
+def load_csv_recording(path: str | Path, sample_rate_hz: int) -> Recording:
+    """Import a unipolar CSV: header row = channel names, one sample per row.
 
     Every cell must be a finite number within float32 range; the first one
     that is not raises LabelParseError naming its line and column.
@@ -190,12 +186,7 @@ def load_csv_recording(
             "float32 value",
         )
     samples = values.astype(np.float32).T
-    return Recording(
-        sample_rate_hz=sample_rate_hz,
-        channel_names=names,
-        samples=samples,
-        montage=montage,
-    )
+    return Recording(sample_rate_hz=sample_rate_hz, channel_names=names, samples=samples)
 
 
 def save_labels(track: LabelTrack, path: str | Path) -> None:

@@ -195,7 +195,6 @@ def margin(
 @dataclass
 class OnsetLatency:
     mean_s: float | None
-    latencies_s: list[float]
     n_missed: int
 
 
@@ -218,7 +217,7 @@ def onset_latency(labels: LabelTrack, hyp: list[Interval]) -> OnsetLatency:
         else:
             missed += 1
     mean = float(np.mean(latencies)) if latencies else None
-    return OnsetLatency(mean_s=mean, latencies_s=latencies, n_missed=missed)
+    return OnsetLatency(mean_s=mean, n_missed=missed)
 
 
 def fa_per_24h(fp_event_count: float, total_duration_s: float) -> float:

@@ -224,6 +224,30 @@ def test_run_exports_hypothesis(corpus):
         assert len(parts) == 4 and parts[2] == "seiz"
 
 
+def test_run_smoothing_and_latency_match_the_stream(corpus):
+    # run writes what export_hypothesis writes for the smoothed stream, and
+    # one latency row per window
+    rec = io.load_recording(corpus / "test" / "rec.eeg")
+    model = detectors.load_model(corpus / "model.bin")
+    hyps = {}
+    for s in ("0", "0.3", "0.9"):
+        out, lat = corpus / f"hyp-{s}.txt", corpus / f"lat-{s}.csv"
+        assert main([
+            "run", "--rec", str(corpus / "test" / "rec.eeg"), "--model", str(corpus / "model.bin"),
+            "--smoothing", s, "--out-hyp", str(out), "--out-latency", str(lat),
+        ]) == 0
+        extractor = features.get_extractor(model.extractor_id, rec.sample_rate_hz)
+        track, _ = rtbench.run_stream(rec, extractor, detectors.LinearDetector(model, float(s)))
+        want = corpus / f"want-{s}.txt"
+        metrics.export_hypothesis(track, metrics.EventizeOpts(), want)
+        hyps[s] = out.read_text()
+        assert hyps[s] == want.read_text()
+        rows = lat.read_text().splitlines()
+        assert rows[0] == "window,extract_s,detect_s,total_s"
+        assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(track.scores.size)]
+    assert hyps["0.9"] != hyps["0"]
+
+
 def test_bench_pass_and_fail(corpus):
     base = [
         "bench", "--rec", str(corpus / "test" / "rec.eeg"),
