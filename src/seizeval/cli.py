@@ -246,12 +246,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.windows:
-        settings = [("window_sec", w) for w in _parse_floats(args.windows)]
-    elif args.shifts:
-        settings = [("shift_sec", s) for s in _parse_floats(args.shifts)]
+    if args.windows is not None:
+        name, values = "window_sec", args.windows
     else:
-        raise InvalidArgumentError("sweep needs --windows or --shifts")
+        name, values = "shift_sec", args.shifts
+    settings = [(name, v) for v in _parse_floats(values)]
+    if not settings:
+        raise InvalidArgumentError("sweep needs at least one --windows or --shifts value")
 
     (train_rec, train_labels), (test_rec, test_labels) = (
         core.synth_recording(core.SynthConfig(
@@ -403,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = add("sweep", help="window/shift parameter sweep on synth data")
-    p.add_argument("--windows", help="comma list of window sizes (s)")
-    p.add_argument("--shifts", help="comma list of shift lengths (s)")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--windows", help="comma list of window sizes (s)")
+    grid.add_argument("--shifts", help="comma list of shift lengths (s)")
     _add_window_args(p)
     p.add_argument("--feature", choices=features.EXTRACTOR_NAMES, default="raw")
     p.add_argument("--duration", type=float, default=120.0)

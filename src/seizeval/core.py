@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
 
 PIPELINE_RATE_HZ = 200
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest sample magnitude
 
 
 class Montage(str, Enum):

@@ -93,6 +93,7 @@ class LinearDetector:
     a model with mean 0 and std 1, such as the energy baseline, scores
     bit-identically. With ``smoothing`` s > 0 a window scores
     ``s * previous + (1 - s) * current``; every score is clipped to [0, 1].
+    ``detect`` trusts the tensor's kind; ``rtbench.run_stream`` checks it.
     """
 
     def __init__(self, model: LinearModel, smoothing: float = 0.0):
@@ -110,16 +111,6 @@ class LinearDetector:
     def detect(
         self, state: DetectorState, features: FeatureTensor
     ) -> tuple[float, DetectorState]:
-        if features.extractor_id != self.extractor_id:
-            raise IncompatibleFeatureError(
-                f"detector expects {self.extractor_id!r} features, "
-                f"got {features.extractor_id!r}"
-            )
-        if features.shape != self.model.feature_shape:
-            raise IncompatibleFeatureError(
-                f"feature shape {features.shape} does not match the model's "
-                f"{self.model.feature_shape}"
-            )
         # einsum's own loop, not BLAS ddot: OpenBLAS threads ddot above 10k
         # elements and its idle worker then spins between windows, doubling
         # the CPU each window costs without making the dot faster.

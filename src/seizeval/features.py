@@ -1,17 +1,15 @@
 """Per-window signal feature extractors.
 
 Six extractors share one contract: input is a (channels, samples) float
-window at the recording's rate, output is one 3-axis FeatureTensor
+window at the recording's rate, which ``_check_window`` checks (the one
+check a streamed window gets), and output is one 3-axis FeatureTensor
 (``multirate`` joins its three decimated copies into one). Each has one
-configuration, the one the CLI runs, held in module constants rather than
-settings objects, so each takes at most the window, the rate and, for
-``sinc_filterbank``, ``stft`` and ``frequency_bands``, an optional cache.
-The sinc filterbank, for one, always runs the 7 bands of
-``DEFAULT_BAND_EDGES`` with 80-tap kernels and a stride of 2. All of them
-are pure and deterministic, and those three block extractors return
-read-only tensors. The ``sincnet`` and ``stft`` callables from
-``get_extractor`` keep per-stream state: a ``BlockCache`` that holds the
-previous window and the tensor returned for it, whose outputs the next
+configuration, held in module constants, so each takes at most the window,
+the rate and, for ``sinc_filterbank``, ``stft`` and ``frequency_bands``, an
+optional cache. All are pure and deterministic, and those three block
+extractors return read-only tensors. The ``sincnet`` and ``stft`` callables
+from ``get_extractor`` keep per-stream state: a ``BlockCache`` that holds
+the previous window and the tensor returned for it, whose outputs the next
 window can reuse. ``frequency_bands`` takes the same cache, but the
 ``bands`` callable does not pass one. What they return still depends on
 the window alone.
@@ -25,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _ONE_THREAD_MACS, PIPELINE_RATE_HZ
+from .core import _ONE_THREAD_MACS, FLOAT32_MAX, PIPELINE_RATE_HZ
 from .errors import InvalidArgumentError
 
 DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
@@ -35,17 +33,10 @@ DEFAULT_BAND_EDGES: tuple[tuple[float, float], ...] = (
 
 @dataclass
 class FeatureTensor:
+    """A plain record: one window's 3-axis features and their extractor's id."""
+
     data: np.ndarray
     extractor_id: str
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 3:
-            raise InvalidArgumentError(
-                f"feature tensor must be 3-axis, got shape {self.data.shape}"
-            )
-        if not np.isfinite(self.data).all():
-            raise InvalidArgumentError("feature tensor contains non-finite values")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -56,14 +47,22 @@ class FeatureTensor:
 
 
 def _check_window(samples: np.ndarray) -> np.ndarray:
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
+    """A new float64 copy of a (channels, samples) window, owned by the caller.
+
+    It rejects NaN, inf and any sample beyond float32 range. Every extractor
+    maps what passes to finite outputs, so no output is checked: ``stft`` and
+    ``bands`` take magnitudes of bounded products, ``sinc`` is a bounded FIR,
+    ``lfcc`` floors before its log, and ``raw`` and ``multirate`` copy.
+    """
+    x = np.array(samples, dtype=np.float64)
+    if x.ndim != 2:
         raise InvalidArgumentError("window must be 2-D (channels, samples)")
-    if samples.shape[1] == 0:
+    if x.shape[1] == 0:
         raise InvalidArgumentError("window has no samples")
-    if not np.isfinite(samples).all():
-        raise InvalidArgumentError("window contains non-finite samples")
-    return samples
+    # two reductions and no temporary array; a NaN maximum fails the comparison
+    if not (x.max(initial=0.0) <= FLOAT32_MAX and x.min(initial=0.0) >= -FLOAT32_MAX):
+        raise InvalidArgumentError("window holds a non-finite sample or one beyond float32 range")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +101,12 @@ class BlockCache:
     outputs come in fixed blocks (``sincnet``, ``stft``, ``bands``; see
     ``_fill_interior``).
 
-    It holds the window's ``key`` (extractor, rate, window shape), its own
-    copy of the window's ``samples``, and ``out``, the output array of the
-    tensor returned for it, which ``_fill_interior`` has made read-only. It
-    is written only once all of a window's outputs are computed, so a window
-    that fails its input check leaves it as it was. A cache serves one
-    stream and is not thread-safe.
+    It holds the window's ``key`` (extractor, rate, window shape), its
+    ``samples`` (the array ``_check_window`` made, which nothing else holds)
+    and ``out``, the output array of the tensor returned for it, which
+    ``_fill_interior`` has made read-only. It is written only once all of a
+    window's outputs are computed, so a window that fails its input check
+    leaves it as it was. A cache serves one stream and is not thread-safe.
     """
 
     def __init__(self) -> None:
@@ -158,7 +157,7 @@ def _fill_interior(
         out[..., start:end] = rows(first, end)[..., start - first :]
     out.flags.writeable = False
     if cache is not None:
-        cache.key, cache.samples, cache.out = key, x.copy(), out
+        cache.key, cache.samples, cache.out = key, x, out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .core import Event, LabelTrack, Montage, MontageSpec, Recording, SeizureLabel
+from .core import FLOAT32_MAX, Event, LabelTrack, Montage, MontageSpec, Recording, SeizureLabel
 from .errors import (
     ChannelCountMismatchError,
     DirectoryPathError,
@@ -176,7 +176,7 @@ def load_csv_recording(path: str | Path, sample_rate_hz: int) -> Recording:
             line_nos.append(line_no)
     values = np.asarray(rows)
     # NaN fails the comparison too
-    bad = np.argwhere(~(np.abs(values) <= np.finfo(np.float32).max))
+    bad = np.argwhere(~(np.abs(values) <= FLOAT32_MAX))
     if bad.size:
         row_no, col = bad[0]
         raise LabelParseError(

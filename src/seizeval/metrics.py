@@ -179,17 +179,12 @@ def margin(
     seizures = labels.seizure_events
     if not seizures:
         return math.nan, math.nan
-    onset_hits = sum(
-        1
-        for ev in seizures
-        if any(ev.start_s - margin_s <= h[0] <= ev.start_s + margin_s for h in hyp)
-    )
-    offset_hits = sum(
-        1
-        for ev in seizures
-        if any(ev.stop_s - margin_s <= h[1] <= ev.stop_s + margin_s for h in hyp)
-    )
-    return onset_hits / len(seizures), offset_hits / len(seizures)
+
+    def share(times: list[float], edge: int) -> float:
+        hits = sum(any(t - margin_s <= h[edge] <= t + margin_s for h in hyp) for t in times)
+        return hits / len(times)
+
+    return share([ev.start_s for ev in seizures], 0), share([ev.stop_s for ev in seizures], 1)
 
 
 @dataclass
@@ -335,7 +330,7 @@ class MetricsReport:
     curves: Curves | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "auroc": self.auroc,
             "auprc": self.auprc,
             "youden_threshold": self.youden_threshold,
@@ -365,7 +360,6 @@ class MetricsReport:
             "n_windows": self.n_windows,
             "total_duration_s": self.total_duration_s,
         }
-        return d
 
     def to_row(self) -> dict:
         """``to_dict`` flattened to one level, nested keys joined by dots."""
@@ -437,15 +431,8 @@ def evaluate_track(
     ovlp_cc = ovlp(labels, hyp_youden)
     taes_cc = taes(labels, hyp_youden)
 
-    margin_onset: dict[float, float] = {}
-    margin_offset: dict[float, float] = {}
-    if points.tnr95_threshold is not None:
-        hyp_margin = events_at(points.tnr95_threshold)
-    else:
-        hyp_margin = []
-    for m in margins_s:
-        on, off = margin(labels, hyp_margin, m)
-        margin_onset[m], margin_offset[m] = on, off
+    hyp_margin = [] if points.tnr95_threshold is None else events_at(points.tnr95_threshold)
+    margins = {m: margin(labels, hyp_margin, m) for m in margins_s}
     latency = onset_latency(labels, hyp_margin)
 
     return MetricsReport(
@@ -461,8 +448,8 @@ def evaluate_track(
         taes_tpr=taes_cc.tpr,
         taes_tnr=taes_cc.tnr,
         taes_fa_per_24h=fa_per_24h(taes_cc.fp, track.total_duration_s),
-        margin_onset=margin_onset,
-        margin_offset=margin_offset,
+        margin_onset={m: on for m, (on, _) in margins.items()},
+        margin_offset={m: off for m, (_, off) in margins.items()},
         onset_latency_mean_s=latency.mean_s,
         onset_latency_missed=latency.n_missed,
         n_windows=int(track.scores.size),

@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .core import Recording, WindowSpec, slice_windows
-from .detectors import LinearDetector
-from .errors import InvalidArgumentError
+from .detectors import LinearDetector, LinearModel
+from .errors import IncompatibleFeatureError, InvalidArgumentError
 from .features import FeatureTensor
 from .metrics import HypothesisTrack
 
@@ -99,6 +99,17 @@ class LatencyReport:
         return "\n".join(rows) + "\n"
 
 
+def _check_fits(features: FeatureTensor, model: LinearModel) -> None:
+    if features.extractor_id != model.extractor_id:
+        raise IncompatibleFeatureError(
+            f"detector expects {model.extractor_id!r} features, got {features.extractor_id!r}"
+        )
+    if features.shape != model.feature_shape:
+        raise IncompatibleFeatureError(
+            f"feature shape {features.shape} does not match the model's {model.feature_shape}"
+        )
+
+
 def run_stream(
     rec: Recording,
     extractor: Extractor,
@@ -110,7 +121,9 @@ def run_stream(
     """Process windows strictly in order, threading detector state through.
 
     Scores are identical to offline batch scoring of the same windows; the
-    timed section covers only extraction and detection.
+    timed section covers only extraction and detection. Only the first tensor
+    is checked against the model: all windows, so all tensors, share a shape.
+    An extractor's error names the window's index and start time.
     """
     spec = spec or WindowSpec()
     state = detector.reset_state()
@@ -119,8 +132,13 @@ def run_stream(
     detect_times: list[float] = []
     for window in slice_windows(rec, spec):
         t0 = time.perf_counter()
-        features = extractor(window.samples)
+        try:
+            features = extractor(window.samples)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"window {window.index} at {window.start_s:g} s: {exc}")
         t1 = time.perf_counter()
+        if not scores:
+            _check_fits(features, detector.model)
         score, state = detector.detect(state, features)
         t2 = time.perf_counter()
         scores.append(score)
@@ -138,4 +156,3 @@ def run_stream(
         exclude_warmup=exclude_warmup,
     )
     return track, report
-

@@ -360,6 +360,17 @@ def test_sweep_needs_settings():
     assert main(["sweep"]) == 1
 
 
+@pytest.mark.parametrize("grid,message", [
+    (["--windows", "2,4", "--shifts", "2"], "argument --shifts: not allowed with argument --windows"),
+    (["--windows", ""], "error: sweep needs at least one --windows or --shifts value"),
+])
+def test_sweep_takes_one_non_empty_grid(tmp_path, capsys, grid, message):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *grid, "--duration", "60", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_pretty_print(corpus, capsys):
     out = corpus / "eval-c"
     main([
@@ -580,3 +591,23 @@ def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
         "window_labels": int(command == "eval"),
         "curve_metrics": int(command == "eval"),
     }
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "bench"])
+def test_nan_sample_stops_the_stream_before_any_output(corpus, capsys, command):
+    rec = io.load_recording(corpus / "test" / "rec.eeg")
+    rec.samples[3, 1000] = np.nan  # 5.0 s: in windows 2 to 5 of 4 s every 1 s
+    io.save_recording(rec, corpus / "nan.eeg")
+    out = corpus / "out"
+    args = ["--rec", str(corpus / "nan.eeg"), "--model", str(corpus / "model.bin")]
+    args += {
+        "run": ["--out-hyp", str(out), "--out-latency", f"{out}-latency"],
+        "eval": ["--labels", str(corpus / "test" / "labels.txt"), "--out-dir", str(out)],
+        "bench": ["--out", str(out), "--out-csv", f"{out}-csv"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: window 2 at 2 s: window holds a non-finite sample or one beyond float32 range\n"
+    )
+    assert list(corpus.glob("out*")) == []

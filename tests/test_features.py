@@ -619,3 +619,52 @@ class TestDeterminismAndDump:
 def test_empty_window_rejected(name):
     with pytest.raises(InvalidArgumentError, match="no samples"):
         ft.get_extractor(name)(np.ones((2, 0)))
+
+
+# The one window check (``_check_window``) stands in for a check of every
+# output: any window of finite float32 samples gives finite outputs.
+F32_MAX = float(np.finfo(np.float32).max)
+F32_EXTREMES = [F32_MAX, -F32_MAX, float(np.finfo(np.float32).smallest_subnormal),
+                -float(np.finfo(np.float32).smallest_subnormal), 0.0, -0.0]
+
+
+def documented_shape(name, c, n):
+    frames = max(PAD_TO_FRAMES, (n - 25) // HOP + 1)  # at 200 Hz, a 25-sample frame
+    return {
+        "raw": (c, 1, n),
+        "sincnet": (7, c, -(-n // 2)),
+        "stft": (c, NFFT // 2 + 1, frames),
+        "bands": (c, 7, frames),
+        "lfcc": (c, 8, (n - 60) // 30 + 1),  # 0.3 s frames every 0.15 s
+        "multirate": (c, 1, n + -(-n // 2) + -(-n // 4)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ft.EXTRACTOR_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(
+    pattern=st.lists(
+        st.one_of(st.sampled_from(F32_EXTREMES), st.floats(width=32, allow_nan=False,
+                                                           allow_infinity=False)),
+        min_size=1, max_size=40,
+    ),
+    alternate=st.booleans(),
+    c=st.integers(1, 3),
+    n=st.sampled_from([400, 800, 1000]),
+)
+def test_finite_float32_window_gives_finite_outputs(name, pattern, alternate, c, n):
+    if alternate:  # full-scale swings: +max, -max, +max, ...
+        pattern = [F32_MAX, -F32_MAX] * len(pattern)
+    window = np.resize(np.array(pattern, dtype=np.float32), (c, n))
+    out = ft.get_extractor(name)(window)
+    assert out.shape == documented_shape(name, c, n)
+    assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("name", ft.EXTRACTOR_NAMES)
+def test_non_finite_or_out_of_range_sample_rejected(name, bad):
+    window = np.zeros((2, 800))
+    window[1, 123] = bad
+    with pytest.raises(InvalidArgumentError, match="non-finite sample or one beyond float32 range"):
+        ft.get_extractor(name)(window)

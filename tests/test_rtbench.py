@@ -64,6 +64,39 @@ class TestRunStream:
         with pytest.raises(IncompatibleFeatureError):
             run_stream(rec, get_extractor("raw"), energy_detector())
 
+    # The detector does not check tensors; run_stream checks the first one.
+    # A 1 Hz recording makes an n-second window n samples long.
+    @staticmethod
+    def stream_raw(n_channels, window_samples, extractor_id, model_shape):
+        rec = sv.Recording(1, [f"C{c}" for c in range(n_channels)], np.zeros((n_channels, 12)))
+        n = int(np.prod(model_shape))
+        model = sv.LinearModel(np.zeros(n), 0.0, np.zeros(n), np.ones(n), extractor_id, model_shape)
+        spec = sv.WindowSpec(window_samples, window_samples)
+        return run_stream(rec, features.extract_raw, sv.LinearDetector(model), spec)
+
+    def test_wrong_extractor(self):
+        with pytest.raises(IncompatibleFeatureError, match="'bands' features, got 'raw'"):
+            self.stream_raw(2, 6, "bands", (2, 1, 6))
+
+    def test_dim_mismatch(self):
+        with pytest.raises(IncompatibleFeatureError):
+            self.stream_raw(1, 6, "raw", (1, 1, 4))
+
+    def test_shape_mismatch_of_equal_size(self):
+        # (2, 1, 2) holds as many values as the model's (1, 1, 4)
+        with pytest.raises(IncompatibleFeatureError, match=r"\(2, 1, 2\).*\(1, 1, 4\)"):
+            self.stream_raw(2, 2, "raw", (1, 1, 4))
+
+    def test_matching_model_scores_every_window(self):
+        track, _ = self.stream_raw(2, 2, "raw", (2, 1, 2))
+        assert track.scores.tolist() == [0.5] * 6
+
+    def test_rejected_window_is_named(self):
+        rec, _ = synth_rec(seed=5)
+        rec.samples[3, 1000] = np.nan  # sample 1000 is in windows 2 to 5 only
+        with pytest.raises(InvalidArgumentError, match=r"^window 2 at 2 s: .*non-finite"):
+            run_stream(rec, get_extractor("bands"), energy_detector())
+
 
 class TestCheckRealtime:
     def report(self, times, budget=1.0):
