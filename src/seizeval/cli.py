@@ -12,7 +12,9 @@ import dataclasses
 import functools
 import io as stdio
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -67,7 +69,7 @@ def _window_spec(args) -> core.WindowSpec:
 def _fit(rec, labels, spec, feature: str, fit) -> detectors.LinearModel:
     """Fit a model with ``fit(dataset)`` on every window of ``rec`` (train and sweep)."""
     extractor = features.get_extractor(feature, rec.sample_rate_hz)
-    feats = [extractor(w.samples) for w in core.slice_windows(rec, spec)]
+    feats = [rtbench.extract_window(extractor, w) for w in core.slice_windows(rec, spec)]
     wl = core.window_labels(rec, labels, spec)
     return fit(list(zip(feats, wl.astype(int))))
 
@@ -141,11 +143,23 @@ def cmd_extract(args) -> int:
         )
     if args.window_index != -1:
         windows = [windows[args.window_index]]
-    for window in windows:
-        tensor = extractor(window.samples)
-        path = f"{args.out}.npy" if args.window_index != -1 else f"{args.out}.{window.index}.npy"
-        np.save(path, tensor.data, allow_pickle=False)
-        print(f"wrote {path} ({tensor.extractor_id}, shape={tensor.shape})")
+    # each tensor goes to a temporary directory beside --out, and only once
+    # every window has extracted are they moved into place
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise InvalidArgumentError(f"--out {args.out}: no directory {out.parent}")
+    done = []
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
+        for window in windows:
+            tensor = rtbench.extract_window(extractor, window)
+            suffix = ".npy" if args.window_index != -1 else f".{window.index}.npy"
+            part = Path(tmp) / (out.name + suffix)
+            np.save(part, tensor.data, allow_pickle=False)
+            done.append((part, args.out + suffix, f"{tensor.extractor_id}, shape={tensor.shape}"))
+        for part, path, _ in done:
+            os.replace(part, path)
+    for _, path, what in done:
+        print(f"wrote {path} ({what})")
     return EXIT_OK
 
 

@@ -11,6 +11,10 @@ class InvalidArgumentError(SeizevalError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class NonFiniteSampleError(InvalidArgumentError):
+    """A window holds a NaN, an infinity or a sample beyond float32 range."""
+
+
 class ChannelNotFoundError(SeizevalError, KeyError):
     """A montage pair references a channel name missing from the recording."""
 

@@ -13,9 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Recording, WindowSpec, slice_windows
+from .core import Recording, Window, WindowSpec, slice_windows
 from .detectors import LinearDetector, LinearModel
-from .errors import IncompatibleFeatureError, InvalidArgumentError
+from .errors import IncompatibleFeatureError, InvalidArgumentError, NonFiniteSampleError
 from .features import FeatureTensor
 from .metrics import HypothesisTrack
 
@@ -99,6 +99,15 @@ class LatencyReport:
         return "\n".join(rows) + "\n"
 
 
+def extract_window(extractor: Extractor, window: Window) -> FeatureTensor:
+    """``extractor(window.samples)``; a rejected sample names the window's
+    index and start time."""
+    try:
+        return extractor(window.samples)
+    except NonFiniteSampleError as exc:
+        raise NonFiniteSampleError(f"window {window.index} at {window.start_s:g} s: {exc}")
+
+
 def _check_fits(features: FeatureTensor, model: LinearModel) -> None:
     if features.extractor_id != model.extractor_id:
         raise IncompatibleFeatureError(
@@ -123,7 +132,7 @@ def run_stream(
     Scores are identical to offline batch scoring of the same windows; the
     timed section covers only extraction and detection. Only the first tensor
     is checked against the model: all windows, so all tensors, share a shape.
-    An extractor's error names the window's index and start time.
+    A rejected sample names its window (``extract_window``).
     """
     spec = spec or WindowSpec()
     state = detector.reset_state()
@@ -132,10 +141,7 @@ def run_stream(
     detect_times: list[float] = []
     for window in slice_windows(rec, spec):
         t0 = time.perf_counter()
-        try:
-            features = extractor(window.samples)
-        except InvalidArgumentError as exc:
-            raise InvalidArgumentError(f"window {window.index} at {window.start_s:g} s: {exc}")
+        features = extract_window(extractor, window)
         t1 = time.perf_counter()
         if not scores:
             _check_fits(features, detector.model)

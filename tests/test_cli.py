@@ -521,6 +521,14 @@ def test_non_finite_window_is_validation_error(corpus, capsys, command):
     assert list(corpus.glob("out*")) == []
 
 
+def test_extract_into_missing_directory_is_validation_error(corpus, capsys):
+    out = corpus / "missing" / "t"
+    argv = ["extract", "--rec", str(corpus / "test" / "rec.eeg"), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
+    assert not out.parent.exists()
+
+
 def test_extract_lfcc_below_4_hz_is_validation_error(tmp_path, capsys):
     # 0.15 s, the LFCC hop, is under one sample at 2 Hz
     src = tmp_path / "slow.csv"
@@ -593,21 +601,27 @@ def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
     }
 
 
-@pytest.mark.parametrize("command", ["run", "eval", "bench"])
+@pytest.mark.parametrize("command", ["run", "eval", "bench", "train", "extract"])
 def test_nan_sample_stops_the_stream_before_any_output(corpus, capsys, command):
+    # extract --window-index -1 writes windows 0 and 1 before it meets the NaN,
+    # and must leave neither behind
     rec = io.load_recording(corpus / "test" / "rec.eeg")
     rec.samples[3, 1000] = np.nan  # 5.0 s: in windows 2 to 5 of 4 s every 1 s
     io.save_recording(rec, corpus / "nan.eeg")
     out = corpus / "out"
-    args = ["--rec", str(corpus / "nan.eeg"), "--model", str(corpus / "model.bin")]
-    args += {
-        "run": ["--out-hyp", str(out), "--out-latency", f"{out}-latency"],
-        "eval": ["--labels", str(corpus / "test" / "labels.txt"), "--out-dir", str(out)],
-        "bench": ["--out", str(out), "--out-csv", f"{out}-csv"],
+    labels = ["--labels", str(corpus / "test" / "labels.txt")]
+    model = ["--model", str(corpus / "model.bin")]
+    args = ["--rec", str(corpus / "nan.eeg")] + {
+        "run": [*model, "--out-hyp", str(out), "--out-latency", f"{out}-latency"],
+        "eval": [*model, *labels, "--out-dir", str(out)],
+        "bench": [*model, "--out", str(out), "--out-csv", f"{out}-csv"],
+        "train": [*labels, "--out", str(out)],
+        "extract": ["--feature", "bands", "--window-index", "-1", "--out", str(out)],
     }[command]
+    before = sorted(corpus.iterdir())
     capsys.readouterr()
     assert main([command, *args]) == 1
     assert capsys.readouterr().err == (
         "error: window 2 at 2 s: window holds a non-finite sample or one beyond float32 range\n"
     )
-    assert list(corpus.glob("out*")) == []
+    assert sorted(corpus.iterdir()) == before

@@ -216,6 +216,12 @@ class TestDftBasis:
         basis = ft._dft_basis(25, 198)
         assert basis is ft._dft_basis(25, 198)
         assert basis.shape == (25, 2 * 100)
+        # columns 2k and 2k + 1 are bin k's tapered cos and -sin, so each row
+        # of a product reads as a complex128 spectrum
+        angle = (2 * np.pi / 198) * (np.outer(np.arange(25), np.arange(100)) % 198)
+        taper = sps.get_window("hann", 25, fftbins=True)[:, None]
+        assert np.array_equal(basis[:, 0::2], np.cos(angle) * taper)
+        assert np.array_equal(basis[:, 1::2], -np.sin(angle) * taper)
         assert not basis.flags.writeable
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
