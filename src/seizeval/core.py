@@ -201,8 +201,8 @@ class Window:
 
 # Rows of one resampling product. OpenBLAS runs a product on one thread while
 # its multiply-adds (rows * inner size * columns) stay small; 2**18 is under
-# its threshold. The resampler and the sinc filterbank (features._fir_rows)
-# cut their products to at most this many.
+# its threshold. The resampler and the sinc filterbank (features._fir_rows,
+# features._edge_rows) cut their products to at most this many.
 _RESAMPLE_ROWS = 64
 _ONE_THREAD_MACS = 2**18
 
@@ -303,16 +303,17 @@ def to_bipolar(rec: Recording, spec: MontageSpec | None = None) -> Recording:
     if spec is None:
         spec = MontageSpec(DEFAULT_BIPOLAR_PAIRS)
     index = {name: i for i, name in enumerate(rec.channel_names)}
-    rows = []
-    for anode, cathode in spec.pairs:
+    # each difference is written straight into its row: no list of rows to stack
+    samples = np.empty((len(spec.pairs), rec.n_samples), dtype=np.float32)
+    for (anode, cathode), row in zip(spec.pairs, samples):
         for name in (anode, cathode):
             if name not in index:
                 raise ChannelNotFoundError(name)
-        rows.append(rec.samples[index[anode]] - rec.samples[index[cathode]])
+        np.subtract(rec.samples[index[anode]], rec.samples[index[cathode]], out=row)
     return Recording(
         sample_rate_hz=rec.sample_rate_hz,
         channel_names=spec.channel_names,
-        samples=np.stack(rows),
+        samples=samples,
         montage=Montage.BIPOLAR,
     )
 

@@ -143,10 +143,11 @@ def _fill_interior(
     n_blocks = -(-(hi - lo) // block)
     m = 0
     if cache is not None and cache.key == key:
-        # bit patterns, so -0.0 and 0.0 count as different samples
-        n, bits, prev = x.shape[1], x.view(np.int64), cache.samples.view(np.int64)
+        # bytes, so -0.0 and 0.0 count as different samples; two copies and
+        # one memcmp take about 60% of the time of an elementwise comparison
+        n, prev = x.shape[1], cache.samples
         for k in range(1, n_blocks):
-            if np.array_equal(bits[:, : n - k * step], prev[:, k * step :]):
+            if x[:, : n - k * step].tobytes() == prev[:, k * step :].tobytes():
                 m = k
                 break
     if m:
@@ -502,7 +503,8 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
     Returns (kernels, channels, j1 - j0). Output ``j`` is centred on sample
     ``2 * j`` like ``np.convolve(row, kernel, "same")[::2]``: it reads the 80
     samples from ``2 * j - 40`` on, and samples outside the window read as
-    zero (``_frames``).
+    zero. ``sinc_filterbank`` computes its interior blocks here and its edge
+    outputs with ``_edge_rows``.
 
     Each channel's outputs come in groups of ``_SINC_GROUP`` from ``j0`` on;
     the last group may run past ``j1`` and its extra outputs are dropped. One
@@ -511,13 +513,21 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
     chunks of at most ``core._ONE_THREAD_MACS`` multiply-adds, counted from
     the first row, so OpenBLAS runs each chunk on one core. A range of the
     same length on a window of the same shape thus puts each output at the
-    same row of a product of the same shape.
+    same row of a product of the same shape. A range that reads no padding,
+    such as a streamed window's new block, copies its rows straight from
+    ``x`` (C-contiguous) in one copy; one that reads padding goes through
+    the zero-padded ``_frames`` buffer first.
     """
     width, cols = banded.shape
     n_groups = -(-(j1 - j0) // _SINC_GROUP)
     first = _SINC_STRIDE * j0 - _SINC_KERNEL_LEN // 2
-    rows = np.ascontiguousarray(_frames(x, width, _SINC_STRIDE * _SINC_GROUP, first, n_groups))
-    rows = rows.reshape(-1, width)
+    step = _SINC_STRIDE * _SINC_GROUP
+    if first >= 0 and first + step * (n_groups - 1) + width <= x.shape[1]:
+        strides = (x.strides[0], step * x.itemsize, x.itemsize)
+        view = np.ndarray((x.shape[0], n_groups, width), x.dtype, x, first * x.itemsize, strides)
+    else:
+        view = _frames(x, width, step, first, n_groups)
+    rows = np.ascontiguousarray(view).reshape(-1, width)
     prod = np.empty((rows.shape[0], cols))
     chunk = max(1, _ONE_THREAD_MACS // (width * cols))
     for r in range(0, rows.shape[0], chunk):
@@ -525,6 +535,48 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
     # row (channel, group), column (output in group, band) -> (band, channel, output)
     n_bands = cols // _SINC_GROUP
     return prod.reshape(x.shape[0], -1, n_bands).transpose(2, 0, 1)[..., : j1 - j0]
+
+
+@lru_cache(maxsize=8)
+def _sinc_edge(sample_rate_hz: int, n: int, j0: int, j1: int) -> tuple[int, np.ndarray]:
+    """``(first, matrix)``: outputs ``j0 <= j < j1`` of an ``n``-sample window
+    as one dense product.
+
+    ``x[:, first : first + len(matrix)] @ matrix`` gives them as (channels,
+    kernels * (j1 - j0)), kernel-major. The matrix holds ``_sinc_taps``
+    shifted to each output's samples, with the taps that would read zero
+    padding left out. For the 20 and 19 outputs at the edges of a 4 s,
+    200 Hz window it is (78, 140) and (78, 133). It is read-only.
+    """
+    taps = _sinc_taps(sample_rate_hz)
+    reach = _SINC_KERNEL_LEN // 2
+    first = max(0, _SINC_STRIDE * j0 - reach)
+    last = min(n, _SINC_STRIDE * (j1 - 1) - reach + _SINC_KERNEL_LEN)
+    matrix = np.zeros((last - first, taps.shape[1], j1 - j0))
+    for j in range(j0, j1):
+        start = _SINC_STRIDE * j - reach  # output j reads x[start + i] times taps[i]
+        lo, hi = max(start, first), min(start + _SINC_KERNEL_LEN, last)
+        matrix[lo - first : hi - first, :, j - j0] = taps[lo - start : hi - start]
+    matrix = matrix.reshape(last - first, -1)
+    matrix.flags.writeable = False
+    return first, matrix
+
+
+def _edge_rows(x: np.ndarray, sample_rate_hz: int, j0: int, j1: int) -> np.ndarray:
+    """Outputs ``j0 <= j < j1`` as (kernels, channels, j1 - j0), as
+    ``_fir_rows`` returns them, through the ``_sinc_edge`` product.
+
+    The samples are read in place: the slice of ``x`` is a strided view that
+    BLAS takes without a copy. Channels go in chunks of at most
+    ``core._ONE_THREAD_MACS`` multiply-adds, so each product runs on one core.
+    """
+    first, matrix = _sinc_edge(sample_rate_hz, x.shape[1], j0, j1)
+    samples = x[:, first : first + matrix.shape[0]]
+    prod = np.empty((x.shape[0], matrix.shape[1]))
+    chunk = max(1, _ONE_THREAD_MACS // matrix.size)
+    for r in range(0, x.shape[0], chunk):
+        np.matmul(samples[r : r + chunk], matrix, out=prod[r : r + chunk])
+    return prod.reshape(x.shape[0], -1, j1 - j0).transpose(1, 0, 2)
 
 
 # Interior sinc outputs are computed in blocks of this many outputs (1 s at
@@ -550,11 +602,13 @@ def sinc_filterbank(
     differ from the per-row ``np.convolve`` result by under 1e-15 of their
     largest magnitude.
 
-    The outputs that read zero padding at either edge form one range each.
-    The interior outputs form blocks of ``_SINC_BLOCK`` outputs, which a
-    ``cache`` lets a stream compute once (``_fill_interior``); the result is
-    bit-identical to a call without a cache. The returned tensor is
-    read-only.
+    The outputs that read zero padding at either edge (20 and 19 per channel
+    for a 4 s, 200 Hz window) come from one dense product each: the first
+    or last 78 samples, read in place, times a matrix cached per rate and
+    window length (``_edge_rows``). The interior outputs form blocks of
+    ``_SINC_BLOCK`` outputs, which a ``cache`` lets a stream compute once
+    (``_fill_interior``); the result is bit-identical to a call without a
+    cache. The returned tensor is read-only.
     """
     x = _check_window(samples)
     banded = _sinc_banded(sample_rate_hz)
@@ -567,7 +621,7 @@ def sinc_filterbank(
 
     for j0, j1 in ((0, lo), (hi, n_out)):
         if j1 > j0:
-            out[:, :, j0:j1] = rows(j0, j1)
+            out[:, :, j0:j1] = _edge_rows(x, sample_rate_hz, j0, j1)
     key = ("sincnet", sample_rate_hz, x.shape)
     _fill_interior(out, x, lo, hi, _SINC_BLOCK, _SINC_STRIDE * _SINC_BLOCK, rows, cache, key)
     return FeatureTensor(out, extractor_id="sincnet")

@@ -146,6 +146,15 @@ class TestBipolar:
             expected = rec.samples[idx[anode], t] - rec.samples[idx[cathode], t]
             assert out.samples[ch, t] == np.float32(expected)
 
+    def test_bytes_equal_per_pair_float32_differences(self):
+        rng = np.random.default_rng(5)
+        rec = make_rec(rng.normal(scale=80, size=(22, 777)), names=list(DEFAULT_UNIPOLAR_CHANNELS))
+        out = sv.to_bipolar(rec)
+        assert out.samples.dtype == np.float32 and out.samples.flags.c_contiguous
+        idx = {n: i for i, n in enumerate(rec.channel_names)}
+        want = [rec.samples[idx[a]] - rec.samples[idx[c]] for a, c in DEFAULT_BIPOLAR_PAIRS]
+        assert out.samples.tobytes() == b"".join(np.asarray(w, np.float32).tobytes() for w in want)
+
     def test_missing_channel(self):
         rec = make_rec([[1.0]], names=["A"])
         with pytest.raises(ChannelNotFoundError):

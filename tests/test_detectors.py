@@ -225,6 +225,72 @@ class TestDetectWindow:
         assert cpu_per_wall <= 1.3
         assert other_threads_per_wall <= 0.1
 
+    # the bands, sincnet and stft tensors of a 4 s, 20-channel, 200 Hz
+    # window, and a prime length that leaves a tail after the rows
+    DOT_SHAPES = [(20, 7, 100), (7, 20, 400), (20, 100, 100), (1, 1, 8209)]
+
+    def random_model(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        d = int(np.prod(shape))
+        # weights scaled so the logits stay within a few units of 0
+        return dt.LinearModel(
+            rng.normal(size=d) / np.sqrt(d), 0.3, rng.normal(size=d),
+            rng.uniform(0.5, 2.0, size=d), "toy", shape,
+        )  # fmt: skip
+
+    @pytest.mark.parametrize("shape", DOT_SHAPES, ids=str)
+    def test_weight_rows_stay_under_threaded_dot(self, shape):
+        # OpenBLAS threads a ddot above 10 000 elements
+        det = sv.LinearDetector(self.random_model(shape, 0))
+        d = int(np.prod(shape))
+        assert det._rows.shape[1] <= 8192
+        assert det._rows.size + det._tail.size == d
+        assert det._tail.size < det._rows.shape[0]
+
+    @pytest.mark.parametrize("shape", DOT_SHAPES, ids=str)
+    def test_scores_match_unfolded_logistic(self, shape):
+        model = self.random_model(shape, 1)
+        det = sv.LinearDetector(model)
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            x = rng.normal(size=shape)
+            z = float(((x.ravel() - model.feature_mean) / model.feature_std) @ model.weights)
+            z += model.bias
+            score, _ = det.detect(dt.DetectorState(), FeatureTensor(x, "toy"))
+            assert abs(z) < 10
+            assert np.log(score) - np.log1p(-score) == pytest.approx(z, rel=0, abs=1e-12)
+            assert score == pytest.approx(dt.logistic(z), rel=1e-12)
+
+    @pytest.mark.parametrize("bias", [1e4, -1e4, 1e300, -1e300])
+    def test_extreme_logits_saturate_without_overflow(self, bias):
+        model = dt.LinearModel(np.zeros(4), bias, np.zeros(4), np.ones(4), "toy", (1, 1, 4))
+        feat = FeatureTensor(np.ones((1, 1, 4)), "toy")
+        score, _ = sv.LinearDetector(model).detect(dt.DetectorState(), feat)
+        # the logit is clipped to +-500, as logistic() clips it for training
+        if bias > 0:
+            assert score == 1.0
+        else:
+            assert 0.0 < score < 1e-200
+            assert score == pytest.approx(dt.logistic(-500.0), rel=1e-12)
+
+    @pytest.mark.parametrize("smoothing", [0.3, 0.9])
+    def test_smoothing_recurrence_unchanged(self, smoothing):
+        # s_k = clip(s * s_{k-1} + (1 - s) * raw_k) over the unsmoothed scores
+        model = self.random_model((2, 3, 50), 3)
+        rng = np.random.default_rng(4)
+        feats = [FeatureTensor(rng.normal(size=(2, 3, 50)) * 3, "toy") for _ in range(20)]
+        raw = sv.LinearDetector(model)
+        smooth = sv.LinearDetector(model, smoothing=smoothing)
+        state, prev = smooth.reset_state(), None
+        for f in feats:
+            got, state = smooth.detect(state, f)
+            want, _ = raw.detect(raw.reset_state(), f)
+            if prev is not None:
+                want = smoothing * prev + (1 - smoothing) * want
+            want = min(1.0, max(0.0, want))
+            assert got == want
+            prev = want
+
 
 class TestState:
     @pytest.mark.parametrize("smoothing", [-3.0, 1.0, float("nan")])

@@ -421,14 +421,20 @@ class TestSincStream:
     def test_computes_only_the_new_block_and_the_edges(self, monkeypatch):
         # 4 s windows at a 1 s shift: 100 new interior outputs plus 20 + 19
         # zero-padded edge outputs per channel, of 400
+        # outputs counted through both paths: interior blocks and dense edges
         counted = []
-        fir_rows = ft._fir_rows
+        fir_rows, edge_rows = ft._fir_rows, ft._edge_rows
 
-        def counting(x, banded, j0, j1):
+        def counting_blocks(x, banded, j0, j1):
             counted.append(j1 - j0)
             return fir_rows(x, banded, j0, j1)
 
-        monkeypatch.setattr(ft, "_fir_rows", counting)
+        def counting_edges(x, fs, j0, j1):
+            counted.append(j1 - j0)
+            return edge_rows(x, fs, j0, j1)
+
+        monkeypatch.setattr(ft, "_fir_rows", counting_blocks)
+        monkeypatch.setattr(ft, "_edge_rows", counting_edges)
         extract = ft.get_extractor("sincnet")
         per_window = []
         for k in range(5):
@@ -458,17 +464,22 @@ class TestSincStream:
     def test_products_stay_on_one_core(self, monkeypatch, n_channels):
         # OpenBLAS runs a product of at most _ONE_THREAD_MACS multiply-adds on
         # one thread; every product the filterbank takes stays under it
-        macs = []
+        shapes = []
         matmul = np.matmul
 
         def recording(a, b, **kwargs):
-            macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+            shapes.append((a.shape, b.shape))
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording)
         window = np.random.default_rng(n_channels).normal(size=(n_channels, 4 * FS))
         ft.sinc_filterbank(window)
+        macs = [a[0] * a[1] * b[1] for a, b in shapes]
         assert macs and max(macs) <= ft._ONE_THREAD_MACS
+        # the dense edge products are among them, and cover every channel
+        for j0, j1 in ((0, 20), (381, 400)):
+            edge = ft._sinc_edge(FS, 4 * FS, j0, j1)[1]
+            assert sum(a[0] for a, b in shapes if b == edge.shape) == n_channels
 
     def test_caller_buffer_mutated_in_place(self):
         # the cache compares against its own copy: after the buffer is
