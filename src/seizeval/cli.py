@@ -228,13 +228,11 @@ def cmd_eval(args) -> int:
     (out / "report.txt").write_text(report.to_text())
     curves = report.curves
     rows = ["threshold,tpr,fpr,precision,recall"]
-    for t, tp, fp, pr, rc in zip(
-        curves.thresholds, curves.tpr, curves.fpr, curves.precision, curves.recall
-    ):
-        rows.append(f"{t:.9f},{tp:.9f},{fp:.9f},{pr:.9f},{rc:.9f}")
+    for t, tp, fp, pr in zip(curves.thresholds, curves.tpr, curves.fpr, curves.precision):
+        rows.append(f"{t:.9f},{tp:.9f},{fp:.9f},{pr:.9f},{tp:.9f}")
     (out / "curves.csv").write_text("\n".join(rows) + "\n")
     metrics.export_hypothesis(
-        track, dataclasses.replace(opts, threshold=report.youden_threshold),
+        track, dataclasses.replace(opts, threshold=report.record["youden_threshold"]),
         out / "hypothesis.txt",
     )
     print(report.to_text(), end="")
@@ -444,7 +442,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (InvalidArgumentError, FileFormatError, DirectoryPathError, FileNotFoundError) as exc:
+    # the OSErrors name the path: a missing input, an output path that is a
+    # directory, or an --out-dir that is (or lies below) a file
+    except (InvalidArgumentError, FileFormatError, DirectoryPathError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SeizevalError as exc:

@@ -379,10 +379,11 @@ _LFCC_COEFFS = 8
 _LFCC_LOG_FLOOR = 1e-10
 
 
+@lru_cache(maxsize=8)
 def linear_triangular_filterbank(
     n_filters: int, n_bins: int, sample_rate_hz: int, nfft: int
 ) -> np.ndarray:
-    """(n_filters, n_bins) triangular filters linearly spaced over 0..Nyquist."""
+    """Read-only (n_filters, n_bins) triangular filters linearly spaced over 0..Nyquist."""
     nyquist = sample_rate_hz / 2
     centers = np.linspace(0, nyquist, n_filters + 2)
     freqs = np.arange(n_bins) * sample_rate_hz / nfft
@@ -392,6 +393,7 @@ def linear_triangular_filterbank(
         rising = (freqs - lo) / (mid - lo)
         falling = (hi - freqs) / (hi - mid)
         bank[i] = np.clip(np.minimum(rising, falling), 0, None)
+    bank.flags.writeable = False
     return bank
 
 

@@ -230,8 +230,7 @@ class Curves:
     thresholds: np.ndarray  # descending
     tpr: np.ndarray
     fpr: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
+    precision: np.ndarray  # the recall is tpr
     auroc: float
     auprc: float
 
@@ -266,15 +265,12 @@ def curve_metrics(window_labels: np.ndarray, window_scores: np.ndarray) -> Curve
     fpr_ext = np.concatenate([[0.0], fpr])
     auroc = float(np.sum((fpr_ext[1:] - fpr_ext[:-1]) * (tpr_ext[1:] + tpr_ext[:-1]) / 2.0))
     precision = tp / (tp + fp)
-    recall = tpr
-    rec_ext = np.concatenate([[0.0], recall])
-    auprc = float(np.sum((rec_ext[1:] - rec_ext[:-1]) * precision))
+    auprc = float(np.sum((tpr_ext[1:] - tpr_ext[:-1]) * precision))
     return Curves(
         thresholds=thresholds,
         tpr=tpr,
         fpr=fpr,
         precision=precision,
-        recall=recall,
         auroc=auroc,
         auprc=auprc,
     )
@@ -306,63 +302,19 @@ def operating_points(curves: Curves) -> OperatingPoints:
 
 @dataclass
 class MetricsReport:
-    """Every scoring family for one (labels, scores) evaluation."""
+    """Every scoring family for one (labels, scores) evaluation.
 
-    auroc: float
-    auprc: float
-    youden_threshold: float
-    tnr95_threshold: float | None
-    epoch_tpr: float | None
-    epoch_tnr: float | None
-    ovlp_tpr: float | None
-    ovlp_tnr: float | None
-    ovlp_fa_per_24h: float
-    taes_tpr: float | None
-    taes_tnr: float | None
-    taes_fa_per_24h: float
-    margin_onset: dict[float, float] = field(default_factory=dict)
-    margin_offset: dict[float, float] = field(default_factory=dict)
-    onset_latency_mean_s: float | None = None
-    onset_latency_missed: int = 0
-    n_windows: int = 0
-    total_duration_s: float = 0.0
-    # the ROC/PR curves behind auroc and auprc, for curves.csv; not in to_dict
-    curves: Curves | None = field(default=None, repr=False, compare=False)
+    ``record`` is ``report.json``: a nested dict of plain Python ``float``,
+    ``int`` and ``None`` (a rate with no denominator), keyed in the order of
+    ``sweep``'s columns. ``curves`` are the ROC/PR curves behind its
+    ``auroc`` and ``auprc``, for ``curves.csv``.
+    """
 
-    def to_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "youden_threshold": self.youden_threshold,
-            "tnr95_threshold": self.tnr95_threshold,
-            "epoch": {"tpr": self.epoch_tpr, "tnr": self.epoch_tnr},
-            "ovlp": {
-                "tpr": self.ovlp_tpr,
-                "tnr": self.ovlp_tnr,
-                "fa_per_24h": self.ovlp_fa_per_24h,
-            },
-            "taes": {
-                "tpr": self.taes_tpr,
-                "tnr": self.taes_tnr,
-                "fa_per_24h": self.taes_fa_per_24h,
-            },
-            "margin": {
-                str(m): {
-                    "onset": self.margin_onset[m],
-                    "offset": self.margin_offset[m],
-                }
-                for m in sorted(self.margin_onset)
-            },
-            "onset_latency": {
-                "mean_s": self.onset_latency_mean_s,
-                "missed": self.onset_latency_missed,
-            },
-            "n_windows": self.n_windows,
-            "total_duration_s": self.total_duration_s,
-        }
+    record: dict
+    curves: Curves = field(repr=False, compare=False)
 
     def to_row(self) -> dict:
-        """``to_dict`` flattened to one level, nested keys joined by dots."""
+        """``record`` flattened to one level, nested keys joined by dots."""
 
         def flatten(d: dict, prefix: str = ""):
             for key, value in d.items():
@@ -371,11 +323,10 @@ class MetricsReport:
                 else:
                     yield prefix + key, value
 
-        # the JSON round trip turns numpy scalars into the floats report.json holds
-        return dict(flatten(json.loads(json.dumps(self.to_dict()))))
+        return dict(flatten(self.record))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.record, indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         def fmt(v) -> str:
@@ -383,25 +334,25 @@ class MetricsReport:
                 return "n/a"
             return f"{v:.4f}" if isinstance(v, float) else str(v)
 
+        r = self.record
         lines = [
-            f"windows          {self.n_windows}  ({self.total_duration_s:.1f} s)",
-            f"AUROC / AUPRC    {fmt(self.auroc)} / {fmt(self.auprc)}",
-            f"thresholds       youden={fmt(self.youden_threshold)}  "
-            f"tnr95={fmt(self.tnr95_threshold)}",
-            f"EPOCH            TPR={fmt(self.epoch_tpr)}  TNR={fmt(self.epoch_tnr)}",
-            f"OVLP             TPR={fmt(self.ovlp_tpr)}  TNR={fmt(self.ovlp_tnr)}  "
-            f"FA/24h={fmt(self.ovlp_fa_per_24h)}",
-            f"TAES             TPR={fmt(self.taes_tpr)}  TNR={fmt(self.taes_tnr)}  "
-            f"FA/24h={fmt(self.taes_fa_per_24h)}",
+            f"windows          {r['n_windows']}  ({r['total_duration_s']:.1f} s)",
+            f"AUROC / AUPRC    {fmt(r['auroc'])} / {fmt(r['auprc'])}",
+            f"thresholds       youden={fmt(r['youden_threshold'])}  "
+            f"tnr95={fmt(r['tnr95_threshold'])}",
         ]
-        for m in sorted(self.margin_onset):
+        names = {"tpr": "TPR", "tnr": "TNR", "fa_per_24h": "FA/24h"}
+        for family in ("epoch", "ovlp", "taes"):
+            rates = "  ".join(f"{names[key]}={fmt(v)}" for key, v in r[family].items())
+            lines.append(f"{family.upper():<17}{rates}")
+        for m, edges in r["margin"].items():
             lines.append(
-                f"MARGIN({m:g}s)       onset={fmt(self.margin_onset[m])}  "
-                f"offset={fmt(self.margin_offset[m])}"
+                f"MARGIN({float(m):g}s)       onset={fmt(edges['onset'])}  "
+                f"offset={fmt(edges['offset'])}"
             )
+        latency = r["onset_latency"]
         lines.append(
-            f"onset latency    mean={fmt(self.onset_latency_mean_s)} s  "
-            f"missed={self.onset_latency_missed}"
+            f"onset latency    mean={fmt(latency['mean_s'])} s  missed={latency['missed']}"
         )
         return "\n".join(lines) + "\n"
 
@@ -416,46 +367,44 @@ def evaluate_track(
 ) -> MetricsReport:
     """Score one hypothesis track with every metric family.
 
-    OVLP/TAES/EPOCH use the TPR+TNR-maximizing threshold; MARGIN and onset
-    latency use the most sensitive threshold keeping TNR >= 0.95.
+    Both thresholds come from this track's own curves. EPOCH, OVLP and TAES
+    use the TPR+TNR-maximizing (Youden) threshold; MARGIN and onset latency
+    use the most sensitive threshold keeping TNR >= 0.95, and score no
+    events when no threshold does. The record below is ``report.json``, in
+    the order of ``sweep``'s columns, with the margins ascending.
     """
     curves = curve_metrics(window_labels, track.scores)
     points = operating_points(curves)
+    duration = track.total_duration_s
 
     def events_at(threshold: float) -> list[Interval]:
         opts = EventizeOpts(threshold, gap_merge_s, min_event_s)
         return eventize(track.scores, track.window, opts)
 
+    def event_rates(cc: ConfusionCounts) -> dict:
+        return {"tpr": cc.tpr, "tnr": cc.tnr, "fa_per_24h": fa_per_24h(cc.fp, duration)}
+
     hyp_youden = events_at(points.youden_threshold)
     epoch_cc = epoch_counts(window_labels, track.scores >= points.youden_threshold)
-    ovlp_cc = ovlp(labels, hyp_youden)
-    taes_cc = taes(labels, hyp_youden)
-
     hyp_margin = [] if points.tnr95_threshold is None else events_at(points.tnr95_threshold)
-    margins = {m: margin(labels, hyp_margin, m) for m in margins_s}
     latency = onset_latency(labels, hyp_margin)
-
-    return MetricsReport(
-        auroc=curves.auroc,
-        auprc=curves.auprc,
-        youden_threshold=points.youden_threshold,
-        tnr95_threshold=points.tnr95_threshold,
-        epoch_tpr=epoch_cc.tpr,
-        epoch_tnr=epoch_cc.tnr,
-        ovlp_tpr=ovlp_cc.tpr,
-        ovlp_tnr=ovlp_cc.tnr,
-        ovlp_fa_per_24h=fa_per_24h(ovlp_cc.fp, track.total_duration_s),
-        taes_tpr=taes_cc.tpr,
-        taes_tnr=taes_cc.tnr,
-        taes_fa_per_24h=fa_per_24h(taes_cc.fp, track.total_duration_s),
-        margin_onset={m: on for m, (on, _) in margins.items()},
-        margin_offset={m: off for m, (_, off) in margins.items()},
-        onset_latency_mean_s=latency.mean_s,
-        onset_latency_missed=latency.n_missed,
-        n_windows=int(track.scores.size),
-        total_duration_s=track.total_duration_s,
-        curves=curves,
-    )
+    record = {
+        "auroc": curves.auroc,
+        "auprc": curves.auprc,
+        "youden_threshold": points.youden_threshold,
+        "tnr95_threshold": points.tnr95_threshold,
+        "epoch": {"tpr": epoch_cc.tpr, "tnr": epoch_cc.tnr},
+        "ovlp": event_rates(ovlp(labels, hyp_youden)),
+        "taes": event_rates(taes(labels, hyp_youden)),
+        "margin": {
+            str(m): dict(zip(("onset", "offset"), margin(labels, hyp_margin, m)))
+            for m in sorted(margins_s)
+        },
+        "onset_latency": {"mean_s": latency.mean_s, "missed": latency.n_missed},
+        "n_windows": int(track.scores.size),
+        "total_duration_s": duration,
+    }
+    return MetricsReport(record, curves)
 
 
 def export_hypothesis(track: HypothesisTrack, opts: EventizeOpts, path) -> None:

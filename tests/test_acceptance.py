@@ -198,8 +198,9 @@ def test_criterion_07_end_to_end():
 
     track = sv.HypothesisTrack(scores, spec, rec.duration_s)
     report = sv.evaluate_track(labels, test_wl, track)
-    assert report.tnr95_threshold is not None
-    assert report.margin_onset[5.0] >= report.margin_onset[3.0]
+    assert report.record["tnr95_threshold"] is not None
+    margins = report.record["margin"]
+    assert margins["5.0"]["onset"] >= margins["3.0"]["onset"]
     assert time.perf_counter() - t0 < 120.0
 
 

@@ -402,6 +402,46 @@ def test_report_malformed_json_is_validation_error(tmp_path, capsys, content):
     assert err.startswith("error: ") and str(path) in err and "not a JSON report" in err
 
 
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A 30 s synthetic recording and a raw-sample model fitted on it."""
+    out = tmp_path_factory.mktemp("small")
+    assert main([
+        "synth", "--out-dir", str(out), "--duration", "30", "--events", "10:20", "--seed", "1",
+    ]) == 0
+    assert main([
+        "train", "--rec", str(out / "rec.eeg"), "--labels", str(out / "labels.txt"),
+        "--feature", "raw", "--epochs", "1", "--out", str(out / "model.bin"),
+    ]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    "run --rec REC --model MODEL --out-hyp DIR",
+    "run --rec REC --model MODEL --out-hyp HYP --out-latency DIR",
+    "bench --rec REC --model MODEL --out DIR",
+    "train --rec REC --labels LABELS --feature raw --epochs 1 --out DIR",
+    "sweep --windows 4 --duration 30 --n-events 1 --out DIR",
+    "eval --rec REC --labels LABELS --model MODEL --out-dir FILE",
+    "synth --duration 10 --out-dir FILE",
+    "synth --duration 10 --out-dir BELOW_FILE",
+])
+def test_output_path_of_the_wrong_kind_is_validation_error(small, tmp_path, capsys, argv):
+    # the last argument is a file output that is a directory, or an
+    # --out-dir that is a file or lies below one
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {
+        "REC": small / "rec.eeg", "LABELS": small / "labels.txt", "MODEL": small / "model.bin",
+        "HYP": tmp_path / "hyp.txt", "DIR": tmp_path / "dir", "FILE": tmp_path / "file",
+        "BELOW_FILE": tmp_path / "file" / "sub",
+    }
+    args = [str(paths.get(arg, arg)) for arg in argv.split()]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and args[-1] in err
+
+
 @pytest.mark.parametrize("flag", ["--labels", "--model", "--montage", "--json"])
 def test_input_directory_is_validation_error(corpus, capsys, flag):
     rec, directory = str(corpus / "test" / "rec.eeg"), str(corpus / "test")

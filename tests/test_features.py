@@ -264,6 +264,20 @@ class TestLfcc:
         with pytest.raises(InvalidArgumentError, match=f"under one sample at {fs} Hz"):
             ft.get_extractor("lfcc", fs)(np.ones((2, 4 * fs)))
 
+    def test_filterbank_cached_and_read_only(self):
+        # 0.3 s frames at 200 Hz: 60 samples, 31 rfft bins
+        bank = ft.linear_triangular_filterbank(20, 31, FS, 60)
+        assert bank is ft.linear_triangular_filterbank(20, 31, FS, 60)
+        fresh = ft.linear_triangular_filterbank.__wrapped__(20, 31, FS, 60)
+        assert bank.tobytes() == fresh.tobytes()
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+        # every lfcc window reuses the bank
+        hits = ft.linear_triangular_filterbank.cache_info().hits
+        sv.lfcc(np.ones((2, 800)), FS)
+        assert ft.linear_triangular_filterbank.cache_info().hits == hits + 1
+
     @pytest.mark.parametrize("n_filters,n_coeffs", [(20, 8), (20, 20), (7, 3), (1, 1)])
     def test_dct_basis_matches_scipy_dct(self, n_filters, n_coeffs):
         x = np.log(np.random.default_rng(n_filters).uniform(1e-6, 1e3, size=(4, 9, n_filters)))

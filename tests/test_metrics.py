@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,24 +290,57 @@ class TestInvariants:
         assert sv.fa_per_24h(cc_b.fp, 120.0) < sv.fa_per_24h(cc_a.fp, 60.0)
 
 
+def fixed_report(**opts):
+    """``evaluate_track`` on a fixed 60 s track whose ictal windows score high."""
+    rng = np.random.default_rng(3)
+    spec = sv.WindowSpec(4, 1)
+    t = track([(10, 20), (35, 45)], duration=60.0)
+    wl = sv.window_labels(sv.Recording(200, ["CH0"], np.zeros((1, 60 * 200))), t, spec)
+    scores = rng.random(57) * 0.3
+    for k in np.flatnonzero(wl):
+        scores[k] = 0.7 + rng.random() * 0.3
+    return sv.evaluate_track(t, wl, sv.HypothesisTrack(scores, spec, 60.0), **opts)
+
+
 class TestReport:
     def test_full_report_families(self):
-        rng = np.random.default_rng(3)
-        spec = sv.WindowSpec(4, 1)
-        t = track([(10, 20), (35, 45)], duration=60.0)
-        wl = sv.window_labels(sv.Recording(200, ["CH0"], np.zeros((1, 60 * 200))), t, spec)
-        scores = rng.random(57) * 0.3
-        for k in np.flatnonzero(wl):
-            scores[k] = 0.7 + rng.random() * 0.3
-        ht = sv.HypothesisTrack(scores, spec, 60.0)
-        report = sv.evaluate_track(t, wl, ht)
-        d = report.to_dict()
+        report = fixed_report()
+        d = json.loads(report.to_json())
         for family in ("epoch", "ovlp", "taes", "margin", "onset_latency"):
             assert family in d
         assert set(d["margin"]) == {"3.0", "5.0"}
-        assert report.auroc > 0.9
+        assert d["auroc"] > 0.9
         text = report.to_text()
         assert "MARGIN" in text and "OVLP" in text
+
+    def test_schema(self):
+        # report.json's keys, flattened in sweep's column order, and the
+        # labels and value names of report.txt's lines
+        report = fixed_report(margins_s=(5.0, 0.5))
+        row = report.to_row()
+        assert list(row) == [
+            "auroc", "auprc", "youden_threshold", "tnr95_threshold",
+            "epoch.tpr", "epoch.tnr",
+            "ovlp.tpr", "ovlp.tnr", "ovlp.fa_per_24h",
+            "taes.tpr", "taes.tnr", "taes.fa_per_24h",
+            "margin.0.5.onset", "margin.0.5.offset", "margin.5.0.onset", "margin.5.0.offset",
+            "onset_latency.mean_s", "onset_latency.missed",
+            "n_windows", "total_duration_s",
+        ]
+        assert all(v is None or type(v) in (float, int) for v in row.values())
+        assert (type(row["onset_latency.missed"]), type(row["n_windows"])) == (int, int)
+        lines = report.to_text().splitlines()
+        assert [(line[:17].rstrip(), re.findall(r"([\w/]+)=", line)) for line in lines] == [
+            ("windows", []),
+            ("AUROC / AUPRC", []),
+            ("thresholds", ["youden", "tnr95"]),
+            ("EPOCH", ["TPR", "TNR"]),
+            ("OVLP", ["TPR", "TNR", "FA/24h"]),
+            ("TAES", ["TPR", "TNR", "FA/24h"]),
+            ("MARGIN(0.5s)", ["onset", "offset"]),
+            ("MARGIN(5s)", ["onset", "offset"]),
+            ("onset latency", ["mean", "missed"]),
+        ]
 
     def test_export_hypothesis(self, tmp_path):
         spec = sv.WindowSpec(4, 1)
