@@ -7,8 +7,10 @@ constraint violation (bench).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import errno
 import functools
 import io as stdio
 import json
@@ -17,6 +19,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -84,6 +87,33 @@ def _score(rec, labels, wl, detector, spec, **eval_opts):
     """Stream ``rec`` once and score it with every metric: (track, latency, report)."""
     track, latency = _stream(rec, detector, spec)
     return track, latency, metrics.evaluate_track(labels, wl, track, **eval_opts)
+
+
+def _write_outputs(outputs: list[tuple[str, Callable[[Path], object]]]) -> None:
+    """Write every output or none of them.
+
+    Each ``(path, write)`` pair has ``write`` fill a file in a temporary
+    directory beside ``path``, and only once every file is written are they
+    moved into place. A path that is a directory, or lies in none, fails
+    before anything is written.
+    """
+    for path, _ in outputs:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    with contextlib.ExitStack() as stack:
+        staged = []
+        for path, write in outputs:
+            target = Path(path)
+            tmp = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent)
+            )
+            part = Path(tmp) / target.name
+            write(part)
+            staged.append((part, target))
+        for part, target in staged:
+            os.replace(part, target)
 
 
 def _add_window_args(p: argparse.ArgumentParser) -> None:
@@ -200,10 +230,11 @@ def cmd_run(args) -> int:
         min_event_s=args.min_event_sec,
     )
     track, report = _stream(rec, detector, spec)
-    metrics.export_hypothesis(track, opts, args.out_hyp)
-    print(f"wrote {args.out_hyp}; {report.summary()}")
+    outputs = [(args.out_hyp, functools.partial(metrics.export_hypothesis, track, opts))]
     if args.out_latency:
-        Path(args.out_latency).write_text(report.per_window_csv())
+        outputs.append((args.out_latency, lambda p: p.write_text(report.per_window_csv())))
+    _write_outputs(outputs)
+    print(f"wrote {args.out_hyp}; {report.summary()}")
     return EXIT_OK
 
 
@@ -250,10 +281,10 @@ def cmd_bench(args) -> int:
         rec, detector, spec, budget_s=args.budget_sec, exclude_warmup=not args.include_warmup
     )
     print(report.summary())
-    if args.out:
-        Path(args.out).write_text(report.to_kv())
+    outputs = [(args.out, lambda p: p.write_text(report.to_kv()))] if args.out else []
     if args.out_csv:
-        Path(args.out_csv).write_text(report.per_window_csv())
+        outputs.append((args.out_csv, lambda p: p.write_text(report.per_window_csv())))
+    _write_outputs(outputs)
     return EXIT_OK if report.passed else EXIT_REALTIME
 
 

@@ -101,8 +101,12 @@ class LinearDetector:
     ``w / std`` and ``b - sum(w * mean / std)``. The folded weights are cut
     into ``k`` rows of at most ``_DOT_ROW`` elements, plus a tail of fewer
     than ``k``; ``detect`` takes the dot as one batched product of those rows
-    (one single-threaded BLAS dot each) and sums the partial dots. Scores
-    differ from the unfolded expression only by rounding (at most 4e-13
+    (one single-threaded BLAS dot each) and sums the partial dots. Weights
+    and accumulation are float64: each tensor is first copied into a float64
+    buffer the detector keeps, an exact cast of a float32 tensor, so it
+    scores bit for bit as its float64 cast does, and one detector serves one
+    stream at a time. Scores
+    differ from the unfolded expression only by rounding (at most 7e-13
     relative on the models of a 300 s synthetic pair; see the README). The
     logit is clipped to ``LOGIT_CAP`` as in ``logistic``, so no logit
     overflows. With ``smoothing`` s > 0 a window scores
@@ -122,6 +126,7 @@ class LinearDetector:
         self._head = k * (weights.size // k)
         self._rows = weights[: self._head].reshape(k, -1, 1)
         self._tail = weights[self._head :]
+        self._f64 = np.empty(weights.size)
 
     def reset_state(self) -> DetectorState:
         return DetectorState()
@@ -131,7 +136,12 @@ class LinearDetector:
     ) -> tuple[float, DetectorState]:
         # a batch of row dots, each short enough that OpenBLAS keeps it on
         # one thread; a woken thread pool would spin between windows
-        f = features.flat()
+        # an exact cast of a float32 tensor; the buffer is sliced to the
+        # tensor's length, so a tensor of another size fails in the product
+        # below instead of being broadcast
+        flat = features.flat()
+        f = self._f64[: flat.size]
+        f[...] = flat
         rows = self._rows
         z = np.matmul(f[: self._head].reshape(rows.shape[0], 1, -1), rows).sum()
         if self._tail.size:
@@ -158,7 +168,8 @@ def train_linear(
     labels = np.array([int(y) for _, y in dataset], dtype=np.float64)
     if len(set(labels.tolist())) < 2:
         raise DegenerateDatasetError("training set contains a single class")
-    X = np.stack([feat.flat() for feat, _ in dataset])
+    # float64 arithmetic over float32 features: the tensors are cast once, here
+    X = np.stack([feat.flat() for feat, _ in dataset], dtype=np.float64)
     mean = X.mean(axis=0)
     std = np.maximum(X.std(axis=0), 1e-8)
     Xn = (X - mean) / std
@@ -208,7 +219,7 @@ def fit_energy(dataset: list[tuple[FeatureTensor, int]]) -> LinearModel:
         raise IncompatibleFeatureError(
             f"the energy baseline needs 'bands' features, got {extractor_id!r}"
         )
-    energies = [feat.data[:, 0, :].mean() for feat, y in dataset if not y]
+    energies = [feat.data[:, 0, :].mean(dtype=np.float64) for feat, y in dataset if not y]
     if not energies:
         raise DegenerateDatasetError("no background windows to calibrate on")
     p50, p90 = np.percentile(energies, [50, 90])

@@ -207,12 +207,14 @@ def energy_scores(train, test_feats, smoothing: float = 0.0) -> np.ndarray:
     0.5. Each test window scores logistic((band-0 mean - p90) / scale), then
     exponential smoothing and a clip to [0, 1].
     """
-    energies = [f.data[:, 0, :].mean() for f, y in train if not y]
+    # means in float64, as the fitter and the detector take them
+    energies = [f.data[:, 0, :].mean(dtype=np.float64) for f, y in train if not y]
     p50, p90 = np.percentile(energies, [50, 90])
     scale = max((p90 - p50) / np.log(9.0), 1e-9)
     out, prev = [], None
     for f in test_feats:
-        score = 1.0 / (1.0 + np.exp(-np.clip((f.data[:, 0, :].mean() - p90) / scale, -500, 500)))
+        energy = f.data[:, 0, :].mean(dtype=np.float64)
+        score = 1.0 / (1.0 + np.exp(-np.clip((energy - p90) / scale, -500, 500)))
         if smoothing > 0 and prev is not None:
             score = smoothing * prev + (1 - smoothing) * score
         prev = min(1.0, max(0.0, float(score)))

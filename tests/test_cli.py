@@ -442,6 +442,29 @@ def test_output_path_of_the_wrong_kind_is_validation_error(small, tmp_path, caps
     assert err.startswith("error: ") and args[-1] in err
 
 
+@pytest.mark.parametrize("argv", [
+    "run --rec REC --model MODEL --out-hyp OUT --out-latency DIR",
+    "run --rec REC --model MODEL --out-hyp DIR --out-latency OUT",
+    "run --rec REC --model MODEL --out-hyp OUT --out-latency MISSING",
+    "bench --rec REC --model MODEL --out OUT --out-csv DIR",
+    "bench --rec REC --model MODEL --out MISSING --out-csv OUT",
+])
+def test_two_outputs_are_written_both_or_neither(small, tmp_path, capsys, argv):
+    # one output path is a directory or lies in none: the other output is
+    # not written either, and no temporary file is left behind
+    (tmp_path / "dir").mkdir()
+    paths = {
+        "REC": small / "rec.eeg", "MODEL": small / "model.bin", "OUT": tmp_path / "out",
+        "DIR": tmp_path / "dir", "MISSING": tmp_path / "missing" / "out",
+    }
+    args = [str(paths.get(arg, arg)) for arg in argv.split()]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    bad = next(str(paths[a]) for a in argv.split() if a in ("DIR", "MISSING"))
+    assert err.startswith("error: ") and bad in err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any((tmp_path / "dir").iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--labels", "--model", "--montage", "--json"])
 def test_input_directory_is_validation_error(corpus, capsys, flag):
     rec, directory = str(corpus / "test" / "rec.eeg"), str(corpus / "test")

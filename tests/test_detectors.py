@@ -347,6 +347,39 @@ class TestState:
         assert out_a == seq_a and out_b == seq_b
 
 
+class TestFloat32Tensors:
+    def test_float32_tensor_scores_as_its_float64_cast(self, monkeypatch):
+        # detect casts a float32 tensor exactly into float64 and takes every
+        # product in float64
+        feats, wl = synth_band_features(seed=19, duration_s=60, n_events=2)
+        assert feats[0].data.dtype == np.float32
+        model = sv.train_linear(list(zip(feats, wl.astype(int))), sv.TrainConfig(seed=2, epochs=2))
+        dtypes = set()
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            dtypes.update((a.dtype, b.dtype))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        for smoothing in (0.0, 0.5):
+            det = sv.LinearDetector(model, smoothing=smoothing)
+            s32, s64 = det.reset_state(), det.reset_state()
+            for f in feats:
+                got, s32 = det.detect(s32, f)
+                want, s64 = det.detect(s64, FeatureTensor(f.data.astype(np.float64), "bands"))
+                assert got == want
+        assert dtypes == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("size", [1, 5, 7])
+    def test_tensor_of_another_size_is_not_broadcast(self, size):
+        # the float64 buffer must not broadcast a 1-value tensor over 6 weights
+        model = sv.LinearModel(np.ones(6), 0.0, np.zeros(6), np.ones(6), "bands", (1, 2, 3))
+        det = sv.LinearDetector(model)
+        with pytest.raises(ValueError):
+            det.detect(det.reset_state(), bands_tensor(np.ones((1, 1, size))))
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         feats, wl = synth_band_features(seed=16, duration_s=60, n_events=2)

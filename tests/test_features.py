@@ -19,6 +19,14 @@ FS = 200
 # framed unpadded: frame j is x[8j : 8j + 25].
 FRAME_S, NFFT, HOP, PAD_TO_FRAMES = 0.125, 198, 8, 100
 UNPADDED_N = (PAD_TO_FRAMES - 1) * HOP + 25
+BINS = NFFT // 2 + 1
+
+# Features of a window whose peak is at most ft._F32_PEAK are float32. Their
+# oracle bounds follow from the float32 unit roundoff and the length of each
+# reduction (a dot of n terms is off by at most about n * U32 times the dot of
+# the absolute values), not from errors seen on these windows.
+U32 = 2.0**-24
+F32 = np.dtype(np.float32)
 
 
 def sine_window(freq_hz, n_channels=20, n=800, fs=FS, phase=0.0):
@@ -28,10 +36,14 @@ def sine_window(freq_hz, n_channels=20, n=800, fs=FS, phase=0.0):
 
 class TestRaw:
     def test_passthrough_shape(self):
+        # float64 samples are rounded once to float32; float32 ones copied exactly
         x = np.random.default_rng(0).normal(size=(20, 800))
         out = sv.extract_raw(x)
         assert out.shape == (20, 1, 800)
-        np.testing.assert_array_equal(out.data[:, 0, :], x)
+        assert out.data.dtype == np.float32
+        assert out.data[:, 0, :].tobytes() == x.astype(np.float32).tobytes()
+        x32 = x.astype(np.float32)
+        assert sv.extract_raw(x32).data[:, 0, :].tobytes() == x32.tobytes()
 
     def test_tiny_window(self):
         out = sv.extract_raw([[1.0, 2.0, 3.0, 4.0]])
@@ -74,8 +86,10 @@ class TestStft:
         out = sv.stft(x[None, :])
         taper = np.hanning(26)[:25]  # periodic hann
         for j in (0, 1, 57, 99):
-            oracle = dft_magnitude(x[HOP * j : HOP * j + 25] * taper, NFFT)
-            np.testing.assert_allclose(out.data[0, :, j], oracle, atol=1e-8)
+            frame = x[HOP * j : HOP * j + 25] * taper
+            oracle = dft_magnitude(frame, NFFT)
+            bound = stft_terms(25) * U32 * np.abs(frame).sum()
+            assert np.all(np.abs(out.data[0, :, j] - oracle) <= bound)
 
     def test_frame_longer_than_window(self):
         # a window shorter than one frame is reflect-padded to 100 frames
@@ -83,7 +97,7 @@ class TestStft:
             x = np.random.default_rng(n).normal(size=(1, n))
             out = sv.stft(x)
             assert out.shape == (1, 100, 100)
-            assert_matches_oracle(out.data, rfft_stft_oracle(x, FS))
+            assert_within(out.data, rfft_stft_oracle(x, FS), stft_error_bound(x, FS))
 
     def test_parseval_identity(self):
         rng = np.random.default_rng(2)
@@ -141,15 +155,45 @@ class TestFrequencyBands:
         np.testing.assert_allclose(a, b, rtol=0.05, atol=0.02 * a.max())
 
 
-def rfft_stft_oracle(x, fs):
-    """Zero-padded per-frame rfft of the Hann-tapered frames, (channels, bins, frames)."""
+def tapered_frames(x, fs):
+    """The Hann-tapered STFT frames of ``x``, (channels, frames, frame)."""
     frame = int(round(FRAME_S * fs))
     # reflect-pad to 100 frames, the odd sample behind
     pad = max((PAD_TO_FRAMES - 1) * HOP + frame - x.shape[1], 0)
     x = np.pad(x, ((0, 0), (pad // 2, pad - pad // 2)), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=1)[:, ::HOP, :]
-    taper = sps.get_window("hann", frame, fftbins=True)
-    return np.transpose(np.abs(rfft(frames * taper, n=NFFT, axis=2)), (0, 2, 1))
+    return frames * sps.get_window("hann", frame, fftbins=True)
+
+
+def rfft_stft_oracle(x, fs):
+    """Zero-padded per-frame rfft of the Hann-tapered frames, (channels, bins, frames)."""
+    return np.transpose(np.abs(rfft(tapered_frames(x, fs), n=NFFT, axis=2)), (0, 2, 1))
+
+
+def stft_terms(frame):
+    """Units of U32, times a frame's Hann-weighted absolute sum S, that bound
+    a float32 magnitude's error: rounding the samples and the basis and a
+    ``frame``-term dot, (frame + 2) U32 S for each of the two parts, so
+    sqrt(2) of that for the modulus, which itself rounds by a few U32."""
+    return np.sqrt(2) * (frame + 2) + 4
+
+
+def stft_error_bound(x, fs, terms=0):
+    """(channels, 1, frames) bound on the error of each float32 STFT output
+    of ``x``; ``terms`` adds that many U32 * S, for the band means."""
+    frames = np.abs(tapered_frames(x, fs))  # the taper is non-negative
+    return (stft_terms(frames.shape[2]) + terms) * U32 * frames.sum(axis=2)[:, None, :]
+
+
+def bands_error_bound(x, fs):
+    """The STFT bound plus a BINS-term mean, which rounds by (BINS + 2) U32
+    of its largest term (a magnitude is at most S) with the rounded weights."""
+    return stft_error_bound(x, fs, terms=BINS + 2)
+
+
+def assert_within(got, want, bound):
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def bands_oracle(x, fs):
@@ -159,10 +203,6 @@ def bands_oracle(x, fs):
         [spec[:, (freqs >= lo) & (freqs < hi), :].mean(axis=1) for lo, hi in ft.DEFAULT_BAND_EDGES],
         axis=1,
     )
-
-
-def assert_matches_oracle(got, want):
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # (rate, window length) cases of the one framing. "shape_compat" windows are
@@ -192,7 +232,7 @@ class TestDftBasis:
             got = sv.stft(x, fs).data
             want = rfft_stft_oracle(x, fs)
             assert got.shape == want.shape == (n_channels, NFFT // 2 + 1, frames)
-            assert_matches_oracle(got, want)
+            assert_within(got, want, stft_error_bound(x, fs))
 
     @pytest.mark.parametrize("n_channels", [1, 20])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -201,11 +241,11 @@ class TestDftBasis:
             got = sv.frequency_bands(x, fs).data
             want = bands_oracle(x, fs)
             assert got.shape == want.shape == (n_channels, len(ft.DEFAULT_BAND_EDGES), frames)
-            assert_matches_oracle(got, want)
+            assert_within(got, want, bands_error_bound(x, fs))
 
     def test_default_bands_match_rfft_oracle(self):
         x = np.random.default_rng(5).normal(size=(20, 800))
-        assert_matches_oracle(sv.frequency_bands(x).data, bands_oracle(x, FS))
+        assert_within(sv.frequency_bands(x).data, bands_oracle(x, FS), bands_error_bound(x, FS))
 
     def test_repeated_calls_bit_identical(self):
         x = np.random.default_rng(6).normal(size=(20, 800))
@@ -213,15 +253,17 @@ class TestDftBasis:
         assert sv.frequency_bands(x).data.tobytes() == sv.frequency_bands(x).data.tobytes()
 
     def test_basis_cached_and_read_only(self):
-        basis = ft._dft_basis(25, 198)
-        assert basis is ft._dft_basis(25, 198)
-        assert basis.shape == (25, 2 * 100)
-        # columns 2k and 2k + 1 are bin k's tapered cos and -sin, so each row
-        # of a product reads as a complex128 spectrum
+        # columns 2k and 2k + 1 are bin k's tapered cos and -sin, computed in
+        # float64 and rounded once, so each row of a product reads as a
+        # complex64 (complex128) spectrum
         angle = (2 * np.pi / 198) * (np.outer(np.arange(25), np.arange(100)) % 198)
         taper = sps.get_window("hann", 25, fftbins=True)[:, None]
-        assert np.array_equal(basis[:, 0::2], np.cos(angle) * taper)
-        assert np.array_equal(basis[:, 1::2], -np.sin(angle) * taper)
+        for dtype in (F32, np.dtype(np.float64)):
+            basis = ft._dft_basis(25, 198, dtype)
+            assert basis is ft._dft_basis(25, 198, dtype)
+            assert basis.shape == (25, 2 * 100) and basis.dtype == dtype
+            assert basis[:, 0::2].tobytes() == (np.cos(angle) * taper).astype(dtype).tobytes()
+            assert basis[:, 1::2].tobytes() == (-np.sin(angle) * taper).astype(dtype).tobytes()
         assert not basis.flags.writeable
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
@@ -329,10 +371,23 @@ def same_convolve(row, kernel):
     return np.convolve(row, kernel)[start : start + row.size]
 
 
-def sinc_oracle(x, fs):
-    # the one sinc configuration: 7 bands, 80 taps, every 2nd output
+def sinc_oracle(x, fs, magnitude=False):
+    # the one sinc configuration: 7 bands, 80 taps, every 2nd output; with
+    # magnitude, the absolute samples and kernels
     kernels = [ft.design_sinc_kernel(f1, f2, 80, fs) for f1, f2 in ft.DEFAULT_BAND_EDGES]
+    if magnitude:
+        x, kernels = np.abs(x), [np.abs(k) for k in kernels]
     return np.stack([[same_convolve(row, k)[::2] for row in x] for k in kernels])
+
+
+# A float32 sinc output rounds the samples and the taps and takes a dot of
+# at most 88 terms (a row of the banded matrix): (88 + 2) U32, and one more
+# for the second-order terms, times the convolution of the absolute values.
+SINC_TERMS = 91
+
+
+def sinc_error_bound(x, fs):
+    return SINC_TERMS * U32 * sinc_oracle(x, fs, magnitude=True)
 
 
 class TestSincFilterbank:
@@ -349,10 +404,12 @@ class TestSincFilterbank:
         assert rms[2] > 5 * rms[6]  # (8,12) vs (70,100)
 
     def test_homogeneity(self):
+        # a and b are each within their error bound of the exact outputs,
+        # and the bound of 3x is 3 times that of x
         x = np.random.default_rng(1).normal(size=(3, 800))
         a = sv.sinc_filterbank(x).data
         b = sv.sinc_filterbank(3.0 * x).data
-        np.testing.assert_allclose(b, 3.0 * a, rtol=1e-6, atol=1e-9)
+        assert np.all(np.abs(b - 3.0 * a) <= 6 * sinc_error_bound(x, FS))
 
     @pytest.mark.parametrize(
         "n_channels,n,fs",
@@ -363,7 +420,7 @@ class TestSincFilterbank:
         got = sv.sinc_filterbank(x, fs).data
         want = sinc_oracle(x, fs)
         assert got.shape == want.shape == (7, n_channels, -(-n // 2))
-        assert_matches_oracle(got, want)
+        assert_within(got, want, sinc_error_bound(x, fs))
 
     def test_repeated_calls_bit_identical(self):
         x = np.random.default_rng(7).normal(size=(20, 800))
@@ -374,21 +431,25 @@ class TestSincFilterbank:
         assert (bank.kernel_len, bank.stride, bank.bands) == (80, 2, ft.DEFAULT_BAND_EDGES)
 
     def test_taps_cached_and_read_only(self):
-        taps = ft._sinc_taps(FS)
-        assert taps is ft._sinc_taps(FS)
-        assert taps.shape == (80, 7)
-        np.testing.assert_array_equal(taps[::-1, 2], ft.design_sinc_kernel(8, 12, 80, FS))
+        # designed in float64 and rounded once
+        for dtype in (F32, np.dtype(np.float64)):
+            taps = ft._sinc_taps(FS, dtype)
+            assert taps is ft._sinc_taps(FS, dtype)
+            assert taps.shape == (80, 7) and taps.dtype == dtype
+            kernel = ft.design_sinc_kernel(8, 12, 80, FS).astype(dtype)
+            assert taps[::-1, 2].tobytes() == kernel.tobytes()
         assert not taps.flags.writeable
         with pytest.raises(ValueError):
             taps[0, 0] = 1.0
 
     def test_banded_cached_and_read_only(self):
-        banded = ft._sinc_banded(FS)
-        assert banded is ft._sinc_banded(FS)
+        banded = ft._sinc_banded(FS, F32)
+        assert banded is ft._sinc_banded(FS, F32)
         assert not banded.flags.writeable
         with pytest.raises(ValueError):
             banded[0, 0] = 1.0
-        taps, g = ft._sinc_taps(FS), ft._SINC_GROUP
+        taps, g = ft._sinc_taps(FS, F32), ft._SINC_GROUP
+        assert banded.dtype == F32
         assert banded.shape == (2 * (g - 1) + 80, g * 7)
         for j in range(g):
             block = banded[:, j * 7 : (j + 1) * 7]
@@ -402,6 +463,27 @@ SINC_STEP = ft._SINC_BLOCK * 2
 STREAM_REC = 30 * np.random.default_rng(11).normal(size=(3, 60 * FS))
 # 30 s of 22 channels, for streams whose blocks take several products each
 WIDE_REC = 30 * np.random.default_rng(12).normal(size=(22, 30 * FS))
+# STREAM_REC with a sample beyond ft._F32_PEAK every 7 s, on a different
+# channel each time: 4 s windows that hold one run in float64, the others in
+# float32, and every 12 s window holds one
+LOUD_REC = STREAM_REC.copy()
+for _k, _t in enumerate(range(7 * FS, LOUD_REC.shape[1], 7 * FS)):
+    LOUD_REC[_k % 3, _t] = (-1) ** _k * 2 * ft._F32_PEAK
+
+
+def assert_stream_equals_fresh(extract, fresh, rec, first, steps):
+    """Windows of ``rec`` that start at ``first`` and move by ``steps`` of
+    (shift in samples, length in s): ``extract`` returns what ``fresh`` does
+    on a copy, bit for bit, and never writes a tensor it returned before."""
+    start, returned = first, []
+    for shift, window_s in steps:
+        n = window_s * FS
+        start = min(max(start + shift, 0), rec.shape[1] - n)
+        window = rec[:, start : start + n]
+        got = extract(window)
+        assert got.data.tobytes() == fresh(window.copy()).data.tobytes()
+        returned.append((got, got.data.tobytes()))
+    assert all(t.data.tobytes() == b for t, b in returned)
 
 
 def sinc_steps(max_size):
@@ -421,16 +503,14 @@ class TestSincStream:
     @given(first=st.integers(0, STREAM_REC.shape[1]), steps=sinc_steps(10))
     def test_stream_equals_fresh(self, first, steps):
         extract = ft.get_extractor("sincnet")
-        start, returned = first, []
-        for shift, window_s in steps:
-            n = window_s * FS
-            start = min(max(start + shift, 0), STREAM_REC.shape[1] - n)
-            window = STREAM_REC[:, start : start + n]
-            got = extract(window)
-            assert got.data.tobytes() == ft.sinc_filterbank(window.copy()).data.tobytes()
-            returned.append((got, got.data.tobytes()))
-        # earlier tensors are never written by later calls
-        assert all(t.data.tobytes() == b for t, b in returned)
+        assert_stream_equals_fresh(extract, ft.sinc_filterbank, STREAM_REC, first, steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=st.integers(0, LOUD_REC.shape[1]), steps=sinc_steps(10))
+    def test_stream_equals_fresh_across_dtypes(self, first, steps):
+        # windows on either side of the float32-safe peak share no outputs
+        extract = ft.get_extractor("sincnet")
+        assert_stream_equals_fresh(extract, ft.sinc_filterbank, LOUD_REC, first, steps)
 
     def test_computes_only_the_new_block_and_the_edges(self, monkeypatch):
         # 4 s windows at a 1 s shift: 100 new interior outputs plus 20 + 19
@@ -462,7 +542,7 @@ class TestSincStream:
     @given(first=st.integers(0, WIDE_REC.shape[1]), steps=sinc_steps(6))
     def test_stream_equals_fresh_across_products(self, n_channels, first, steps):
         # at 20 or more channels one block's rows span several products
-        banded = ft._sinc_banded(FS)
+        banded = ft._sinc_banded(FS, F32)
         block_rows = n_channels * ft._SINC_BLOCK // ft._SINC_GROUP
         assert block_rows * banded.size > ft._ONE_THREAD_MACS
         rec = WIDE_REC[:n_channels]
@@ -492,7 +572,7 @@ class TestSincStream:
         assert macs and max(macs) <= ft._ONE_THREAD_MACS
         # the dense edge products are among them, and cover every channel
         for j0, j1 in ((0, 20), (381, 400)):
-            edge = ft._sinc_edge(FS, 4 * FS, j0, j1)[1]
+            edge = ft._sinc_edge(FS, 4 * FS, j0, j1, F32)[1]
             assert sum(a[0] for a, b in shapes if b == edge.shape) == n_channels
 
     def test_caller_buffer_mutated_in_place(self):
@@ -524,6 +604,15 @@ class TestSincStream:
 BANDS_STEP = ft._FRAME_BLOCK * HOP
 
 
+def bands_steps():
+    """Lists of (shift in samples, window length in s) for an STFT stream."""
+    shift = st.one_of(
+        st.sampled_from([0, BANDS_STEP, 2 * BANDS_STEP]),
+        st.integers(-3 * BANDS_STEP, 3 * BANDS_STEP),
+    )
+    return st.lists(st.tuples(shift, st.sampled_from([4, 12])), min_size=1, max_size=10)
+
+
 def streamed_bands():
     """``frequency_bands`` with one ``BlockCache`` kept across calls."""
     cache = ft.BlockCache()
@@ -537,32 +626,18 @@ class TestBandsStream:
 
     @pytest.mark.parametrize("name,fresh", [("bands", "frequency_bands"), ("stft", "stft")])
     @settings(max_examples=60, deadline=None)
-    @given(
-        first=st.integers(0, STREAM_REC.shape[1]),
-        steps=st.lists(
-            st.tuples(
-                st.one_of(
-                    st.sampled_from([0, BANDS_STEP, 2 * BANDS_STEP]),
-                    st.integers(-3 * BANDS_STEP, 3 * BANDS_STEP),
-                ),
-                st.sampled_from([4, 12]),
-            ),
-            min_size=1,
-            max_size=10,
-        ),
-    )
+    @given(first=st.integers(0, STREAM_REC.shape[1]), steps=bands_steps())
     def test_stream_equals_fresh(self, name, fresh, first, steps):
         extract = streamed_bands() if name == "bands" else ft.get_extractor(name)
-        start, returned = first, []
-        for shift, window_s in steps:
-            n = window_s * FS
-            start = min(max(start + shift, 0), STREAM_REC.shape[1] - n)
-            window = STREAM_REC[:, start : start + n]
-            got = extract(window)
-            assert got.data.tobytes() == getattr(ft, fresh)(window.copy()).data.tobytes()
-            returned.append((got, got.data.tobytes()))
-        # earlier tensors are never written by later calls
-        assert all(t.data.tobytes() == b for t, b in returned)
+        assert_stream_equals_fresh(extract, getattr(ft, fresh), STREAM_REC, first, steps)
+
+    @pytest.mark.parametrize("name,fresh", [("bands", "frequency_bands"), ("stft", "stft")])
+    @settings(max_examples=40, deadline=None)
+    @given(first=st.integers(0, LOUD_REC.shape[1]), steps=bands_steps())
+    def test_stream_equals_fresh_across_dtypes(self, name, fresh, first, steps):
+        # windows on either side of the float32-safe peak share no outputs
+        extract = streamed_bands() if name == "bands" else ft.get_extractor(name)
+        assert_stream_equals_fresh(extract, getattr(ft, fresh), LOUD_REC, first, steps)
 
     def test_computes_28_of_100_frames_per_channel(self, monkeypatch):
         # 4 s windows at a 1 s shift: 25 new interior frames plus the 3
@@ -622,12 +697,12 @@ def test_block_extractors_return_read_only_tensors(fresh, with_cache):
 class TestMultirate:
     def test_lengths(self):
         # the 200, 100 and 50 Hz copies, one after the other on the time axis
-        x = np.random.default_rng(3).normal(size=(20, 800))
+        x = np.random.default_rng(3).normal(size=(20, 800)).astype(np.float32)
         out = sv.multirate(x)
         assert out.extractor_id == "multirate"
         assert out.shape == (20, 1, 800 + 400 + 200)
         want = np.concatenate([x, x[:, ::2], x[:, ::4]], axis=1)[:, None, :]
-        assert out.data.tobytes() == want.tobytes()
+        assert out.data.dtype == np.float32 and out.data.tobytes() == want.tobytes()
 
     def test_constant(self):
         out = sv.multirate(np.full((1, 800), 2.5))
@@ -699,3 +774,36 @@ def test_non_finite_or_out_of_range_sample_rejected(name, bad):
     window[1, 123] = bad
     with pytest.raises(InvalidArgumentError, match="non-finite sample or one beyond float32 range"):
         ft.get_extractor(name)(window)
+
+
+def test_float32_peak_bounds_every_cached_matrix():
+    # _F32_PEAK holds if no column of a cached product matrix has an L1 norm
+    # above _FFT_SIZE / 2 (up to the rounding of the basis, which the factor
+    # of 2 in _F32_PEAK covers); 1584 Hz is the rate whose frame fills the DFT
+    limit = ft._FFT_SIZE / 2 * (1 + 1e-12)
+    f64 = np.dtype(np.float64)
+    for fs in (200, 256, 1000, 1584):
+        norms = [ft._dft_basis(ft._frame_samples(fs), ft._FFT_SIZE, f64)]
+        if fs <= 256:  # at 1000 Hz and above the (1, 4) band covers no bin
+            norms.append(ft._band_averaging(fs, f64))
+        n = 4 * fs
+        lo, hi = ft._interior(n, 80, 2, 40, n // 2)
+        norms += [ft._sinc_taps(fs, f64), ft._sinc_banded(fs, f64),
+                  ft._sinc_edge(fs, n, 0, lo, f64)[1], ft._sinc_edge(fs, n, hi, n // 2, f64)[1]]
+        assert max(np.abs(m).sum(axis=0).max() for m in norms) <= limit
+    assert np.abs(ft._sinc_taps(200, f64)).sum(axis=0).max() <= np.sqrt(80)
+
+
+@pytest.mark.parametrize("name", ft.EXTRACTOR_NAMES)
+def test_working_dtype_follows_the_peak(name):
+    # a window runs in float32 up to ft._F32_PEAK and in float64 beyond it;
+    # lfcc is float64 either way
+    extract = ft.get_extractor(name)
+    window = 30 * np.random.default_rng(13).normal(size=(2, 800))
+    window[1, 400] = -ft._F32_PEAK
+    assert extract(window).data.dtype == (np.float64 if name == "lfcc" else np.float32)
+    window[1, 400] = np.nextafter(-ft._F32_PEAK, -np.inf)
+    assert extract(window).data.dtype == np.float64
+    # full-scale swings at the bound stay finite in float32
+    swings = np.resize([ft._F32_PEAK, -ft._F32_PEAK], (3, 800))
+    assert np.isfinite(extract(swings).data).all()
