@@ -15,6 +15,8 @@ import functools
 import io as stdio
 import json
 import os
+import shutil
+import stat
 import sys
 import tempfile
 import time
@@ -92,25 +94,41 @@ def _score(rec, labels, wl, detector, spec, **eval_opts):
 def _write_outputs(outputs: list[tuple[str, Callable[[Path], object]]]) -> None:
     """Write every output or none of them.
 
-    Each ``(path, write)`` pair has ``write`` fill a file in a temporary
-    directory beside ``path``, and only once every file is written are they
-    moved into place. A path that is a directory, or lies in none, fails
-    before anything is written.
+    Each ``(path, write)`` pair has ``write`` fill a file, in the order
+    given. A path that names a regular file or nothing is followed through
+    any symlink to its target, and ``write`` fills a file in a temporary
+    directory beside that target, one per directory; only once every write
+    is done are these files moved into place, and one that replaces a file
+    takes its permission bits. Any other path (``/dev/null``, a FIFO) is written in
+    place. A path that is a directory, or lies in none, fails before
+    anything is written.
     """
+    targets = []
     for path, _ in outputs:
-        if os.path.isdir(path):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not Path(path).parent.is_dir():
+        target = Path(path).resolve() if mode is None or stat.S_ISREG(mode) else None
+        if target is not None and not target.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        targets.append(target)
     with contextlib.ExitStack() as stack:
-        staged = []
-        for path, write in outputs:
-            target = Path(path)
-            tmp = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent)
-            )
-            part = Path(tmp) / target.name
+        tmp_dirs, staged = {}, []
+        for (path, write), target in zip(outputs, targets):
+            if target is None:
+                write(Path(path))
+                continue
+            if target.parent not in tmp_dirs:
+                tmp = tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent)
+                tmp_dirs[target.parent] = Path(stack.enter_context(tmp))
+            # numbered, so two outputs to one path do not share a file
+            part = tmp_dirs[target.parent] / f"{len(staged)}.{target.name}"
             write(part)
+            if target.exists():
+                shutil.copymode(target, part)
             staged.append((part, target))
         for part, target in staged:
             os.replace(part, target)
@@ -173,22 +191,21 @@ def cmd_extract(args) -> int:
         )
     if args.window_index != -1:
         windows = [windows[args.window_index]]
-    # each tensor goes to a temporary directory beside --out, and only once
-    # every window has extracted are they moved into place
     out = Path(args.out)
     if not out.parent.is_dir():
         raise InvalidArgumentError(f"--out {args.out}: no directory {out.parent}")
-    done = []
-    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
-        for window in windows:
-            tensor = rtbench.extract_window(extractor, window)
-            suffix = ".npy" if args.window_index != -1 else f".{window.index}.npy"
-            part = Path(tmp) / (out.name + suffix)
-            np.save(part, tensor.data, allow_pickle=False)
-            done.append((part, args.out + suffix, f"{tensor.extractor_id}, shape={tensor.shape}"))
-        for part, path, _ in done:
-            os.replace(part, path)
-    for _, path, what in done:
+    written = []
+
+    def save(window: core.Window, path: Path) -> None:
+        # one tensor at a time: each window is extracted as its file is written
+        tensor = rtbench.extract_window(extractor, window)
+        with open(path, "wb") as f:
+            np.save(f, tensor.data, allow_pickle=False)
+        written.append(f"{tensor.extractor_id}, shape={tensor.shape}")
+
+    paths = [args.out + (".npy" if args.window_index != -1 else f".{w.index}.npy") for w in windows]
+    _write_outputs([(path, functools.partial(save, w)) for path, w in zip(paths, windows)])
+    for path, what in zip(paths, written):
         print(f"wrote {path} ({what})")
     return EXIT_OK
 

@@ -102,12 +102,11 @@ class LinearDetector:
     into ``k`` rows of at most ``_DOT_ROW`` elements, plus a tail of fewer
     than ``k``; ``detect`` takes the dot as one batched product of those rows
     (one single-threaded BLAS dot each) and sums the partial dots. Weights
-    and accumulation are float64: each tensor is first copied into a float64
-    buffer the detector keeps, an exact cast of a float32 tensor, so it
-    scores bit for bit as its float64 cast does, and one detector serves one
-    stream at a time. Scores
-    differ from the unfolded expression only by rounding (at most 7e-13
-    relative on the models of a 300 s synthetic pair; see the README). The
+    and accumulation are float64: each tensor is first cast to float64, an
+    exact cast of a float32 tensor, so it scores bit for bit as its float64
+    cast does. Scores differ from the unfolded expression only by rounding
+    (at most 7e-13 relative on the models of a 300 s synthetic pair; see
+    the README). The
     logit is clipped to ``LOGIT_CAP`` as in ``logistic``, so no logit
     overflows. With ``smoothing`` s > 0 a window scores
     ``s * previous + (1 - s) * current``; every score is clipped to [0, 1].
@@ -126,7 +125,6 @@ class LinearDetector:
         self._head = k * (weights.size // k)
         self._rows = weights[: self._head].reshape(k, -1, 1)
         self._tail = weights[self._head :]
-        self._f64 = np.empty(weights.size)
 
     def reset_state(self) -> DetectorState:
         return DetectorState()
@@ -134,14 +132,10 @@ class LinearDetector:
     def detect(
         self, state: DetectorState, features: FeatureTensor
     ) -> tuple[float, DetectorState]:
+        # one explicit cast: a float32 operand would make matmul cast per call
+        f = np.asarray(features.flat(), dtype=np.float64)
         # a batch of row dots, each short enough that OpenBLAS keeps it on
         # one thread; a woken thread pool would spin between windows
-        # an exact cast of a float32 tensor; the buffer is sliced to the
-        # tensor's length, so a tensor of another size fails in the product
-        # below instead of being broadcast
-        flat = features.flat()
-        f = self._f64[: flat.size]
-        f[...] = flat
         rows = self._rows
         z = np.matmul(f[: self._head].reshape(rows.shape[0], 1, -1), rows).sum()
         if self._tail.size:

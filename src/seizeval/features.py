@@ -9,15 +9,16 @@ the rate and, for ``sinc_filterbank``, ``stft`` and ``frequency_bands``, an
 optional cache. All are pure and deterministic, and those three block
 extractors return read-only tensors.
 
-Features are float32 end to end, like the recordings. ``_check_window``
-picks a window's working dtype from its peak: float32 when no product of
-the window with a cached matrix can come near ``FLOAT32_MAX``
-(``_F32_PEAK``), float64 otherwise. The cached matrices exist in both
-dtypes, and ``raw``, ``multirate``, ``stft``, ``bands`` and ``sincnet`` run
-the same code in either and return tensors of that dtype. ``lfcc`` computes
-in float64 whatever the window. The ``sincnet`` and ``stft`` callables
-from ``get_extractor`` keep per-stream state: a ``BlockCache`` that holds
-the previous window and the tensor returned for it, whose outputs the next
+``raw``, ``multirate``, ``stft`` and ``bands`` keep a float32 window, as
+every recording's windows are, in float32 end to end. ``_check_window``
+picks their working dtype from the window's dtype and peak: float32 for a
+float32 window none of whose DFT products can come near ``FLOAT32_MAX``
+(``_F32_PEAK``), float64 for any other window. The cached DFT and band
+matrices exist in both dtypes, and the same code runs in either and returns
+tensors of that dtype. ``sinc_filterbank`` and ``lfcc`` compute in float64
+whatever the window. The ``sincnet`` and ``stft`` callables from
+``get_extractor`` keep per-stream state: a ``BlockCache`` that holds the
+previous window and the tensor returned for it, whose outputs the next
 window can reuse. ``frequency_bands`` takes the same cache, but the
 ``bands`` callable does not pass one. What they return still depends on
 the window alone.
@@ -54,16 +55,19 @@ class FeatureTensor:
         return self.data.reshape(-1)
 
 
-def _check_window(samples: np.ndarray) -> np.ndarray:
+def _check_window(samples: np.ndarray, float32_ok: bool = True) -> np.ndarray:
     """A new copy of a (channels, samples) window in its working dtype, owned
     by the caller.
 
-    It rejects NaN, inf and any sample beyond float32 range. The copy is
-    float32 if no sample exceeds ``_F32_PEAK`` in magnitude, and float64
-    otherwise. Every extractor maps what passes to finite outputs, so no
-    output is checked: ``stft`` and ``bands`` take magnitudes of bounded
-    products (see ``_F32_PEAK``), ``sinc`` is a bounded FIR,
-    ``lfcc`` floors before its log, and ``raw`` and ``multirate`` copy.
+    It rejects NaN, inf and any sample beyond float32 range. With
+    ``float32_ok``, a float32 window whose samples stay within ``_F32_PEAK``
+    in magnitude is copied in float32; any other window, a float32 one with
+    a larger peak or one of any other dtype, is copied in float64, so a
+    float64 window loses no precision. Without it every copy is float64.
+    Every extractor maps what passes to finite outputs, so no output is
+    checked: ``stft`` and ``bands`` take magnitudes of bounded products (see
+    ``_F32_PEAK``), ``sinc`` is a bounded FIR, ``lfcc`` floors before its
+    log, and ``raw`` and ``multirate`` copy.
     """
     x = np.asarray(samples)
     if x.dtype != np.float32:
@@ -76,7 +80,8 @@ def _check_window(samples: np.ndarray) -> np.ndarray:
     hi, lo = x.max(initial=0.0), x.min(initial=0.0)
     if not (hi <= FLOAT32_MAX and lo >= -FLOAT32_MAX):
         raise NonFiniteSampleError("window holds a non-finite sample or one beyond float32 range")
-    return np.array(x, dtype=np.float32 if max(hi, -lo) <= _F32_PEAK else np.float64)
+    f32 = float32_ok and x.dtype == np.float32 and max(hi, -lo) <= _F32_PEAK
+    return np.array(x, dtype=np.float32 if f32 else np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +121,11 @@ class BlockCache:
     outputs come in fixed blocks (``sincnet``, ``stft``, ``bands``; see
     ``_fill_interior``).
 
-    It holds the window's ``key`` (extractor, rate, window shape and dtype), its
-    ``samples`` (the array ``_check_window`` made, which nothing else holds)
-    and ``out``, the output array of the tensor returned for it, which
-    ``_fill_interior`` has made read-only. It is written only once all of a
+    It holds the window's ``key`` (extractor, rate, window shape and, for
+    ``stft`` and ``bands``, working dtype), its ``samples`` (the array
+    ``_check_window`` made, which nothing else holds) and ``out``, the
+    output array of the tensor returned for it, which ``_fill_interior``
+    has made read-only. It is written only once all of a
     window's outputs are computed, so a window that fails its input check
     leaves it as it was. A cache serves one stream and is not thread-safe.
     """
@@ -188,15 +194,14 @@ _FFT_SIZE = 198
 _HOP = 8
 _PAD_TO_FRAMES = 100
 
-# The largest L1 norm of a column of any cached product matrix is at most
-# _FFT_SIZE / 2: a DFT basis column is a Hann taper of at most _FFT_SIZE
-# samples (which sums to half its length) times a cosine or sine; a band
-# averaging column sums to 1; and a sinc kernel, whose 4096-point response
-# peaks at 1, has an L2 norm of at most 1 by Parseval, so an L1 norm of at
-# most sqrt(80) < 9. Every product value, every partial sum BLAS forms and
-# every magnitude of a window whose samples are at most _F32_PEAK in
-# magnitude therefore stays under FLOAT32_MAX / 2, and the window runs in
-# float32. The factor of 2 covers the rounding of up to 200 float32 terms.
+# The largest L1 norm of a column of the cached DFT basis is at most
+# _FFT_SIZE / 2: a column is a Hann taper of at most _FFT_SIZE samples
+# (which sums to half its length) times a cosine or sine. A band averaging
+# column sums to 1, so a band mean is at most the largest magnitude. Every
+# product value, every partial sum BLAS forms, every magnitude and every
+# band mean of a window whose samples are at most _F32_PEAK in magnitude
+# therefore stays under FLOAT32_MAX / 2, and the window runs in float32.
+# The factor of 2 covers the rounding of up to 200 float32 terms.
 _F32_PEAK = FLOAT32_MAX / _FFT_SIZE
 
 
@@ -347,12 +352,15 @@ def stft(
     """Hann-windowed one-sided magnitude spectrogram, (channels, bins, frames).
 
     Magnitudes come from a cached Hann-DFT basis (``_dft_basis``) rather than
-    a zero-padded FFT per frame, in the window's working dtype. In float32
-    (u = 2**-24) a magnitude differs from the exact ``abs(rfft(frames *
-    hann, n=nfft))`` by at most ``(sqrt(2) * (frame + 2) + 4) * u`` times
-    the frame's Hann-weighted absolute sum, a band mean by ``bins + 2`` more
-    units of it: the bounds of rounding the samples and the basis, a
-    ``frame``-term dot, the modulus and a ``bins``-term mean. On a 4 s,
+    a zero-padded FFT per frame, in the window's working dtype. In float64,
+    on random windows (200-256 Hz, 37-2400 samples), they differ from
+    ``abs(rfft(frames * hann, n=nfft))`` by at most 8e-16 of the largest
+    magnitude, band averages by 2.5e-14 relative. In float32 (u = 2**-24)
+    a magnitude differs from the exact value by at most ``(sqrt(2) *
+    (frame + 2) + 4) * u`` times the frame's Hann-weighted absolute sum, a
+    band mean by ``bins + 2`` more units of it: the bounds of rounding the
+    basis and of a ``frame``-term dot, with a unit to spare, of the modulus
+    and of a ``bins``-term mean. On a 4 s,
     200 Hz window of noise the magnitude bound is 2e-6 to 3e-6 of the
     largest magnitude, and the largest error 1.6e-7 of it. With a
     ``cache`` each frame is computed once per stream, as in
@@ -458,10 +466,12 @@ def _dct_basis(n: int, n_coeffs: int) -> np.ndarray:
 def lfcc(samples: np.ndarray, sample_rate_hz: int = PIPELINE_RATE_HZ) -> FeatureTensor:
     """Absolute linear-frequency cepstral coefficients, (channels, 8, frames), in float64.
 
-    Its power spectrum squares magnitudes, which ``_F32_PEAK`` does not bound
-    in float32, and numpy before 2.0 takes every FFT in double precision.
+    It computes in float64 whatever the window, because numpy's float32
+    ``rfft`` of the strided (20, 25, 60) frames of a 4 s, 200 Hz window took
+    2.5 times as long as the float64 one, and its power spectrum squares
+    magnitudes, which ``_F32_PEAK`` does not bound in float32.
     """
-    x = _check_window(samples).astype(np.float64, copy=False)
+    x = _check_window(samples, float32_ok=False)
     frame = int(round(_LFCC_FRAME_S * sample_rate_hz))
     hop = int(round(_LFCC_HOP_S * sample_rate_hz))
     if min(frame, hop) < 1:
@@ -514,11 +524,10 @@ class SincBank:
 
 
 @lru_cache(maxsize=8)
-def _sinc_taps(sample_rate_hz: int, dtype: np.dtype) -> np.ndarray:
-    """Read-only (80, 7) ``dtype`` matrix of the reversed sinc kernels,
-    designed in float64 and rounded once."""
+def _sinc_taps(sample_rate_hz: int) -> np.ndarray:
+    """Read-only (80, 7) matrix of the reversed sinc kernels."""
     kernels = [design_sinc_kernel(*b, _SINC_KERNEL_LEN, sample_rate_hz) for b in DEFAULT_BAND_EDGES]
-    taps = np.stack([k[::-1] for k in kernels], axis=1).astype(dtype)
+    taps = np.stack([k[::-1] for k in kernels], axis=1)
     taps.flags.writeable = False
     return taps
 
@@ -529,17 +538,16 @@ _SINC_GROUP = 5
 
 
 @lru_cache(maxsize=8)
-def _sinc_banded(sample_rate_hz: int, dtype: np.dtype) -> np.ndarray:
+def _sinc_banded(sample_rate_hz: int) -> np.ndarray:
     """Read-only (88, 35) matrix: ``_SINC_GROUP`` (5) shifted copies of the taps.
 
     Column block ``j`` holds ``_sinc_taps`` shifted down by ``2 * j`` rows
     and zeros elsewhere, so the 88 samples from ``2 * j0 - 40`` on, times
     this matrix, give outputs ``j0 + j`` of every band for ``0 <= j < 5``.
     """
-    taps = _sinc_taps(sample_rate_hz, dtype)
+    taps = _sinc_taps(sample_rate_hz)
     n_bands = taps.shape[1]
-    rows = _SINC_STRIDE * (_SINC_GROUP - 1) + _SINC_KERNEL_LEN
-    banded = np.zeros((rows, _SINC_GROUP * n_bands), dtype)
+    banded = np.zeros((_SINC_STRIDE * (_SINC_GROUP - 1) + _SINC_KERNEL_LEN, _SINC_GROUP * n_bands))
     for j in range(_SINC_GROUP):
         first = _SINC_STRIDE * j
         banded[first : first + _SINC_KERNEL_LEN, j * n_bands : (j + 1) * n_bands] = taps
@@ -550,8 +558,7 @@ def _sinc_banded(sample_rate_hz: int, dtype: np.dtype) -> np.ndarray:
 def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Outputs ``j0 <= j < j1`` of every row of ``x`` convolved with every kernel.
 
-    Returns (kernels, channels, j1 - j0) in the dtype of ``x`` and
-    ``banded``. Output ``j`` is centred on sample
+    Returns (kernels, channels, j1 - j0). Output ``j`` is centred on sample
     ``2 * j`` like ``np.convolve(row, kernel, "same")[::2]``: it reads the 80
     samples from ``2 * j - 40`` on, and samples outside the window read as
     zero. ``sinc_filterbank`` computes its interior blocks here and its edge
@@ -579,7 +586,7 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
     else:
         view = _frames(x, width, step, first, n_groups)
     rows = np.ascontiguousarray(view).reshape(-1, width)
-    prod = np.empty((rows.shape[0], cols), x.dtype)
+    prod = np.empty((rows.shape[0], cols))
     chunk = max(1, _ONE_THREAD_MACS // (width * cols))
     for r in range(0, rows.shape[0], chunk):
         np.matmul(rows[r : r + chunk], banded, out=prod[r : r + chunk])
@@ -588,10 +595,8 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
     return prod.reshape(x.shape[0], -1, n_bands).transpose(2, 0, 1)[..., : j1 - j0]
 
 
-@lru_cache(maxsize=16)
-def _sinc_edge(
-    sample_rate_hz: int, n: int, j0: int, j1: int, dtype: np.dtype
-) -> tuple[int, np.ndarray]:
+@lru_cache(maxsize=8)
+def _sinc_edge(sample_rate_hz: int, n: int, j0: int, j1: int) -> tuple[int, np.ndarray]:
     """``(first, matrix)``: outputs ``j0 <= j < j1`` of an ``n``-sample window
     as one dense product.
 
@@ -599,14 +604,13 @@ def _sinc_edge(
     kernels * (j1 - j0)), kernel-major. The matrix holds ``_sinc_taps``
     shifted to each output's samples, with the taps that would read zero
     padding left out. For the 20 and 19 outputs at the edges of a 4 s,
-    200 Hz window it is (78, 140) and (78, 133). It is read-only and of
-    ``dtype``.
+    200 Hz window it is (78, 140) and (78, 133). It is read-only.
     """
-    taps = _sinc_taps(sample_rate_hz, dtype)
+    taps = _sinc_taps(sample_rate_hz)
     reach = _SINC_KERNEL_LEN // 2
     first = max(0, _SINC_STRIDE * j0 - reach)
     last = min(n, _SINC_STRIDE * (j1 - 1) - reach + _SINC_KERNEL_LEN)
-    matrix = np.zeros((last - first, taps.shape[1], j1 - j0), dtype)
+    matrix = np.zeros((last - first, taps.shape[1], j1 - j0))
     for j in range(j0, j1):
         start = _SINC_STRIDE * j - reach  # output j reads x[start + i] times taps[i]
         lo, hi = max(start, first), min(start + _SINC_KERNEL_LEN, last)
@@ -624,9 +628,9 @@ def _edge_rows(x: np.ndarray, sample_rate_hz: int, j0: int, j1: int) -> np.ndarr
     BLAS takes without a copy. Channels go in chunks of at most
     ``core._ONE_THREAD_MACS`` multiply-adds, so each product runs on one core.
     """
-    first, matrix = _sinc_edge(sample_rate_hz, x.shape[1], j0, j1, x.dtype)
+    first, matrix = _sinc_edge(sample_rate_hz, x.shape[1], j0, j1)
     samples = x[:, first : first + matrix.shape[0]]
-    prod = np.empty((x.shape[0], matrix.shape[1]), x.dtype)
+    prod = np.empty((x.shape[0], matrix.shape[1]))
     chunk = max(1, _ONE_THREAD_MACS // matrix.size)
     for r in range(0, x.shape[0], chunk):
         np.matmul(samples[r : r + chunk], matrix, out=prod[r : r + chunk])
@@ -652,12 +656,11 @@ def sinc_filterbank(
     rate and laid out as a cached banded matrix (``_sinc_banded``): one row
     of 88 samples gives ``_SINC_GROUP`` (5) consecutive kept outputs of
     every band, so only the kept outputs are computed. The rows go through
-    BLAS products small enough to run on one core (``_fir_rows``), in the
-    window's working dtype. In float32 (u = 2**-24) an output differs from
-    the exact per-row ``np.convolve`` result by at most ``91 * u`` times the
-    convolution of the absolute samples with the absolute kernel: the bound
-    of rounding the samples and the taps and of an 88-term dot (a row of
-    the banded matrix), 90 terms, rounded up for their second-order terms.
+    BLAS products small enough to run on one core (``_fir_rows``). Outputs
+    differ from the per-row ``np.convolve`` result by under 1e-15 of their
+    largest magnitude. It computes in float64 whatever the window: the
+    benchmark's self-test (``perfbench/test_harness.py``) holds its outputs
+    to 1e-9 of a float64 reference, which no float32 output can meet.
 
     The outputs that read zero padding at either edge (20 and 19 per channel
     for a 4 s, 200 Hz window) come from one dense product each: the first
@@ -667,11 +670,11 @@ def sinc_filterbank(
     (``_fill_interior``); the result is bit-identical to a call without a
     cache. The returned tensor is read-only.
     """
-    x = _check_window(samples)
-    banded = _sinc_banded(sample_rate_hz, x.dtype)
+    x = _check_window(samples, float32_ok=False)
+    banded = _sinc_banded(sample_rate_hz)
     n_out = -(-x.shape[1] // _SINC_STRIDE)
     lo, hi = _interior(x.shape[1], _SINC_KERNEL_LEN, _SINC_STRIDE, _SINC_KERNEL_LEN // 2, n_out)
-    out = np.empty((len(DEFAULT_BAND_EDGES), x.shape[0], n_out), x.dtype)
+    out = np.empty((len(DEFAULT_BAND_EDGES), x.shape[0], n_out))
 
     def rows(j0: int, j1: int) -> np.ndarray:
         return _fir_rows(x, banded, j0, j1)
@@ -679,7 +682,7 @@ def sinc_filterbank(
     for j0, j1 in ((0, lo), (hi, n_out)):
         if j1 > j0:
             out[:, :, j0:j1] = _edge_rows(x, sample_rate_hz, j0, j1)
-    key = ("sincnet", sample_rate_hz, x.shape, x.dtype)
+    key = ("sincnet", sample_rate_hz, x.shape)
     _fill_interior(out, x, lo, hi, _SINC_BLOCK, _SINC_STRIDE * _SINC_BLOCK, rows, cache, key)
     return FeatureTensor(out, extractor_id="sincnet")
 

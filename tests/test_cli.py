@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -463,6 +465,29 @@ def test_two_outputs_are_written_both_or_neither(small, tmp_path, capsys, argv):
     bad = next(str(paths[a]) for a in argv.split() if a in ("DIR", "MISSING"))
     assert err.startswith("error: ") and bad in err
     assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any((tmp_path / "dir").iterdir())
+
+
+def test_outputs_write_through_symlinks_and_into_devices(small, tmp_path):
+    # a symlinked output keeps its link and replaces the file it points to,
+    # which keeps its permission bits; a device is written in place
+    target = tmp_path / "real" / "hyp.txt"
+    target.parent.mkdir()
+    target.write_text("old")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    rec, model = str(small / "rec.eeg"), str(small / "model.bin")
+    argv = ["run", "--rec", rec, "--model", model, "--out-hyp", str(link), "--out-latency", os.devnull]
+    assert main(argv) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    plain = tmp_path / "plain.txt"
+    assert main(["run", "--rec", rec, "--model", model, "--out-hyp", str(plain)]) == 0
+    assert target.read_text() == plain.read_text() != "old"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in target.parent.iterdir()] == ["hyp.txt"]
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert main(["bench", "--rec", rec, "--model", model, "--out", os.devnull]) in (0, 3)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.parametrize("flag", ["--labels", "--model", "--montage", "--json"])

@@ -371,14 +371,6 @@ class TestFloat32Tensors:
                 assert got == want
         assert dtypes == {np.dtype(np.float64)}
 
-    @pytest.mark.parametrize("size", [1, 5, 7])
-    def test_tensor_of_another_size_is_not_broadcast(self, size):
-        # the float64 buffer must not broadcast a 1-value tensor over 6 weights
-        model = sv.LinearModel(np.ones(6), 0.0, np.zeros(6), np.ones(6), "bands", (1, 2, 3))
-        det = sv.LinearDetector(model)
-        with pytest.raises(ValueError):
-            det.detect(det.reset_state(), bands_tensor(np.ones((1, 1, size))))
-
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
