@@ -7,21 +7,14 @@ constraint violation (bench).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
-import errno
 import functools
 import io as stdio
 import json
-import os
-import shutil
-import stat
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -91,49 +84,6 @@ def _score(rec, labels, wl, detector, spec, **eval_opts):
     return track, latency, metrics.evaluate_track(labels, wl, track, **eval_opts)
 
 
-def _write_outputs(outputs: list[tuple[str, Callable[[Path], object]]]) -> None:
-    """Write every output or none of them.
-
-    Each ``(path, write)`` pair has ``write`` fill a file, in the order
-    given. A path that names a regular file or nothing is followed through
-    any symlink to its target, and ``write`` fills a file in a temporary
-    directory beside that target, one per directory; only once every write
-    is done are these files moved into place, and one that replaces a file
-    takes its permission bits. Any other path (``/dev/null``, a FIFO) is written in
-    place. A path that is a directory, or lies in none, fails before
-    anything is written.
-    """
-    targets = []
-    for path, _ in outputs:
-        try:
-            mode = os.stat(path).st_mode
-        except FileNotFoundError:
-            mode = None
-        if mode is not None and stat.S_ISDIR(mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        target = Path(path).resolve() if mode is None or stat.S_ISREG(mode) else None
-        if target is not None and not target.parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        targets.append(target)
-    with contextlib.ExitStack() as stack:
-        tmp_dirs, staged = {}, []
-        for (path, write), target in zip(outputs, targets):
-            if target is None:
-                write(Path(path))
-                continue
-            if target.parent not in tmp_dirs:
-                tmp = tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent)
-                tmp_dirs[target.parent] = Path(stack.enter_context(tmp))
-            # numbered, so two outputs to one path do not share a file
-            part = tmp_dirs[target.parent] / f"{len(staged)}.{target.name}"
-            write(part)
-            if target.exists():
-                shutil.copymode(target, part)
-            staged.append((part, target))
-        for part, target in staged:
-            os.replace(part, target)
-
-
 def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-sec", type=float, default=4.0)
     p.add_argument("--shift-sec", type=float, default=1.0)
@@ -162,8 +112,10 @@ def cmd_synth(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rec, labels = core.synth_recording(cfg)
-    io.save_recording(rec, out / "rec.eeg")
-    io.save_labels(labels, out / "labels.txt")
+    io.write_outputs([
+        (out / "rec.eeg", functools.partial(io.save_recording, rec)),
+        (out / "labels.txt", functools.partial(io.save_labels, labels)),
+    ])
     print(f"wrote {out / 'rec.eeg'} ({rec.n_channels} ch, {rec.duration_s:g} s) "
           f"and {out / 'labels.txt'} ({len(labels.events)} events)")
     return EXIT_OK
@@ -204,7 +156,7 @@ def cmd_extract(args) -> int:
         written.append(f"{tensor.extractor_id}, shape={tensor.shape}")
 
     paths = [args.out + (".npy" if args.window_index != -1 else f".{w.index}.npy") for w in windows]
-    _write_outputs([(path, functools.partial(save, w)) for path, w in zip(paths, windows)])
+    io.write_outputs([(path, functools.partial(save, w)) for path, w in zip(paths, windows)])
     for path, what in zip(paths, written):
         print(f"wrote {path} ({what})")
     return EXIT_OK
@@ -250,7 +202,7 @@ def cmd_run(args) -> int:
     outputs = [(args.out_hyp, functools.partial(metrics.export_hypothesis, track, opts))]
     if args.out_latency:
         outputs.append((args.out_latency, lambda p: p.write_text(report.per_window_csv())))
-    _write_outputs(outputs)
+    io.write_outputs(outputs)
     print(f"wrote {args.out_hyp}; {report.summary()}")
     return EXIT_OK
 
@@ -301,7 +253,7 @@ def cmd_bench(args) -> int:
     outputs = [(args.out, lambda p: p.write_text(report.to_kv()))] if args.out else []
     if args.out_csv:
         outputs.append((args.out_csv, lambda p: p.write_text(report.per_window_csv())))
-    _write_outputs(outputs)
+    io.write_outputs(outputs)
     return EXIT_OK if report.passed else EXIT_REALTIME
 
 

@@ -51,6 +51,10 @@ class SurplusPayloadError(FileFormatError):
     """Payload holds more values than the header promises."""
 
 
+class UnmappablePayloadError(FileFormatError):
+    """A headed file's payload cannot be memory-mapped, e.g. the input is a pipe."""
+
+
 class TextEncodingError(FileFormatError):
     """A text input holds bytes that are not UTF-8."""
 

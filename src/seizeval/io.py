@@ -5,16 +5,29 @@ magic line (``#EEG v1``, ``#SEIZMODEL v1``) that must match exactly,
 ``key=value`` lines, an ``end_header`` line, then a little-endian payload of
 exactly as many values as the header declares. A ``.eeg`` payload is float32,
 channel-major. The round-trip is bit-exact.
+
+A loaded payload is a copy-on-write map of the file: pages are read when first
+touched, so loading takes the same time whatever the recording's length, and a
+write into the array never reaches the file. The package's writers never
+truncate or rewrite a file in place; each stages its output beside the target
+and renames it over the target (``write_outputs``), so a file that is still
+mapped keeps its bytes. A file that another process truncates or rewrites in
+place while it is loaded is outside this contract.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import io as stdio
 import math
 import os
+import shutil
+import stat
+import tempfile
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -28,6 +41,7 @@ from .errors import (
     SurplusPayloadError,
     TextEncodingError,
     TruncatedPayloadError,
+    UnmappablePayloadError,
 )
 
 _MAGIC = "#EEG v1"
@@ -53,13 +67,66 @@ def open_text(path: str | Path, newline: str | None = None) -> stdio.StringIO:
     return stdio.StringIO(text, newline=newline)
 
 
+def write_outputs(outputs: list[tuple[str | Path, Callable[[Path], object]]]) -> None:
+    """Write every output or none of them.
+
+    Each ``(path, write)`` pair has ``write`` fill a file, in the order
+    given. A path that names a regular file or nothing is followed through
+    any symlink to its target, and ``write`` fills a file in a temporary
+    directory beside that target, one per directory; only once every write
+    is done are these files moved into place, and one that replaces a file
+    takes its permission bits. A replaced file is never truncated, so an
+    array mapped from it keeps its values. Any other path (``/dev/null``, a
+    FIFO) is written in place. A path that is a directory, or lies in none,
+    fails before anything is written.
+    """
+    targets = []
+    for path, _ in outputs:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        target = Path(path).resolve() if mode is None or stat.S_ISREG(mode) else None
+        if target is not None and not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        targets.append(target)
+    with contextlib.ExitStack() as stack:
+        tmp_dirs, staged = {}, []
+        for (path, write), target in zip(outputs, targets):
+            if target is None:
+                write(Path(path))
+                continue
+            if target.parent not in tmp_dirs:
+                tmp = tempfile.TemporaryDirectory(prefix=f".{target.name}.", dir=target.parent)
+                tmp_dirs[target.parent] = Path(stack.enter_context(tmp))
+            # numbered, so two outputs to one path do not share a file
+            part = tmp_dirs[target.parent] / f"{len(staged)}.{target.name}"
+            write(part)
+            if target.exists():
+                shutil.copymode(target, part)
+            staged.append((part, target))
+        for part, target in staged:
+            os.replace(part, target)
+
+
 def write_headed(path: str | Path, magic: str, fields: dict, payload: np.ndarray, dtype: str):
-    """Write a headed file: the magic line, key=value lines, end_header, then the payload."""
+    """Write a headed file: the magic line, key=value lines, end_header, then the payload.
+
+    The file replaces ``path`` through ``write_outputs``, so ``payload`` may be
+    mapped from ``path`` itself.
+    """
     lines = [magic, *(f"{key}={value}" for key, value in fields.items()), "end_header", ""]
     header = "\n".join(lines).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype=dtype).data)
+    data = np.ascontiguousarray(payload, dtype=dtype)
+
+    def write(part: Path) -> None:
+        with open(part, "wb") as fh:
+            fh.write(header)
+            fh.write(data.data)
+
+    write_outputs([(path, write)])
 
 
 def read_header(fh: BinaryIO, path: str | Path, magic: str) -> dict[str, str]:
@@ -98,19 +165,27 @@ def check_payload_count(path: str | Path, found: int, expected: int) -> None:
 
 
 def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.ndarray:
-    """Read the rest of ``fh``, exactly ``count`` values of ``dtype``, into a new array.
+    """Map the rest of ``fh``, exactly ``count`` values of ``dtype``, copy-on-write.
 
-    The size is checked before allocating. Short of ``count``, the whole values
-    are counted; beyond it, a partial trailing value counts as one.
+    The size is checked before anything is mapped, since touching a page past
+    the end of the file would kill the process. Short of ``count``, the whole
+    values are counted; beyond it, a partial trailing value counts as one. The
+    array is writable, and a write never reaches the file. An input that
+    cannot be mapped, such as a pipe, raises UnmappablePayloadError.
     """
-    itemsize, start = np.dtype(dtype).itemsize, fh.tell()
-    size = fh.seek(0, os.SEEK_END) - start
-    found = size // itemsize if size < count * itemsize else -(-size // itemsize)
-    check_payload_count(path, found, count)
-    fh.seek(start)
-    out = np.empty(count, dtype=dtype)
-    check_payload_count(path, fh.readinto(out) // itemsize, count)
-    return out
+    itemsize = np.dtype(dtype).itemsize
+    try:
+        start = fh.tell()
+        size = fh.seek(0, os.SEEK_END) - start
+        found = size // itemsize if size < count * itemsize else -(-size // itemsize)
+        check_payload_count(path, found, count)
+        if count == 0:  # mmap rejects a zero length
+            return np.empty(0, dtype=dtype)
+        payload = np.memmap(fh, dtype=dtype, mode="c", offset=start, shape=(count,))
+    except OSError as exc:
+        raise UnmappablePayloadError(f"{path}: cannot map the payload: {exc}") from None
+    # a plain array: np.memmap's Python hooks would run on every slice and ufunc
+    return payload.view(np.ndarray)
 
 
 def save_recording(rec: Recording, path: str | Path) -> None:

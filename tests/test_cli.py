@@ -42,6 +42,17 @@ def test_synth_writes_files(tmp_path):
     assert (out / "labels.txt").read_text() == "10.000 20.000 seiz\n"
 
 
+def test_synth_writes_both_files_or_neither(tmp_path, capsys):
+    # labels.txt is a directory: rec.eeg is not written either
+    out = tmp_path / "synth"
+    (out / "labels.txt").mkdir(parents=True)
+    assert main(["synth", "--out-dir", str(out), "--duration", "30"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "labels.txt") in err
+    assert [p.name for p in out.iterdir()] == ["labels.txt"]
+    assert not any((out / "labels.txt").iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

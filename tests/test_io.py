@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -20,6 +21,7 @@ from seizeval.errors import (
     MalformedHeaderError,
     SurplusPayloadError,
     TruncatedPayloadError,
+    UnmappablePayloadError,
 )
 
 
@@ -122,7 +124,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", MALFORMED)
 @pytest.mark.parametrize("fmt", HEADED)
-def test_malformed_headed_file_typed_error(tmp_path, fmt, case):
+def test_malformed_headed_file_typed_error(tmp_path, monkeypatch, fmt, case):
     magic, key, width, save, load = HEADED[fmt]
     edit, error, message = MALFORMED[case]
     path = tmp_path / f"bad.{fmt}"
@@ -131,6 +133,11 @@ def test_malformed_headed_file_typed_error(tmp_path, fmt, case):
     n = (len(data) - data.index(b"end_header\n") - len(b"end_header\n")) // width
     path.write_bytes(edit(data, magic, key, width))
     message = message.format(key=key.decode(), n=n, n_less=n - 1, n_more=n + 1)
+
+    def refuse(*args, **kwargs):  # the error comes before anything is mapped
+        raise AssertionError("mapped the payload of a malformed file")
+
+    monkeypatch.setattr(np, "memmap", refuse)
     with pytest.raises(error, match=re.escape(f"{path}: {message}")):
         load(path)
 
@@ -154,14 +161,88 @@ def test_sample_rate_is_a_positive_header_integer(tmp_path, value):
 
 
 def test_empty_recording_round_trips(tmp_path):
+    # an empty payload is not mapped: mmap rejects a zero length
     path = tmp_path / "empty.eeg"
-    io.save_recording(sv.Recording(200, [], np.zeros((0, 0), np.float32)), path)
-    assert io.load_recording(path).samples.shape == (0, 0)
+    for n_channels, n_samples in [(0, 0), (0, 400), (3, 0)]:
+        names = ["FP1", "F7", "T3"][:n_channels]
+        io.save_recording(
+            sv.Recording(200, names, np.zeros((n_channels, n_samples), np.float32)), path
+        )
+        loaded = io.load_recording(path)
+        assert loaded.samples.shape == (n_channels, n_samples)
+        assert loaded.channel_names == names
+
+
+def test_loaded_samples_are_writable_and_writes_never_reach_the_file(tmp_path):
+    path = tmp_path / "rec.eeg"
+    io.save_recording(sample_rec(), path)
+    data = path.read_bytes()
+    rec = io.load_recording(path)
+    rec.samples[:] = 7.0
+    rec.samples[1, 5] = -1.0
+    assert rec.samples[1, 5] == -1.0 and rec.samples[0, 0] == 7.0
+    assert path.read_bytes() == data
+    assert io.load_recording(path).samples.tobytes() == sample_rec().samples.tobytes()
+
+
+# (save, load, a sample object) for each headed format
+SAVE_LOAD = {
+    "eeg": (io.save_recording, io.load_recording, sample_rec),
+    "model": (detectors.save_model, detectors.load_model, sample_model),
+}
+
+
+@pytest.mark.parametrize("fmt", SAVE_LOAD)
+def test_saving_a_loaded_file_over_itself_is_bit_exact(tmp_path, fmt):
+    # the loaded payload is mapped from the file it is saved over: the writer
+    # replaces the file rather than truncating it
+    save, load, sample = SAVE_LOAD[fmt]
+    path = tmp_path / f"self.{fmt}"
+    save(sample(), path)
+    data = path.read_bytes()
+    save(load(path), path)
+    assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_save_through_symlink_replaces_its_target(tmp_path):
+    # the link stays; its target is a new file, and an array mapped from the
+    # old one keeps its values
+    target = tmp_path / "real" / "rec.eeg"
+    target.parent.mkdir()
+    io.save_recording(sv.Recording(200, ["A"], np.ones((1, 50), np.float32)), target)
+    target.chmod(0o640)
+    old, old_inode = io.load_recording(target), target.stat().st_ino
+    link = tmp_path / "link.eeg"
+    link.symlink_to(target)
+    io.save_recording(sample_rec(), link)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.stat().st_ino != old_inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert io.load_recording(target).samples.tobytes() == sample_rec().samples.tobytes()
+    assert (old.samples == 1.0).all()
+    assert [p.name for p in target.parent.iterdir()] == ["rec.eeg"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="opens the pipe through /proc/self/fd")
+def test_unmappable_payload_typed_error(tmp_path):
+    # a pipe holds the whole file but cannot be sized or mapped
+    path = tmp_path / "rec.eeg"
+    io.save_recording(sample_rec(), path)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, path.read_bytes())  # 4.8 KB fits in the pipe's buffer
+        os.close(write_end)
+        fd_path = f"/proc/self/fd/{read_end}"
+        with pytest.raises(UnmappablePayloadError, match=re.escape(f"{fd_path}: cannot map")):
+            io.load_recording(fd_path)
+    finally:
+        os.close(read_end)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_load_recording_peak_memory_is_one_payload(tmp_path):
-    """Loading reads the payload in place: peak RSS rises by about one payload, not two.
+    """Loading maps the payload: reading all of it raises peak RSS by about one payload, not two.
 
     The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at this test
     process's peak, which forking and exec carry over.
