@@ -224,17 +224,17 @@ def cmd_eval(args) -> int:
     # recording fails on its first window
     out = Path(args.out_dir) if args.out_dir else _default_run_dir(args.seed)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "report.txt").write_text(report.to_text())
     curves = report.curves
     rows = ["threshold,tpr,fpr,precision,recall"]
     for t, tp, fp, pr in zip(curves.thresholds, curves.tpr, curves.fpr, curves.precision):
         rows.append(f"{t:.9f},{tp:.9f},{fp:.9f},{pr:.9f},{tp:.9f}")
-    (out / "curves.csv").write_text("\n".join(rows) + "\n")
-    metrics.export_hypothesis(
-        track, dataclasses.replace(opts, threshold=report.record["youden_threshold"]),
-        out / "hypothesis.txt",
-    )
+    youden = dataclasses.replace(opts, threshold=report.record["youden_threshold"])
+    io.write_outputs([
+        (out / "report.json", lambda p: p.write_text(report.to_json() + "\n")),
+        (out / "report.txt", lambda p: p.write_text(report.to_text())),
+        (out / "curves.csv", lambda p: p.write_text("\n".join(rows) + "\n")),
+        (out / "hypothesis.txt", functools.partial(metrics.export_hypothesis, track, youden)),
+    ])
     print(report.to_text(), end="")
     print(f"report written to {out}")
     return EXIT_OK
@@ -304,7 +304,7 @@ def cmd_sweep(args) -> int:
     writer.writeheader()
     writer.writerows(rows)
     if args.out:
-        Path(args.out).write_text(table.getvalue())
+        io.write_outputs([(args.out, lambda p: p.write_text(table.getvalue()))])
     print(table.getvalue(), end="")
     return EXIT_OK
 

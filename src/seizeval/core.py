@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -192,7 +193,9 @@ def _as_samples(seconds: float, fs: int, what: str) -> int:
 class Window:
     index: int
     start_s: float
-    samples: np.ndarray  # (channels, window_samples), a view into the recording
+    # (channels, window_samples), a view into the recording; once the stream has
+    # passed it, its mapped pages may be dropped and are read back from the file
+    samples: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +332,75 @@ def _window_starts(rec: Recording, spec: WindowSpec) -> np.ndarray:
     return np.arange(0, rec.n_samples - win + 1, spec.shift_samples(rec.sample_rate_hz))
 
 
+# How far a stream advances in each row between two page releases.
+_RELEASE_BYTES = 1 << 16
+
+
+class _PageRelease:
+    """Drops the mapped pages of each row of ``samples`` that a stream has passed.
+
+    Only rows of contiguous values on an ``io.PayloadMap`` have pages to drop;
+    for any other array ``next_stop`` is infinite and ``release`` does nothing.
+    """
+
+    def __init__(self, samples: np.ndarray) -> None:
+        base = samples
+        while isinstance(base, np.ndarray):
+            base = base.base
+        contiguous = samples.strides[1] == samples.itemsize
+        self.map = base if contiguous and hasattr(base, "drop_unchanged") else None
+        self.next_stop = math.inf
+        if self.map is None:
+            return
+        page = mmap.PAGESIZE
+        first = samples.ctypes.data - self.map.address
+        self.rows = [first + r * samples.strides[0] for r in range(samples.shape[0])]
+        # a row's first partial page holds the previous row's last values
+        self.done = [-(-row // page) * page for row in self.rows]
+        self.itemsize = samples.itemsize
+        self.every = max(1, _RELEASE_BYTES // self.itemsize)
+        self.next_stop = self.every
+
+    def release(self, stop: int, final: bool = False) -> None:
+        """Drop each row's pages that lie wholly before sample ``stop``.
+
+        ``final`` drops the page that holds sample ``stop - 1`` too.
+        """
+        if self.map is None:
+            return
+        page = mmap.PAGESIZE
+        for r, row in enumerate(self.rows):
+            end = row + stop * self.itemsize
+            hi = -(-end // page) * page if final else end // page * page
+            if hi > self.done[r]:
+                self.map.drop_unchanged(self.done[r], hi)
+                self.done[r] = hi
+        self.next_stop = stop + self.every
+
+
 def slice_windows(rec: Recording, spec: WindowSpec) -> Iterator[Window]:
-    """Yield sliding windows; window k starts at k * shift_s."""
+    """Yield sliding windows; window k starts at k * shift_s.
+
+    On a recording mapped by ``io.load_recording``, each row's pages that lie
+    wholly behind the current window's start are dropped as the stream
+    advances, and the rest of the pages it read when it ends or is closed,
+    each only while its bytes equal the file's. A dropped page is read back
+    from the file when touched again, so values never change, but no other
+    thread may write into the recording while it is streamed.
+    """
     win = spec.window_samples(rec.sample_rate_hz)
-    for k, start in enumerate(_window_starts(rec, spec).tolist()):
-        yield Window(k, start / rec.sample_rate_hz, rec.samples[:, start : start + win])
+    starts = _window_starts(rec, spec).tolist()
+    pages = _PageRelease(rec.samples)
+    stop = 0
+    try:
+        for k, start in enumerate(starts):
+            if start >= pages.next_stop:
+                pages.release(start)
+            stop = start + win
+            yield Window(k, start / rec.sample_rate_hz, rec.samples[:, start:stop])
+        stop = rec.n_samples
+    finally:
+        pages.release(stop, final=True)
 
 
 def window_labels(rec: Recording, labels: LabelTrack, spec: WindowSpec) -> np.ndarray:

@@ -8,11 +8,14 @@ channel-major. The round-trip is bit-exact.
 
 A loaded payload is a copy-on-write map of the file: pages are read when first
 touched, so loading takes the same time whatever the recording's length, and a
-write into the array never reaches the file. The package's writers never
-truncate or rewrite a file in place; each stages its output beside the target
-and renames it over the target (``write_outputs``), so a file that is still
-mapped keeps its bytes. A file that another process truncates or rewrites in
-place while it is loaded is outside this contract.
+write into the array never reaches the file. The map can also drop pages whose
+bytes still equal the file's (``PayloadMap.drop_unchanged``), which
+``core.slice_windows`` does behind the stream: a dropped page is read back from
+the file, unchanged, when next touched. The package's writers never truncate
+or rewrite a file in place; each stages its output beside the target and
+renames it over the target (``write_outputs``), so a file that is still mapped
+keeps its bytes. A file that another process truncates or rewrites in place
+while it is loaded is outside this contract.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ import csv
 import errno
 import io as stdio
 import math
+import mmap
 import os
 import shutil
 import stat
 import tempfile
+import weakref
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -164,14 +169,54 @@ def check_payload_count(path: str | Path, found: int, expected: int) -> None:
         raise error(f"{path}: payload holds {found} values, expected {expected}")
 
 
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+class PayloadMap(mmap.mmap):
+    """A copy-on-write map of a file that can drop the pages still equal to the file.
+
+    It holds a duplicate descriptor of the mapped inode, closed with the map,
+    so what it compares with stays the file it mapped even after another file
+    is renamed over the path.
+    """
+
+    def __new__(cls, fd: int, offset: int, length: int):
+        self = super().__new__(cls, fd, length, access=mmap.ACCESS_COPY, offset=offset)
+        self.offset = offset
+        self.fd = os.dup(fd)
+        # not at exit: a stream still open then releases its pages after atexit
+        weakref.finalize(self, os.close, self.fd).atexit = False
+        self.address = np.frombuffer(self, np.uint8, count=1).ctypes.data
+        return self
+
+    def drop_unchanged(self, lo: int, hi: int) -> None:
+        """Drop the pages in [lo, hi), page-aligned offsets into the map, that equal the file.
+
+        A page that a write made differ stays resident, since dropping it would
+        bring the file's bytes back; so no reader sees a value change, as long
+        as no other thread writes into the range during the call. Without
+        ``MADV_DONTNEED`` nothing is dropped.
+        """
+        hi = min(hi, len(self))
+        if _MADV_DONTNEED is None or hi <= lo:
+            return
+        if self[lo:hi] == os.pread(self.fd, hi - lo, self.offset + lo):
+            self.madvise(_MADV_DONTNEED, lo, hi - lo)
+        elif hi - lo > mmap.PAGESIZE:
+            for page in range(lo, hi, mmap.PAGESIZE):
+                self.drop_unchanged(page, page + mmap.PAGESIZE)
+
+
 def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.ndarray:
     """Map the rest of ``fh``, exactly ``count`` values of ``dtype``, copy-on-write.
 
     The size is checked before anything is mapped, since touching a page past
     the end of the file would kill the process. Short of ``count``, the whole
     values are counted; beyond it, a partial trailing value counts as one. The
-    array is writable, and a write never reaches the file. An input that
-    cannot be mapped, such as a pipe, raises UnmappablePayloadError.
+    array is writable, and a write never reaches the file. Its base is a
+    ``PayloadMap``, through which ``core.slice_windows`` drops the pages a
+    stream has passed. An input that cannot be mapped, such as a pipe, raises
+    UnmappablePayloadError.
     """
     itemsize = np.dtype(dtype).itemsize
     try:
@@ -181,11 +226,12 @@ def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.n
         check_payload_count(path, found, count)
         if count == 0:  # mmap rejects a zero length
             return np.empty(0, dtype=dtype)
-        payload = np.memmap(fh, dtype=dtype, mode="c", offset=start, shape=(count,))
+        # a map starts at a multiple of the allocation granularity
+        skip = start % mmap.ALLOCATIONGRANULARITY
+        payload = PayloadMap(fh.fileno(), start - skip, skip + count * itemsize)
     except OSError as exc:
         raise UnmappablePayloadError(f"{path}: cannot map the payload: {exc}") from None
-    # a plain array: np.memmap's Python hooks would run on every slice and ufunc
-    return payload.view(np.ndarray)
+    return np.ndarray((count,), dtype, buffer=payload, offset=skip)
 
 
 def save_recording(rec: Recording, path: str | Path) -> None:

@@ -478,6 +478,22 @@ def test_two_outputs_are_written_both_or_neither(small, tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not any((tmp_path / "dir").iterdir())
 
 
+def test_eval_writes_its_four_files_all_or_none(small, tmp_path, capsys):
+    # curves.csv is a directory: eval fails on it before any report file is written
+    out = tmp_path / "eval"
+    (out / "curves.csv").mkdir(parents=True)
+    argv = ["eval", "--rec", str(small / "rec.eeg"), "--labels", str(small / "labels.txt"),
+            "--model", str(small / "model.bin"), "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "curves.csv") in err
+    assert [p.name for p in out.iterdir()] == ["curves.csv"]
+    (out / "curves.csv").rmdir()
+    assert main(argv) == 0
+    names = ["curves.csv", "hypothesis.txt", "report.json", "report.txt"]
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
 def test_outputs_write_through_symlinks_and_into_devices(small, tmp_path):
     # a symlinked output keeps its link and replaces the file it points to,
     # which keeps its permission bits; a device is written in place

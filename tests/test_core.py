@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 import seizeval as sv
-from seizeval import core
+from seizeval import core, io
 from seizeval.core import DEFAULT_BIPOLAR_PAIRS, DEFAULT_UNIPOLAR_CHANNELS
 from seizeval.errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
 
@@ -206,6 +206,27 @@ class TestWindows:
             assert w.samples.shape[1] == window * fs
         last = wins[-1]
         assert last.start_s + window <= duration + 1e-9
+
+    def test_closed_stream_leaves_a_mapped_recording_whole(self, tmp_path):
+        """Pages dropped behind a stream closed early are read back unchanged:
+        a second pass, and a pass over a column slice, equal the copy's."""
+        rec, _ = sv.synth_recording(sv.SynthConfig(duration_s=300, n_channels=3, seed=5))
+        path = tmp_path / "rec.eeg"
+        io.save_recording(rec, path)
+        mapped = io.load_recording(path)
+        copy = sv.Recording(200, mapped.channel_names, np.array(mapped.samples))
+        spec = sv.WindowSpec(4, 1)
+        stream = sv.slice_windows(mapped, spec)
+        for _ in range(120):  # past the first release stretch of each row
+            next(stream).samples.sum()
+        stream.close()
+
+        def passes(r):
+            part = sv.Recording(200, r.channel_names, r.samples[:, 1001:40_000])
+            return [[w.samples.tobytes() for w in sv.slice_windows(x, spec)] for x in (r, part)]
+
+        assert passes(mapped) == passes(copy)
+        assert mapped.samples.tobytes() == rec.samples.tobytes()
 
 
 class TestWindowLabel:

@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import stat
@@ -12,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seizeval as sv
-from seizeval import detectors, io
+from seizeval import core, detectors, features, io
 from seizeval.errors import (
     ChannelCountMismatchError,
     DirectoryPathError,
     InvalidArgumentError,
     LabelParseError,
     MalformedHeaderError,
+    NonFiniteSampleError,
     SurplusPayloadError,
     TruncatedPayloadError,
     UnmappablePayloadError,
@@ -137,7 +139,7 @@ def test_malformed_headed_file_typed_error(tmp_path, monkeypatch, fmt, case):
     def refuse(*args, **kwargs):  # the error comes before anything is mapped
         raise AssertionError("mapped the payload of a malformed file")
 
-    monkeypatch.setattr(np, "memmap", refuse)
+    monkeypatch.setattr(io, "PayloadMap", refuse)
     with pytest.raises(error, match=re.escape(f"{path}: {message}")):
         load(path)
 
@@ -190,6 +192,62 @@ SAVE_LOAD = {
     "eeg": (io.save_recording, io.load_recording, sample_rec),
     "model": (detectors.save_model, detectors.load_model, sample_model),
 }
+
+
+def payload_fields(obj):
+    """The values a headed file stores, as bytes."""
+    if isinstance(obj, sv.Recording):
+        return [obj.samples.tobytes()]
+    return [obj.weights.tobytes(), obj.feature_mean.tobytes(), obj.feature_std.tobytes(),
+            np.float64(obj.bias).tobytes()]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts descriptors in /proc/self/fd")
+@pytest.mark.parametrize("fmt", SAVE_LOAD)
+def test_loaded_payload_round_trips_and_closes_its_descriptor_with_its_map(tmp_path, fmt):
+    save, load, sample = SAVE_LOAD[fmt]
+    path = tmp_path / f"rec.{fmt}"
+    save(sample(), path)
+    fds = len(os.listdir("/proc/self/fd"))
+    loaded = load(path)
+    assert payload_fields(loaded) == payload_fields(sample())
+    save(loaded, tmp_path / "copy")
+    assert (tmp_path / "copy").read_bytes() == path.read_bytes()
+    del loaded
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_writes_into_a_mapped_recording_survive_the_stream(tmp_path):
+    """A page a write reached stays resident when the stream passes it: every
+    pass, the detector and the writer see the written values."""
+    rec, _ = sv.synth_recording(sv.SynthConfig(duration_s=400, n_channels=4, seed=3))
+    path = tmp_path / "rec.eeg"
+    io.save_recording(rec, path)
+    mapped = io.load_recording(path)
+    # a row holds 320 KB, several release stretches: the stream releases the
+    # pages around both writes long before it ends
+    for r, t, value in [(1, 30_000, np.nan), (2, 50_000, 1234.5)]:
+        mapped.samples[r, t] = value
+        rec.samples[r, t] = value
+    spec, extractor = sv.WindowSpec(), features.get_extractor("bands")
+    want = [w.samples.tobytes() for w in sv.slice_windows(rec, spec)]
+    assert [w.samples.tobytes() for w in sv.slice_windows(mapped, spec)] == want
+    clean = sv.synth_recording(sv.SynthConfig(duration_s=60, n_channels=4, seed=4))[0]
+    model = sv.fit_energy(
+        [(extractor(w.samples), k % 2 == 0) for k, w in enumerate(sv.slice_windows(clean, spec))]
+    )
+    errors = []
+    for r in (rec, mapped):  # the NaN stops the stream at the same window
+        with pytest.raises(NonFiniteSampleError) as exc:
+            sv.run_stream(r, extractor, sv.LinearDetector(model), spec)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and "window 147 " in errors[0]
+    assert mapped.samples.tobytes() == rec.samples.tobytes()
+    assert [w.samples.tobytes() for w in sv.slice_windows(mapped, spec)] == want
+    io.save_recording(mapped, tmp_path / "mapped.eeg")
+    io.save_recording(rec, tmp_path / "copy.eeg")
+    assert (tmp_path / "mapped.eeg").read_bytes() == (tmp_path / "copy.eeg").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", SAVE_LOAD)
@@ -273,6 +331,54 @@ def test_load_recording_peak_memory_is_one_payload(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert int(out.stdout) * 1024 <= 1.5 * 4 * n_channels * n_samples
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_streaming_a_mapped_recording_keeps_few_pages_per_row(tmp_path):
+    """Streaming every window of a 200 MB recording raises peak RSS by a few
+    MB per row, not by the recording: the pages behind the stream are dropped.
+
+    A first touch may map a whole page-cache folio (2 MiB on ext4), so each
+    row can hold one folio ahead of the stream, besides one release stretch
+    behind it and the current window.
+    """
+    path = tmp_path / "long.eeg"
+    fs, n_channels, n_samples = 10_000, 2, 25_000_000  # 200 MB of float32
+    header = (
+        f"#EEG v1\nsample_rate_hz={fs}\nn_channels={n_channels}\nn_samples={n_samples}\n"
+        "montage=unipolar\nchannels=A,B\nend_header\n"
+    )
+    chunk = np.ones(1_000_000, "<f4")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for _ in range(n_channels * n_samples // chunk.size):
+            fh.write(chunk.data)
+    window = 4 * fs * np.dtype("<f4").itemsize
+    code = textwrap.dedent(f"""
+        import sys
+        from seizeval import core, io
+
+        def peak_kib():
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+        rec = io.load_recording(sys.argv[1])
+        before = peak_kib()
+        spec = core.WindowSpec(4, 4)
+        assert all(w.samples.all() for w in core.slice_windows(rec, spec))
+        print(peak_kib() - before)
+        # a stream still open at exit releases its pages without an error
+        stream = core.slice_windows(rec, spec)
+        next(stream).samples.all()
+    """)
+    src = str(Path(io.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    per_row = 2 * 2**20 + core._RELEASE_BYTES + window
+    assert int(out.stdout) * 1024 <= n_channels * per_row + 8 * 2**20
+    assert out.stderr == ""
 
 
 class TestCsv:
