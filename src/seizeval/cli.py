@@ -135,28 +135,31 @@ def cmd_ingest(args) -> int:
 def cmd_extract(args) -> int:
     rec = io.load_recording(args.rec)
     extractor = features.get_extractor(args.feature, rec.sample_rate_hz)
-    windows = list(core.slice_windows(rec, _window_spec(args)))
-    if not -1 <= args.window_index < len(windows):
+    spec = _window_spec(args)
+    n = core._window_starts(rec, spec).size
+    if not -1 <= args.window_index < n:
         raise InvalidArgumentError(
             f"--window-index {args.window_index} is out of range: the recording has "
-            f"{len(windows)} windows (0 to {len(windows) - 1}, or -1 for all)"
+            f"{n} windows (0 to {n - 1}, or -1 for all)"
         )
-    if args.window_index != -1:
-        windows = [windows[args.window_index]]
+    if args.window_index == -1:
+        first, paths = 0, [f"{args.out}.{k}.npy" for k in range(n)]
+    else:
+        first, paths = args.window_index, [args.out + ".npy"]
     out = Path(args.out)
     if not out.parent.is_dir():
         raise InvalidArgumentError(f"--out {args.out}: no directory {out.parent}")
+    windows = core.slice_windows(rec, spec, first, first + len(paths))
     written = []
 
-    def save(window: core.Window, path: Path) -> None:
-        # one tensor at a time: each window is extracted as its file is written
-        tensor = rtbench.extract_window(extractor, window)
+    def save(path: Path) -> None:
+        # one window at a time: each is sliced and extracted as its file is written
+        tensor = rtbench.extract_window(extractor, next(windows))
         with open(path, "wb") as f:
             np.save(f, tensor.data, allow_pickle=False)
         written.append(f"{tensor.extractor_id}, shape={tensor.shape}")
 
-    paths = [args.out + (".npy" if args.window_index != -1 else f".{w.index}.npy") for w in windows]
-    io.write_outputs([(path, functools.partial(save, w)) for path, w in zip(paths, windows)])
+    io.write_outputs([(path, save) for path in paths])
     for path, what in zip(paths, written):
         print(f"wrote {path} ({what})")
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -18,7 +19,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
+from .errors import (
+    ChannelNotFoundError,
+    EmptyStreamError,
+    InvalidArgumentError,
+    TruncatedPayloadError,
+)
 
 PIPELINE_RATE_HZ = 200
 FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest sample magnitude
@@ -193,8 +199,8 @@ def _as_samples(seconds: float, fs: int, what: str) -> int:
 class Window:
     index: int
     start_s: float
-    # (channels, window_samples), a view into the recording; once the stream has
-    # passed it, its mapped pages may be dropped and are read back from the file
+    # (channels, window_samples): a view into the recording, or, for a recording
+    # mapped from a file, into a read-only chunk read from the file
     samples: np.ndarray
 
 
@@ -332,75 +338,115 @@ def _window_starts(rec: Recording, spec: WindowSpec) -> np.ndarray:
     return np.arange(0, rec.n_samples - win + 1, spec.shift_samples(rec.sample_rate_hz))
 
 
-# How far a stream advances in each row between two page releases.
-_RELEASE_BYTES = 1 << 16
+# How far a stream of a mapped recording advances in each row between two
+# reads of its file: 82 windows at 200 Hz, 4 s and a 1 s shift.
+_CHUNK_BYTES = 1 << 16
+_PAGEMAP = "/proc/self/pagemap"
+# flags of a /proc/self/pagemap entry: a page of a private file map that a
+# write reached is present but no longer the file's page, or swapped out
+_PRESENT, _SWAPPED, _FILE_PAGE = (np.uint64(1 << bit) for bit in (63, 62, 61))
 
 
-class _PageRelease:
-    """Drops the mapped pages of each row of ``samples`` that a stream has passed.
+@dataclass
+class _FileRows:
+    """Reads stretches of the rows of a recording mapped by ``io.load_recording``
+    from its file, so a stream touches none of the map's pages.
 
-    Only rows of contiguous values on an ``io.PayloadMap`` have pages to drop;
-    for any other array ``next_stop`` is infinite and ``release`` does nothing.
+    ``of(samples)`` is None, and windows are views of ``samples``, unless its
+    rows are contiguous values on an ``io.PayloadMap`` and ``os.preadv`` and
+    ``/proc/self/pagemap`` are available.
     """
 
-    def __init__(self, samples: np.ndarray) -> None:
+    samples: np.ndarray
+    payload: mmap.mmap  # the io.PayloadMap
+    pagemap: int  # an open descriptor of /proc/self/pagemap
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> _FileRows | None:
         base = samples
         while isinstance(base, np.ndarray):
             base = base.base
-        contiguous = samples.strides[1] == samples.itemsize
-        self.map = base if contiguous and hasattr(base, "drop_unchanged") else None
-        self.next_stop = math.inf
-        if self.map is None:
-            return
-        page = mmap.PAGESIZE
-        first = samples.ctypes.data - self.map.address
-        self.rows = [first + r * samples.strides[0] for r in range(samples.shape[0])]
-        # a row's first partial page holds the previous row's last values
-        self.done = [-(-row // page) * page for row in self.rows]
-        self.itemsize = samples.itemsize
-        self.every = max(1, _RELEASE_BYTES // self.itemsize)
-        self.next_stop = self.every
+        if not (hasattr(base, "fd") and samples.strides[1] == samples.itemsize
+                and hasattr(os, "preadv")):
+            return None
+        try:
+            pagemap = os.open(_PAGEMAP, os.O_RDONLY)
+        except OSError:
+            return None
+        return cls(samples, base, pagemap)
 
-    def release(self, stop: int, final: bool = False) -> None:
-        """Drop each row's pages that lie wholly before sample ``stop``.
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """A new read-only copy of ``samples[:, lo:hi]``, read from the file.
 
-        ``final`` drops the page that holds sample ``stop - 1`` too.
+        Runs of pages that a write into the map reached, by their pagemap
+        flags, are copied from the map instead; a page that two rows share
+        is copied into both. A file that ended before ``hi`` (truncated after
+        it was loaded) raises TruncatedPayloadError naming it.
         """
-        if self.map is None:
-            return
-        page = mmap.PAGESIZE
-        for r, row in enumerate(self.rows):
-            end = row + stop * self.itemsize
-            hi = -(-end // page) * page if final else end // page * page
-            if hi > self.done[r]:
-                self.map.drop_unchanged(self.done[r], hi)
-                self.done[r] = hi
-        self.next_stop = stop + self.every
+        x, page, payload = self.samples, mmap.PAGESIZE, self.payload
+        out = np.empty((x.shape[0], hi - lo), x.dtype)
+        size = out.shape[1] * x.itemsize
+        # the virtual address of each row's sample lo, and the pages it reads
+        addrs = [x.ctypes.data + r * x.strides[0] + lo * x.itemsize for r in range(x.shape[0])]
+        spans = [(a // page, -(-(a + size) // page)) for a in addrs]
+        for a, row in zip(addrs, out):
+            if os.preadv(payload.fd, [row], payload.offset + a - payload.address) != size:
+                raise TruncatedPayloadError(
+                    f"{payload.path}: the file ends before sample {hi} of a row; "
+                    "it changed after it was loaded"
+                )
+        flags = np.frombuffer(
+            b"".join(os.pread(self.pagemap, 8 * (p1 - p0), 8 * p0) for p0, p1 in spans), np.uint64
+        )
+        written = ((flags & (_PRESENT | _FILE_PAGE)) == _PRESENT) | ((flags & _SWAPPED) != 0)
+        if written.any():
+            first = 0
+            for r, (a, (p0, p1)) in enumerate(zip(addrs, spans)):
+                runs = np.diff(written[first : first + p1 - p0], prepend=False, append=False)
+                first += p1 - p0
+                for s, e in np.flatnonzero(runs).reshape(-1, 2):
+                    i = (max((p0 + s) * page, a) - a) // x.itemsize
+                    j = -(-(min((p0 + e) * page, a + size) - a) // x.itemsize)
+                    out[r, i:j] = x[r, lo + i : lo + j]
+        out.flags.writeable = False
+        return out
+
+    def close(self) -> None:
+        os.close(self.pagemap)
 
 
-def slice_windows(rec: Recording, spec: WindowSpec) -> Iterator[Window]:
-    """Yield sliding windows; window k starts at k * shift_s.
+def slice_windows(
+    rec: Recording, spec: WindowSpec, first: int = 0, stop: int | None = None
+) -> Iterator[Window]:
+    """Yield sliding windows ``first`` to ``stop - 1`` (all by default); window
+    k starts at k * shift_s.
 
-    On a recording mapped by ``io.load_recording``, each row's pages that lie
-    wholly behind the current window's start are dropped as the stream
-    advances, and the rest of the pages it read when it ends or is closed,
-    each only while its bytes equal the file's. A dropped page is read back
-    from the file when touched again, so values never change, but no other
-    thread may write into the recording while it is streamed.
+    On a recording mapped by ``io.load_recording``, each window is a
+    read-only view of a chunk that holds ``_CHUNK_BYTES`` of each row and
+    one window more, read from the file rather than through the map, so the
+    map's pages stay untouched: its resident set does not grow with the
+    recording. Pages that a write into the recording reached are copied from
+    the map, so a window holds what the array holds when its chunk is read.
+    On any other recording, or without ``/proc/self/pagemap`` (outside
+    Linux), windows are views of ``rec.samples``.
     """
     win = spec.window_samples(rec.sample_rate_hz)
-    starts = _window_starts(rec, spec).tolist()
-    pages = _PageRelease(rec.samples)
-    stop = 0
+    shift = spec.shift_samples(rec.sample_rate_hz)
+    starts = _window_starts(rec, spec)
+    last = int(starts[-1])
+    rows = _FileRows.of(rec.samples)
+    # chunk holds samples lo to end of each row
+    chunk, lo, end = rec.samples, 0, math.inf if rows is None else -1
+    per_chunk = _CHUNK_BYTES // rec.samples.itemsize // shift * shift
     try:
-        for k, start in enumerate(starts):
-            if start >= pages.next_stop:
-                pages.release(start)
-            stop = start + win
-            yield Window(k, start / rec.sample_rate_hz, rec.samples[:, start:stop])
-        stop = rec.n_samples
+        for k, start in enumerate(starts[first:stop].tolist(), first):
+            if start + win > end:
+                lo, end = start, min(start + per_chunk, last) + win
+                chunk = rows.read(lo, end)
+            yield Window(k, start / rec.sample_rate_hz, chunk[:, start - lo : start - lo + win])
     finally:
-        pages.release(stop, final=True)
+        if rows is not None:
+            rows.close()
 
 
 def window_labels(rec: Recording, labels: LabelTrack, spec: WindowSpec) -> np.ndarray:

@@ -16,12 +16,10 @@ float32 window none of whose DFT products can come near ``FLOAT32_MAX``
 (``_F32_PEAK``), float64 for any other window. The cached DFT and band
 matrices exist in both dtypes, and the same code runs in either and returns
 tensors of that dtype. ``sinc_filterbank`` and ``lfcc`` compute in float64
-whatever the window. The ``sincnet`` and ``stft`` callables from
-``get_extractor`` keep per-stream state: a ``BlockCache`` that holds the
-previous window and the tensor returned for it, whose outputs the next
-window can reuse. ``frequency_bands`` takes the same cache, but the
-``bands`` callable does not pass one. What they return still depends on
-the window alone.
+whatever the window. The ``sincnet``, ``stft`` and ``bands`` callables
+from ``get_extractor`` keep per-stream state: a ``BlockCache`` that holds
+the previous window and the tensor returned for it, whose outputs the next
+window can reuse. What they return still depends on the window alone.
 """
 
 from __future__ import annotations
@@ -721,15 +719,17 @@ def get_extractor(
 
     Each extractor has one configuration, the one the CLI runs; ``sincnet``
     is the fixed 7-band, 80-tap, stride-2 filterbank. Call this once per
-    stream: the ``sincnet`` and ``stft`` callables each carry a
+    stream: the ``sincnet``, ``stft`` and ``bands`` callables each carry a
     ``BlockCache`` of the previous window and its tensor, so a window that
-    follows the previous one by whole blocks computes only its new outputs;
-    they are not thread-safe. ``raw``, ``bands``, ``lfcc`` and ``multirate``
+    follows the previous one by whole blocks computes only its new outputs
+    (28 of 100 frames for ``stft`` and ``bands`` at a 4 s window and a 1 s
+    shift); they are not thread-safe. ``raw``, ``lfcc`` and ``multirate``
     keep no state. Each callable returns the one tensor its function returns
     (``multirate`` included; read-only for ``sincnet``, ``stft`` and
-    ``bands``) and passes it nothing but the rate and, for ``sincnet`` and
-    ``stft``, the cache. Every callable but ``raw`` looks its function up in
-    this module when called, so a wrapper installed there sees every window.
+    ``bands``) and passes it nothing but the rate and, for ``sincnet``,
+    ``stft`` and ``bands``, the cache. Every callable but ``raw`` looks its
+    function up in this module when called, so a wrapper installed there
+    sees every window.
     """
     if name == "raw":
         return extract_raw
@@ -740,7 +740,8 @@ def get_extractor(
         cache = BlockCache()
         return lambda w: stft(w, sample_rate_hz, cache)
     if name == "bands":
-        return lambda w: frequency_bands(w, sample_rate_hz)
+        cache = BlockCache()
+        return lambda w: frequency_bands(w, sample_rate_hz, cache)
     if name == "lfcc":
         return lambda w: lfcc(w, sample_rate_hz)
     if name == "multirate":

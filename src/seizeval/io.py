@@ -8,13 +8,14 @@ channel-major. The round-trip is bit-exact.
 
 A loaded payload is a copy-on-write map of the file: pages are read when first
 touched, so loading takes the same time whatever the recording's length, and a
-write into the array never reaches the file. The map can also drop pages whose
-bytes still equal the file's (``PayloadMap.drop_unchanged``), which
-``core.slice_windows`` does behind the stream: a dropped page is read back from
-the file, unchanged, when next touched. The package's writers never truncate
+write into the array never reaches the file. ``core.slice_windows`` reads a
+mapped recording's windows from the file (``PayloadMap.fd``) rather than
+through the map, and copies only the pages a write reached from the map, so
+streaming leaves the map's pages untouched. The package's writers never truncate
 or rewrite a file in place; each stages its output beside the target and
 renames it over the target (``write_outputs``), so a file that is still mapped
-keeps its bytes. A file that another process truncates or rewrites in place
+keeps its bytes. A file that another process truncates after it was loaded
+makes the stream raise TruncatedPayloadError; one that it rewrites in place
 while it is loaded is outside this contract.
 """
 
@@ -169,42 +170,21 @@ def check_payload_count(path: str | Path, found: int, expected: int) -> None:
         raise error(f"{path}: payload holds {found} values, expected {expected}")
 
 
-_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
-
-
 class PayloadMap(mmap.mmap):
-    """A copy-on-write map of a file that can drop the pages still equal to the file.
+    """A copy-on-write map of a file.
 
-    It holds a duplicate descriptor of the mapped inode, closed with the map,
-    so what it compares with stays the file it mapped even after another file
-    is renamed over the path.
+    It keeps a duplicate descriptor of the mapped inode, closed with the map,
+    from which ``core.slice_windows`` reads the payload, so what it reads
+    stays the file it mapped even after another file is renamed over ``path``.
     """
 
-    def __new__(cls, fd: int, offset: int, length: int):
+    def __new__(cls, fd: int, offset: int, length: int, path: str | Path):
         self = super().__new__(cls, fd, length, access=mmap.ACCESS_COPY, offset=offset)
-        self.offset = offset
+        self.offset, self.path = offset, path
         self.fd = os.dup(fd)
-        # not at exit: a stream still open then releases its pages after atexit
-        weakref.finalize(self, os.close, self.fd).atexit = False
+        weakref.finalize(self, os.close, self.fd)
         self.address = np.frombuffer(self, np.uint8, count=1).ctypes.data
         return self
-
-    def drop_unchanged(self, lo: int, hi: int) -> None:
-        """Drop the pages in [lo, hi), page-aligned offsets into the map, that equal the file.
-
-        A page that a write made differ stays resident, since dropping it would
-        bring the file's bytes back; so no reader sees a value change, as long
-        as no other thread writes into the range during the call. Without
-        ``MADV_DONTNEED`` nothing is dropped.
-        """
-        hi = min(hi, len(self))
-        if _MADV_DONTNEED is None or hi <= lo:
-            return
-        if self[lo:hi] == os.pread(self.fd, hi - lo, self.offset + lo):
-            self.madvise(_MADV_DONTNEED, lo, hi - lo)
-        elif hi - lo > mmap.PAGESIZE:
-            for page in range(lo, hi, mmap.PAGESIZE):
-                self.drop_unchanged(page, page + mmap.PAGESIZE)
 
 
 def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.ndarray:
@@ -214,8 +194,8 @@ def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.n
     the end of the file would kill the process. Short of ``count``, the whole
     values are counted; beyond it, a partial trailing value counts as one. The
     array is writable, and a write never reaches the file. Its base is a
-    ``PayloadMap``, through which ``core.slice_windows`` drops the pages a
-    stream has passed. An input that cannot be mapped, such as a pipe, raises
+    ``PayloadMap``, whose descriptor ``core.slice_windows`` reads windows
+    from. An input that cannot be mapped, such as a pipe, raises
     UnmappablePayloadError.
     """
     itemsize = np.dtype(dtype).itemsize
@@ -228,7 +208,7 @@ def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.n
             return np.empty(0, dtype=dtype)
         # a map starts at a multiple of the allocation granularity
         skip = start % mmap.ALLOCATIONGRANULARITY
-        payload = PayloadMap(fh.fileno(), start - skip, skip + count * itemsize)
+        payload = PayloadMap(fh.fileno(), start - skip, skip + count * itemsize, path)
     except OSError as exc:
         raise UnmappablePayloadError(f"{path}: cannot map the payload: {exc}") from None
     return np.ndarray((count,), dtype, buffer=payload, offset=skip)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Recording, Window, WindowSpec, slice_windows
+from .core import Recording, Window, WindowSpec, _window_starts, slice_windows
 from .detectors import LinearDetector, LinearModel
 from .errors import IncompatibleFeatureError, InvalidArgumentError, NonFiniteSampleError
 from .features import FeatureTensor
@@ -136,28 +136,22 @@ def run_stream(
     """
     spec = spec or WindowSpec()
     state = detector.reset_state()
-    scores: list[float] = []
-    extract_times: list[float] = []
-    detect_times: list[float] = []
+    # one float64 per window for each record, filled as the stream goes
+    scores, extract_s, detect_s = np.empty((3, _window_starts(rec, spec).size))
     for window in slice_windows(rec, spec):
+        k = window.index
         t0 = time.perf_counter()
         features = extract_window(extractor, window)
         t1 = time.perf_counter()
-        if not scores:
+        if k == 0:
             _check_fits(features, detector.model)
         score, state = detector.detect(state, features)
         t2 = time.perf_counter()
-        scores.append(score)
-        extract_times.append(t1 - t0)
-        detect_times.append(t2 - t1)
-    track = HypothesisTrack(
-        scores=np.array(scores),
-        window=spec,
-        total_duration_s=rec.duration_s,
-    )
+        scores[k], extract_s[k], detect_s[k] = score, t1 - t0, t2 - t1
+    track = HypothesisTrack(scores=scores, window=spec, total_duration_s=rec.duration_s)
     report = LatencyReport(
-        extract_s=np.array(extract_times),
-        detect_s=np.array(detect_times),
+        extract_s=extract_s,
+        detect_s=detect_s,
         shift_budget_s=spec.shift_s if budget_s is None else budget_s,
         exclude_warmup=exclude_warmup,
     )

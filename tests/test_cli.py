@@ -184,6 +184,45 @@ def test_extract_npy_bit_equal_to_extractor(corpus, tmp_path, index):
         assert got.dtype == w.dtype and got.shape == w.shape and got.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("index,sliced", [(7, [7]), (-1, list(range(117)))])
+def test_extract_slices_only_the_windows_it_writes(corpus, tmp_path, monkeypatch, index, sliced):
+    # one window for --window-index K, each window once for -1, in order
+    yielded = []
+    slice_windows = core.slice_windows
+
+    def counting(*args, **kwargs):
+        for w in slice_windows(*args, **kwargs):
+            yielded.append(w.index)
+            yield w
+
+    monkeypatch.setattr(core, "slice_windows", counting)
+    assert main([
+        "extract", "--rec", str(corpus / "test" / "rec.eeg"), "--feature", "raw",
+        "--window-index", str(index), "--out", str(tmp_path / "t"),
+    ]) == 0
+    assert yielded == sliced
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"), reason="reads /proc/self/pagemap")
+def test_recording_truncated_after_loading_is_validation_error(corpus, monkeypatch, capsys):
+    # the stream reads the file, so a short read raises a typed error rather
+    # than a page fault past the end of the file
+    rec_path = corpus / "test" / "rec.eeg"
+    load = io.load_recording
+
+    def load_then_truncate(path):
+        rec = load(path)
+        os.truncate(path, os.stat(path).st_size // 2)
+        return rec
+
+    monkeypatch.setattr(io, "load_recording", load_then_truncate)
+    argv = ["run", "--rec", str(rec_path), "--model", str(corpus / "model.bin"),
+            "--out-hyp", str(corpus / "hyp.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {rec_path}: the file ends before sample ")
+    assert not (corpus / "hyp.txt").exists()
+
+
 @pytest.mark.parametrize("index", [99999, -5])
 def test_extract_window_index_out_of_range(corpus, tmp_path, capsys, index):
     out = tmp_path / "tensor.txt"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,12 @@ from scipy import signal as sps
 import seizeval as sv
 from seizeval import core, io
 from seizeval.core import DEFAULT_BIPOLAR_PAIRS, DEFAULT_UNIPOLAR_CHANNELS
-from seizeval.errors import ChannelNotFoundError, EmptyStreamError, InvalidArgumentError
+from seizeval.errors import (
+    ChannelNotFoundError,
+    EmptyStreamError,
+    FileFormatError,
+    InvalidArgumentError,
+)
 
 import oracles
 
@@ -208,8 +214,8 @@ class TestWindows:
         assert last.start_s + window <= duration + 1e-9
 
     def test_closed_stream_leaves_a_mapped_recording_whole(self, tmp_path):
-        """Pages dropped behind a stream closed early are read back unchanged:
-        a second pass, and a pass over a column slice, equal the copy's."""
+        """A stream closed early leaves the recording as it was: a second
+        pass, and a pass over a column slice, equal the copy's."""
         rec, _ = sv.synth_recording(sv.SynthConfig(duration_s=300, n_channels=3, seed=5))
         path = tmp_path / "rec.eeg"
         io.save_recording(rec, path)
@@ -217,7 +223,7 @@ class TestWindows:
         copy = sv.Recording(200, mapped.channel_names, np.array(mapped.samples))
         spec = sv.WindowSpec(4, 1)
         stream = sv.slice_windows(mapped, spec)
-        for _ in range(120):  # past the first release stretch of each row
+        for _ in range(120):  # past the first chunk of each row
             next(stream).samples.sum()
         stream.close()
 
@@ -227,6 +233,84 @@ class TestWindows:
 
         assert passes(mapped) == passes(copy)
         assert mapped.samples.tobytes() == rec.samples.tobytes()
+
+
+def mapped_and_copy(tmp_path, samples):
+    """``samples`` saved and loaded back, so mapped from a file, and a copy in memory."""
+    path = tmp_path / "rec.eeg"
+    io.save_recording(make_rec(samples), path)
+    return io.load_recording(path), make_rec(samples)
+
+
+def window_bytes(rec, spec=sv.WindowSpec(4, 1)):
+    return [w.samples.tobytes() for w in sv.slice_windows(rec, spec)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/pagemap")
+class TestMappedWindows:
+    """Windows of a mapped recording are read from its file; the pages a
+    write into the map reached are copied from the map."""
+
+    # rows of 160 800 bytes, not a whole number of pages; the last window ends each row
+    SAMPLES = np.random.default_rng(9).normal(scale=30, size=(3, 40_200)).astype(np.float32)
+    # samples per chunk at 200 Hz, 4 s windows and a 1 s shift
+    PER_CHUNK = core._CHUNK_BYTES // 4 // 200 * 200
+
+    def write(self, recs, row, cols, value):
+        for rec in recs:
+            rec.samples[row, cols] = value
+
+    def test_windows_are_read_only_copies(self, tmp_path):
+        mapped, copy = mapped_and_copy(tmp_path, self.SAMPLES)
+        windows = list(sv.slice_windows(mapped, sv.WindowSpec(4, 1)))
+        assert not any(np.shares_memory(w.samples, mapped.samples) for w in windows)
+        assert not any(w.samples.flags.writeable for w in windows)
+        assert [w.samples.tobytes() for w in windows] == window_bytes(copy)
+
+    @pytest.mark.parametrize("row,col", [(0, -1), (1, 0)], ids=["row-end", "row-start"])
+    def test_write_on_a_page_two_rows_share(self, tmp_path, row, col):
+        # row 0's last page holds row 1's first samples
+        mapped, copy = mapped_and_copy(tmp_path, self.SAMPLES)
+        page = os.sysconf("SC_PAGESIZE")
+        ends = [mapped.samples[0, -1:], mapped.samples[1, :1]]
+        assert len({e.ctypes.data // page for e in ends}) == 1
+        self.write((mapped, copy), row, col, 1234.5)
+        assert window_bytes(mapped) == window_bytes(copy)
+
+    @pytest.mark.parametrize("offset", [0, 200, 799, 800])
+    def test_write_at_a_chunk_boundary(self, tmp_path, offset):
+        # the first chunk ends at PER_CHUNK + 800, the second starts at PER_CHUNK + 200
+        mapped, copy = mapped_and_copy(tmp_path, self.SAMPLES)
+        self.write((mapped, copy), 2, self.PER_CHUNK + offset, -77.0)
+        assert window_bytes(mapped) == window_bytes(copy)
+
+    def test_a_run_of_20_written_pages(self, tmp_path):
+        # across the first chunk's end, between two unwritten pages
+        mapped, copy = mapped_and_copy(tmp_path, self.SAMPLES)
+        n = 20 * os.sysconf("SC_PAGESIZE") // 4
+        self.write((mapped, copy), 1, slice(self.PER_CHUNK - n // 2, self.PER_CHUNK + n // 2),
+                   np.arange(n, dtype=np.float32))
+        assert window_bytes(mapped) == window_bytes(copy)
+        # a write after the stream started is read with the next chunk
+        stream = sv.slice_windows(mapped, sv.WindowSpec(4, 1))
+        next(stream)
+        self.write((mapped, copy), 0, slice(30_000, 31_000), 5.0)
+        assert [w.samples.tobytes() for w in stream] == window_bytes(copy)[1:]
+
+    def test_without_pagemap_windows_are_views(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_PAGEMAP", str(tmp_path / "no-pagemap"))
+        mapped, copy = mapped_and_copy(tmp_path, self.SAMPLES)
+        self.write((mapped, copy), 1, slice(100, 5000), 3.0)
+        windows = list(sv.slice_windows(mapped, sv.WindowSpec(4, 1)))
+        assert all(np.shares_memory(w.samples, mapped.samples) for w in windows)
+        assert [w.samples.tobytes() for w in windows] == window_bytes(copy)
+
+    def test_truncated_file_raises_a_typed_error(self, tmp_path):
+        mapped, _ = mapped_and_copy(tmp_path, self.SAMPLES)
+        path = tmp_path / "rec.eeg"
+        os.truncate(path, path.stat().st_size // 2)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
+            window_bytes(mapped)
 
 
 class TestWindowLabel:

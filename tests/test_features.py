@@ -651,6 +651,27 @@ class TestBandsStream:
             per_window.append(sum(counted))
         assert per_window == [103, 28, 28, 28, 28]
 
+    def test_get_extractor_streams_bands_through_a_cache(self, monkeypatch):
+        # the CLI's and the benchmark's stream: bit-equal to fresh calls, and
+        # 28 frames per window after the first
+        counted = []
+        spectral_rows = ft._spectral_rows
+
+        def counting(frames, *args):
+            counted.append(frames.shape[1])
+            return spectral_rows(frames, *args)
+
+        monkeypatch.setattr(ft, "_spectral_rows", counting)
+        extract = ft.get_extractor("bands")
+        rec = sv.Recording(FS, [f"C{i}" for i in range(STREAM_REC.shape[0])], STREAM_REC)
+        per_window = []
+        for w in sv.slice_windows(rec, sv.WindowSpec(4, 1)):
+            counted.clear()
+            got = extract(w.samples)
+            per_window.append(sum(counted))
+            assert got.data.tobytes() == ft.frequency_bands(w.samples.copy()).data.tobytes()
+        assert per_window == [103] + [28] * (len(per_window) - 1)
+
     def test_caller_buffer_mutated_in_place(self):
         extract = streamed_bands()
         buf = STREAM_REC[:, : 4 * FS].copy()

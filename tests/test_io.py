@@ -219,14 +219,13 @@ def test_loaded_payload_round_trips_and_closes_its_descriptor_with_its_map(tmp_p
 
 
 def test_writes_into_a_mapped_recording_survive_the_stream(tmp_path):
-    """A page a write reached stays resident when the stream passes it: every
+    """A page a write reached is read from the map, not from the file: every
     pass, the detector and the writer see the written values."""
     rec, _ = sv.synth_recording(sv.SynthConfig(duration_s=400, n_channels=4, seed=3))
     path = tmp_path / "rec.eeg"
     io.save_recording(rec, path)
     mapped = io.load_recording(path)
-    # a row holds 320 KB, several release stretches: the stream releases the
-    # pages around both writes long before it ends
+    # a row holds 320 KB, several chunks: both writes lie in chunks after the first
     for r, t, value in [(1, 30_000, np.nan), (2, 50_000, 1234.5)]:
         mapped.samples[r, t] = value
         rec.samples[r, t] = value
@@ -336,12 +335,8 @@ def test_load_recording_peak_memory_is_one_payload(tmp_path):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_streaming_a_mapped_recording_keeps_few_pages_per_row(tmp_path):
     """Streaming every window of a 200 MB recording raises peak RSS by a few
-    MB per row, not by the recording: the pages behind the stream are dropped.
-
-    A first touch may map a whole page-cache folio (2 MiB on ext4), so each
-    row can hold one folio ahead of the stream, besides one release stretch
-    behind it and the current window.
-    """
+    chunks, not by the recording, and maps none of its pages: the windows are
+    read from the file, so the file-backed resident set stays flat."""
     path = tmp_path / "long.eeg"
     fs, n_channels, n_samples = 10_000, 2, 25_000_000  # 200 MB of float32
     header = (
@@ -358,16 +353,21 @@ def test_streaming_a_mapped_recording_keeps_few_pages_per_row(tmp_path):
         import sys
         from seizeval import core, io
 
-        def peak_kib():
+        def status_kib(key):
             with open("/proc/self/status") as fh:
-                return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+                return int(next(line for line in fh if line.startswith(key + ":")).split()[1])
 
         rec = io.load_recording(sys.argv[1])
-        before = peak_kib()
         spec = core.WindowSpec(4, 4)
-        assert all(w.samples.all() for w in core.slice_windows(rec, spec))
-        print(peak_kib() - before)
-        # a stream still open at exit releases its pages without an error
+        stream = core.slice_windows(rec, spec)
+        assert next(stream).samples.all()
+        peak, files = status_kib("VmHWM"), [status_kib("RssFile")]
+        for k, w in enumerate(stream):
+            assert w.samples.all()
+            if k % 50 == 0:
+                files.append(status_kib("RssFile"))
+        print(status_kib("VmHWM") - peak, max(files) - files[0])
+        # a stream still open at exit closes without an error
         stream = core.slice_windows(rec, spec)
         next(stream).samples.all()
     """)
@@ -376,8 +376,10 @@ def test_streaming_a_mapped_recording_keeps_few_pages_per_row(tmp_path):
         [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    per_row = 2 * 2**20 + core._RELEASE_BYTES + window
-    assert int(out.stdout) * 1024 <= n_channels * per_row + 8 * 2**20
+    peak_kib, file_kib = map(int, out.stdout.split())
+    # two chunks of a window each (the window held and the one being read)
+    assert peak_kib * 1024 <= n_channels * 2 * window + 2 * 2**20
+    assert file_kib * 1024 <= 2**20  # the pass maps 200 MB
     assert out.stderr == ""
 
 
