@@ -208,11 +208,10 @@ class Window:
 # signal operations
 
 
-# Rows of one resampling product. OpenBLAS runs a product on one thread while
-# its multiply-adds (rows * inner size * columns) stay small; 2**18 is under
-# its threshold. The resampler and the sinc filterbank (features._fir_rows,
-# features._edge_rows) cut their products to at most this many.
-_RESAMPLE_ROWS = 64
+# OpenBLAS runs a product on one thread while its multiply-adds (rows * inner
+# size * columns) stay small; 2**18 is under its threshold. The resampler and
+# the sinc filterbank (features._fir_rows, features._fill_edge) cut their
+# products to at most this many.
 _ONE_THREAD_MACS = 2**18
 
 
@@ -253,9 +252,13 @@ def resample(rec: Recording, target_hz: int) -> Recording:
 
     Each frame of ``span`` input samples, taken every ``down`` samples, gives
     ``up`` outputs through one product with the cached polyphase matrix.
-    Each edge is extended along the line through the first and last
-    samples, so a DC offset or a linear trend passes the edges unbent. The
-    output holds ``round(n * target_hz / rate)`` samples, as
+    Frames go in chunks of at most ``_ONE_THREAD_MACS`` multiply-adds, so
+    each product runs on one core, and each chunk's product is rounded
+    straight into the float32 output row; a last frame of which only some
+    outputs are kept is computed on its own. Each edge is extended along
+    the line through the first and last samples, so a DC offset or a
+    linear trend passes the edges unbent. The output holds
+    ``round(n * target_hz / rate)`` samples, as
     ``scipy.signal.resample_poly(..., padtype="line")`` computes them. A
     recording of fewer than 2 samples, or one that would give no output
     sample, raises InvalidArgumentError.
@@ -281,9 +284,9 @@ def resample(rec: Recording, target_hz: int) -> Recording:
     before = np.arange(-reach, 0)
     after = np.arange(1, ext.size - reach - n + 1)
     frames = np.lib.stride_tricks.sliding_window_view(ext, span)[::down]
-    rows = max(1, min(_RESAMPLE_ROWS, _ONE_THREAD_MACS // (span * up)))
+    rows = max(1, _ONE_THREAD_MACS // (span * up))
     chunk = np.empty((rows, span))
-    prod = np.empty((rows, up))
+    full = n_out // up  # frames all of whose outputs are kept
     out = np.empty((rec.n_channels, n_out), dtype=np.float32)
     for x, y in zip(rec.samples, out):
         ext[reach : reach + n] = x
@@ -291,12 +294,13 @@ def resample(rec: Recording, target_hz: int) -> Recording:
         slope = (last - first) / (n - 1)
         ext[:reach] = first + slope * before
         ext[reach + n :] = last + slope * after
-        for q0 in range(0, n_frames, rows):
-            m = min(rows, n_frames - q0)
+        kept = y[: full * up].reshape(full, up)
+        for q0 in range(0, full, rows):
+            m = min(rows, full - q0)
             np.copyto(chunk[:m], frames[q0 : q0 + m])
-            np.matmul(chunk[:m], matrix, out=prod[:m])
-            t0 = q0 * up
-            y[t0 : t0 + m * up] = prod[:m].reshape(-1)[: n_out - t0]
+            np.matmul(chunk[:m], matrix, out=kept[q0 : q0 + m], casting="same_kind")
+        if full < n_frames:
+            y[full * up :] = np.matmul(frames[full], matrix)[: n_out - full * up]
     return Recording(
         sample_rate_hz=target_hz,
         channel_names=list(rec.channel_names),

@@ -11,15 +11,18 @@ extractors return read-only tensors.
 
 ``raw``, ``multirate``, ``stft`` and ``bands`` keep a float32 window, as
 every recording's windows are, in float32 end to end. ``_check_window``
-picks their working dtype from the window's dtype and peak: float32 for a
+picks the working dtype from the window's dtype and peak: float32 for a
 float32 window none of whose DFT products can come near ``FLOAT32_MAX``
 (``_F32_PEAK``), float64 for any other window. The cached DFT and band
 matrices exist in both dtypes, and the same code runs in either and returns
-tensors of that dtype. ``sinc_filterbank`` and ``lfcc`` compute in float64
-whatever the window. The ``sincnet``, ``stft`` and ``bands`` callables
-from ``get_extractor`` keep per-stream state: a ``BlockCache`` that holds
-the previous window and the tensor returned for it, whose outputs the next
-window can reuse. What they return still depends on the window alone.
+tensors of that dtype. ``sinc_filterbank`` keeps the window in its working
+dtype too, but casts the samples its products read to float64, so its
+products and outputs are float64 whatever the window; ``lfcc`` computes in
+float64 whatever the window. The ``sincnet``, ``stft`` and ``bands``
+callables from ``get_extractor`` keep per-stream state: a ``BlockCache``
+that holds the previous window and the tensor returned for it, whose
+outputs the next window can reuse. What they return still depends on the
+window alone.
 """
 
 from __future__ import annotations
@@ -53,21 +56,24 @@ class FeatureTensor:
         return self.data.reshape(-1)
 
 
-def _check_window(samples: np.ndarray, float32_ok: bool = True) -> np.ndarray:
+def _check_window(samples: np.ndarray) -> np.ndarray:
     """A new copy of a (channels, samples) window in its working dtype, owned
     by the caller.
 
-    It rejects NaN, inf and any sample beyond float32 range. With
-    ``float32_ok``, a float32 window whose samples stay within ``_F32_PEAK``
-    in magnitude is copied in float32; any other window, a float32 one with
-    a larger peak or one of any other dtype, is copied in float64, so a
-    float64 window loses no precision. Without it every copy is float64.
-    Every extractor maps what passes to finite outputs, so no output is
-    checked: ``stft`` and ``bands`` take magnitudes of bounded products (see
-    ``_F32_PEAK``), ``sinc`` is a bounded FIR, ``lfcc`` floors before its
-    log, and ``raw`` and ``multirate`` copy.
+    It rejects a window whose values are not real numbers (a dtype other than
+    bool, integer or float, such as complex or string), NaN, inf and any
+    sample beyond float32 range. A float32 window whose samples stay within
+    ``_F32_PEAK`` in magnitude is copied in float32; any other window, a
+    float32 one with a larger peak or one of any other dtype, is copied in
+    float64, so a float64 window loses no precision. Every extractor maps
+    what passes to finite outputs, so no output is checked: ``stft`` and
+    ``bands`` take magnitudes of bounded products (see ``_F32_PEAK``),
+    ``sinc`` is a bounded FIR, ``lfcc`` floors before its log, and ``raw``
+    and ``multirate`` copy.
     """
     x = np.asarray(samples)
+    if x.dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"window samples must be real numbers, not dtype {x.dtype}")
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
     if x.ndim != 2:
@@ -78,7 +84,7 @@ def _check_window(samples: np.ndarray, float32_ok: bool = True) -> np.ndarray:
     hi, lo = x.max(initial=0.0), x.min(initial=0.0)
     if not (hi <= FLOAT32_MAX and lo >= -FLOAT32_MAX):
         raise NonFiniteSampleError("window holds a non-finite sample or one beyond float32 range")
-    f32 = float32_ok and x.dtype == np.float32 and max(hi, -lo) <= _F32_PEAK
+    f32 = x.dtype == np.float32 and max(hi, -lo) <= _F32_PEAK
     return np.array(x, dtype=np.float32 if f32 else np.float64)
 
 
@@ -119,11 +125,11 @@ class BlockCache:
     outputs come in fixed blocks (``sincnet``, ``stft``, ``bands``; see
     ``_fill_interior``).
 
-    It holds the window's ``key`` (extractor, rate, window shape and, for
-    ``stft`` and ``bands``, working dtype), its ``samples`` (the array
-    ``_check_window`` made, which nothing else holds) and ``out``, the
-    output array of the tensor returned for it, which ``_fill_interior``
-    has made read-only. It is written only once all of a
+    It holds the window's ``key`` (extractor, rate, window shape and working
+    dtype), its ``samples`` (the array ``_check_window`` made, which nothing
+    else holds: 64 KB for a 4 s, 200 Hz, 20-channel float32 window) and
+    ``out``, the output array of the tensor returned for it, which
+    ``_fill_interior`` has made read-only. It is written only once all of a
     window's outputs are computed, so a window that fails its input check
     leaves it as it was. A cache serves one stream and is not thread-safe.
     """
@@ -469,7 +475,7 @@ def lfcc(samples: np.ndarray, sample_rate_hz: int = PIPELINE_RATE_HZ) -> Feature
     2.5 times as long as the float64 one, and its power spectrum squares
     magnitudes, which ``_F32_PEAK`` does not bound in float32.
     """
-    x = _check_window(samples, float32_ok=False)
+    x = _check_window(samples).astype(np.float64, copy=False)
     frame = int(round(_LFCC_FRAME_S * sample_rate_hz))
     hop = int(round(_LFCC_HOP_S * sample_rate_hz))
     if min(frame, hop) < 1:
@@ -560,7 +566,7 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
     ``2 * j`` like ``np.convolve(row, kernel, "same")[::2]``: it reads the 80
     samples from ``2 * j - 40`` on, and samples outside the window read as
     zero. ``sinc_filterbank`` computes its interior blocks here and its edge
-    outputs with ``_edge_rows``.
+    outputs with ``_fill_edge``.
 
     Each channel's outputs come in groups of ``_SINC_GROUP`` from ``j0`` on;
     the last group may run past ``j1`` and its extra outputs are dropped. One
@@ -572,7 +578,10 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
     same row of a product of the same shape. A range that reads no padding,
     such as a streamed window's new block, copies its rows straight from
     ``x`` (C-contiguous) in one copy; one that reads padding goes through
-    the zero-padded ``_frames`` buffer first.
+    the zero-padded ``_frames`` buffer first. That one copy also casts a
+    float32 ``x`` to float64, so the products are float64 whatever the
+    window's dtype, and a float32 window gives the bytes its float64 cast
+    gives.
     """
     width, cols = banded.shape
     n_groups = -(-(j1 - j0) // _SINC_GROUP)
@@ -583,7 +592,7 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
         view = np.ndarray((x.shape[0], n_groups, width), x.dtype, x, first * x.itemsize, strides)
     else:
         view = _frames(x, width, step, first, n_groups)
-    rows = np.ascontiguousarray(view).reshape(-1, width)
+    rows = np.ascontiguousarray(view, dtype=np.float64).reshape(-1, width)
     prod = np.empty((rows.shape[0], cols))
     chunk = max(1, _ONE_THREAD_MACS // (width * cols))
     for r in range(0, rows.shape[0], chunk):
@@ -596,43 +605,43 @@ def _fir_rows(x: np.ndarray, banded: np.ndarray, j0: int, j1: int) -> np.ndarray
 @lru_cache(maxsize=8)
 def _sinc_edge(sample_rate_hz: int, n: int, j0: int, j1: int) -> tuple[int, np.ndarray]:
     """``(first, matrix)``: outputs ``j0 <= j < j1`` of an ``n``-sample window
-    as one dense product.
+    as one stacked product.
 
-    ``x[:, first : first + len(matrix)] @ matrix`` gives them as (channels,
-    kernels * (j1 - j0)), kernel-major. The matrix holds ``_sinc_taps``
-    shifted to each output's samples, with the taps that would read zero
-    padding left out. For the 20 and 19 outputs at the edges of a 4 s,
-    200 Hz window it is (78, 140) and (78, 133). It is read-only.
+    ``x[:, first : first + matrix.shape[1]] @ matrix`` gives them as
+    (kernels, channels, j1 - j0), the tensor's layout. ``matrix[k]`` holds
+    kernel ``k``'s taps shifted to each output's samples, with the taps that
+    would read zero padding left out. For the 20 and 19 outputs at the edges
+    of a 4 s, 200 Hz window it is (7, 78, 20) and (7, 78, 19). It is
+    read-only.
     """
     taps = _sinc_taps(sample_rate_hz)
     reach = _SINC_KERNEL_LEN // 2
     first = max(0, _SINC_STRIDE * j0 - reach)
     last = min(n, _SINC_STRIDE * (j1 - 1) - reach + _SINC_KERNEL_LEN)
-    matrix = np.zeros((last - first, taps.shape[1], j1 - j0))
+    matrix = np.zeros((taps.shape[1], last - first, j1 - j0))
     for j in range(j0, j1):
         start = _SINC_STRIDE * j - reach  # output j reads x[start + i] times taps[i]
         lo, hi = max(start, first), min(start + _SINC_KERNEL_LEN, last)
-        matrix[lo - first : hi - first, :, j - j0] = taps[lo - start : hi - start]
-    matrix = matrix.reshape(last - first, -1)
+        matrix[:, lo - first : hi - first, j - j0] = taps[lo - start : hi - start].T
     matrix.flags.writeable = False
     return first, matrix
 
 
-def _edge_rows(x: np.ndarray, sample_rate_hz: int, j0: int, j1: int) -> np.ndarray:
-    """Outputs ``j0 <= j < j1`` as (kernels, channels, j1 - j0), as
-    ``_fir_rows`` returns them, through the ``_sinc_edge`` product.
+def _fill_edge(out: np.ndarray, x: np.ndarray, sample_rate_hz: int, j0: int, j1: int) -> None:
+    """Write outputs ``j0 <= j < j1`` into ``out[:, :, j0:j1]`` through the
+    ``_sinc_edge`` product.
 
-    The samples are read in place: the slice of ``x`` is a strided view that
-    BLAS takes without a copy. Channels go in chunks of at most
-    ``core._ONE_THREAD_MACS`` multiply-adds, so each product runs on one core.
+    The samples it reads (78 per channel at the edges of a 4 s, 200 Hz
+    window) are cast to one float64 copy. Each kernel's product writes
+    straight into the tensor, and channels go in chunks of at most
+    ``core._ONE_THREAD_MACS`` multiply-adds per kernel, so each product runs
+    on one core.
     """
     first, matrix = _sinc_edge(sample_rate_hz, x.shape[1], j0, j1)
-    samples = x[:, first : first + matrix.shape[0]]
-    prod = np.empty((x.shape[0], matrix.shape[1]))
-    chunk = max(1, _ONE_THREAD_MACS // matrix.size)
+    samples = x[:, first : first + matrix.shape[1]].astype(np.float64)
+    chunk = max(1, _ONE_THREAD_MACS // (matrix.shape[1] * matrix.shape[2]))
     for r in range(0, x.shape[0], chunk):
-        np.matmul(samples[r : r + chunk], matrix, out=prod[r : r + chunk])
-    return prod.reshape(x.shape[0], -1, j1 - j0).transpose(1, 0, 2)
+        np.matmul(samples[r : r + chunk], matrix, out=out[:, r : r + chunk, j0:j1])
 
 
 # Interior sinc outputs are computed in blocks of this many outputs (1 s at
@@ -656,19 +665,24 @@ def sinc_filterbank(
     every band, so only the kept outputs are computed. The rows go through
     BLAS products small enough to run on one core (``_fir_rows``). Outputs
     differ from the per-row ``np.convolve`` result by under 1e-15 of their
-    largest magnitude. It computes in float64 whatever the window: the
-    benchmark's self-test (``perfbench/test_harness.py``) holds its outputs
-    to 1e-9 of a float64 reference, which no float32 output can meet.
+    largest magnitude. Its products and outputs are float64 whatever the
+    window: the benchmark's self-test (``perfbench/test_harness.py``) holds
+    its outputs to 1e-9 of a float64 reference, which no float32 output can
+    meet. The window itself stays in its working dtype (``_check_window``),
+    and the cache holds it and compares it in that dtype; only the samples
+    a product reads are cast to float64. A float32 window thus gives the
+    bytes its float64 cast gives.
 
     The outputs that read zero padding at either edge (20 and 19 per channel
-    for a 4 s, 200 Hz window) come from one dense product each: the first
-    or last 78 samples, read in place, times a matrix cached per rate and
-    window length (``_edge_rows``). The interior outputs form blocks of
-    ``_SINC_BLOCK`` outputs, which a ``cache`` lets a stream compute once
-    (``_fill_interior``); the result is bit-identical to a call without a
-    cache. The returned tensor is read-only.
+    for a 4 s, 200 Hz window) come from one stacked product each, written
+    straight into the tensor: the first or last 78 samples times a matrix
+    per kernel, cached per rate and window length (``_fill_edge``). The
+    interior outputs form blocks of ``_SINC_BLOCK`` outputs, which a
+    ``cache`` lets a stream compute once (``_fill_interior``); the result is
+    bit-identical to a call without a cache. The returned tensor is
+    read-only.
     """
-    x = _check_window(samples, float32_ok=False)
+    x = _check_window(samples)
     banded = _sinc_banded(sample_rate_hz)
     n_out = -(-x.shape[1] // _SINC_STRIDE)
     lo, hi = _interior(x.shape[1], _SINC_KERNEL_LEN, _SINC_STRIDE, _SINC_KERNEL_LEN // 2, n_out)
@@ -679,8 +693,8 @@ def sinc_filterbank(
 
     for j0, j1 in ((0, lo), (hi, n_out)):
         if j1 > j0:
-            out[:, :, j0:j1] = _edge_rows(x, sample_rate_hz, j0, j1)
-    key = ("sincnet", sample_rate_hz, x.shape)
+            _fill_edge(out, x, sample_rate_hz, j0, j1)
+    key = ("sincnet", sample_rate_hz, x.shape, x.dtype)
     _fill_interior(out, x, lo, hi, _SINC_BLOCK, _SINC_STRIDE * _SINC_BLOCK, rows, cache, key)
     return FeatureTensor(out, extractor_id="sincnet")
 

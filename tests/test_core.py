@@ -92,6 +92,27 @@ class TestResample:
         assert out.samples.dtype == np.float32 and out.samples.shape == want.shape
         assert np.max(np.abs(out.samples - want)) <= 1e-6 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("fs,target,n", [(256, 200, 76_800), (200, 256, 3001), (173, 200, 999)])
+    def test_products_stay_on_one_core(self, monkeypatch, fs, target, n):
+        # OpenBLAS runs a product of at most _ONE_THREAD_MACS multiply-adds on
+        # one thread; every product the resampler takes stays under it, and
+        # together they give every output sample
+        shapes = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        x = np.random.default_rng(n).normal(size=(3, n)).astype(np.float32)
+        out = sv.resample(make_rec(x, fs=fs), target)
+        # a last frame of which only some outputs are kept is a vector product
+        macs = [(a[0] if len(a) == 2 else 1) * a[-1] * b[1] for a, b in shapes]
+        assert macs and max(macs) <= core._ONE_THREAD_MACS
+        frames = sum(a[0] if len(a) == 2 else 1 for a, b in shapes)
+        assert frames == 3 * -(-out.n_samples // shapes[0][1][1])
+
     def test_polyphase_matrix_cached_and_read_only(self):
         core._polyphase_matrix.cache_clear()
         rec = make_rec(np.ones((2, 1000)), fs=256)

@@ -509,18 +509,18 @@ class TestSincStream:
         # zero-padded edge outputs per channel, of 400
         # outputs counted through both paths: interior blocks and dense edges
         counted = []
-        fir_rows, edge_rows = ft._fir_rows, ft._edge_rows
+        fir_rows, fill_edge = ft._fir_rows, ft._fill_edge
 
         def counting_blocks(x, banded, j0, j1):
             counted.append(j1 - j0)
             return fir_rows(x, banded, j0, j1)
 
-        def counting_edges(x, fs, j0, j1):
+        def counting_edges(out, x, fs, j0, j1):
             counted.append(j1 - j0)
-            return edge_rows(x, fs, j0, j1)
+            fill_edge(out, x, fs, j0, j1)
 
         monkeypatch.setattr(ft, "_fir_rows", counting_blocks)
-        monkeypatch.setattr(ft, "_edge_rows", counting_edges)
+        monkeypatch.setattr(ft, "_fill_edge", counting_edges)
         extract = ft.get_extractor("sincnet")
         per_window = []
         for k in range(5):
@@ -546,10 +546,11 @@ class TestSincStream:
             window = rec[:, start : start + n]
             assert extract(window).data.tobytes() == ft.sinc_filterbank(window.copy()).data.tobytes()
 
-    @pytest.mark.parametrize("n_channels", [3, 22])
+    @pytest.mark.parametrize("n_channels", [3, 22, 200])
     def test_products_stay_on_one_core(self, monkeypatch, n_channels):
         # OpenBLAS runs a product of at most _ONE_THREAD_MACS multiply-adds on
-        # one thread; every product the filterbank takes stays under it
+        # one thread; every product the filterbank takes stays under it. A
+        # stacked edge product is one product per kernel.
         shapes = []
         matmul = np.matmul
 
@@ -560,11 +561,13 @@ class TestSincStream:
         monkeypatch.setattr(np, "matmul", recording)
         window = np.random.default_rng(n_channels).normal(size=(n_channels, 4 * FS))
         ft.sinc_filterbank(window)
-        macs = [a[0] * a[1] * b[1] for a, b in shapes]
+        macs = [a[0] * a[1] * b[-1] for a, b in shapes]
         assert macs and max(macs) <= ft._ONE_THREAD_MACS
-        # the dense edge products are among them, and cover every channel
+        # the stacked edge products are among them, one matrix per kernel,
+        # and cover every channel
         for j0, j1 in ((0, 20), (381, 400)):
             edge = ft._sinc_edge(FS, 4 * FS, j0, j1)[1]
+            assert edge.shape == (7, 78, j1 - j0)
             assert sum(a[0] for a, b in shapes if b == edge.shape) == n_channels
 
     def test_caller_buffer_mutated_in_place(self):
@@ -590,6 +593,31 @@ class TestSincStream:
     def test_flat_is_a_view(self):
         tensor = ft.get_extractor("sincnet")(STREAM_REC[:, : 4 * FS])
         assert np.shares_memory(tensor.flat(), tensor.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=st.integers(0, LOUD_REC.shape[1]), steps=sinc_steps(10))
+    def test_float32_stream_equals_its_float64_cast(self, first, steps):
+        # the window stays float32 up to ft._F32_PEAK and float64 beyond it,
+        # but every product reads float64 samples: streamed and fresh tensors
+        # of a float32 window are those of its float64 cast, bit for bit
+        def fresh(window):
+            got = ft.sinc_filterbank(window)
+            assert got.data.tobytes() == ft.sinc_filterbank(window.astype(np.float64)).data.tobytes()
+            return got
+
+        extract = ft.get_extractor("sincnet")
+        assert_stream_equals_fresh(extract, fresh, LOUD_REC, first, steps)
+
+    def test_cache_holds_the_float32_window(self):
+        # a 4 s, 20-channel float32 window is kept as its own 64 KB float32
+        # copy, and compared in float32
+        cache = ft.BlockCache()
+        window = WIDE_REC[:20, : 4 * FS]
+        ft.sinc_filterbank(window, FS, cache)
+        assert cache.samples.dtype == np.float32 and cache.samples.nbytes == 64_000
+        assert cache.samples.tobytes() == window.tobytes()
+        assert not np.shares_memory(cache.samples, window)
+        assert cache.key == ("sincnet", FS, (20, 4 * FS), np.float32)
 
 
 # samples per STFT block: a 1 s shift at 200 Hz
@@ -778,6 +806,16 @@ def test_finite_float32_window_gives_finite_outputs(name, pattern, alternate, c,
     out = ft.get_extractor(name)(window)
     assert out.shape == documented_shape(name, c, n)
     assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize(
+    "window", [np.ones((2, 800), dtype=complex), np.full((2, 800), "1.5")], ids=["complex", "str"]
+)
+@pytest.mark.parametrize("name", ft.EXTRACTOR_NAMES)
+def test_window_of_values_that_are_not_real_numbers_rejected(name, window):
+    # no extractor keeps the real part of a complex window or parses strings
+    with pytest.raises(InvalidArgumentError, match=f"not dtype {window.dtype}$"):
+        ft.get_extractor(name)(window)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
