@@ -10,12 +10,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import mmap
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -345,78 +344,40 @@ def _window_starts(rec: Recording, spec: WindowSpec) -> np.ndarray:
 # How far a stream of a mapped recording advances in each row between two
 # reads of its file: 82 windows at 200 Hz, 4 s and a 1 s shift.
 _CHUNK_BYTES = 1 << 16
-_PAGEMAP = "/proc/self/pagemap"
-# flags of a /proc/self/pagemap entry: a page of a private file map that a
-# write reached is present but no longer the file's page, or swapped out
-_PRESENT, _SWAPPED, _FILE_PAGE = (np.uint64(1 << bit) for bit in (63, 62, 61))
 
 
-@dataclass
-class _FileRows:
-    """Reads stretches of the rows of a recording mapped by ``io.load_recording``
-    from its file, so a stream touches none of the map's pages.
+def _file_rows(samples: np.ndarray) -> Callable[[int, int], np.ndarray] | None:
+    """``read(lo, hi)``, which reads a new read-only copy of ``samples[:, lo:hi]``
+    from the file of a recording mapped by ``io.load_recording``, so a stream
+    touches none of the map's pages.
 
-    ``of(samples)`` is None, and windows are views of ``samples``, unless its
-    rows are contiguous values on an ``io.PayloadMap`` and ``os.preadv`` and
-    ``/proc/self/pagemap`` are available.
+    None unless the rows of ``samples`` are contiguous values on an
+    ``io.PayloadMap`` and ``os.preadv`` is available. A file that ends before
+    ``hi`` (truncated after it was loaded) raises TruncatedPayloadError naming it.
     """
+    payload = samples
+    while isinstance(payload, np.ndarray):
+        payload = payload.base
+    if not (hasattr(payload, "fd") and samples.strides[1] == samples.itemsize
+            and hasattr(os, "preadv")):
+        return None
+    # the file offset of each row's first sample
+    offsets = [payload.offset + samples.ctypes.data - payload.address + r * samples.strides[0]
+               for r in range(samples.shape[0])]
 
-    samples: np.ndarray
-    payload: mmap.mmap  # the io.PayloadMap
-    pagemap: int  # an open descriptor of /proc/self/pagemap
-
-    @classmethod
-    def of(cls, samples: np.ndarray) -> _FileRows | None:
-        base = samples
-        while isinstance(base, np.ndarray):
-            base = base.base
-        if not (hasattr(base, "fd") and samples.strides[1] == samples.itemsize
-                and hasattr(os, "preadv")):
-            return None
-        try:
-            pagemap = os.open(_PAGEMAP, os.O_RDONLY)
-        except OSError:
-            return None
-        return cls(samples, base, pagemap)
-
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """A new read-only copy of ``samples[:, lo:hi]``, read from the file.
-
-        Runs of pages that a write into the map reached, by their pagemap
-        flags, are copied from the map instead; a page that two rows share
-        is copied into both. A file that ended before ``hi`` (truncated after
-        it was loaded) raises TruncatedPayloadError naming it.
-        """
-        x, page, payload = self.samples, mmap.PAGESIZE, self.payload
-        out = np.empty((x.shape[0], hi - lo), x.dtype)
-        size = out.shape[1] * x.itemsize
-        # the virtual address of each row's sample lo, and the pages it reads
-        addrs = [x.ctypes.data + r * x.strides[0] + lo * x.itemsize for r in range(x.shape[0])]
-        spans = [(a // page, -(-(a + size) // page)) for a in addrs]
-        for a, row in zip(addrs, out):
-            if os.preadv(payload.fd, [row], payload.offset + a - payload.address) != size:
+    def read(lo: int, hi: int) -> np.ndarray:
+        out = np.empty((samples.shape[0], hi - lo), samples.dtype)
+        size = out.shape[1] * samples.itemsize
+        for offset, row in zip(offsets, out):
+            if os.preadv(payload.fd, [row], offset + lo * samples.itemsize) != size:
                 raise TruncatedPayloadError(
                     f"{payload.path}: the file ends before sample {hi} of a row; "
                     "it changed after it was loaded"
                 )
-        flags = np.frombuffer(
-            b"".join(os.pread(self.pagemap, 8 * (p1 - p0), 8 * p0) for p0, p1 in spans), np.uint64
-        )
-        written = ((flags & (_PRESENT | _FILE_PAGE)) == _PRESENT) | ((flags & _SWAPPED) != 0)
-        if written.any():
-            first = 0
-            for r, (a, (p0, p1)) in enumerate(zip(addrs, spans)):
-                runs = np.diff(written[first : first + p1 - p0], prepend=False, append=False)
-                first += p1 - p0
-                for s, e in np.flatnonzero(runs).reshape(-1, 2):
-                    i = (max((p0 + s) * page, a) - a) // x.itemsize
-                    j = -(-(min((p0 + e) * page, a + size) - a) // x.itemsize)
-                    out[r, i:j] = x[r, lo + i : lo + j]
         out.flags.writeable = False
         return out
 
-    def close(self) -> None:
-        os.close(self.pagemap)
+    return read
 
 
 def slice_windows(
@@ -427,30 +388,24 @@ def slice_windows(
 
     On a recording mapped by ``io.load_recording``, each window is a
     read-only view of a chunk that holds ``_CHUNK_BYTES`` of each row and
-    one window more, read from the file rather than through the map, so the
-    map's pages stay untouched: its resident set does not grow with the
-    recording. Pages that a write into the recording reached are copied from
-    the map, so a window holds what the array holds when its chunk is read.
-    On any other recording, or without ``/proc/self/pagemap`` (outside
-    Linux), windows are views of ``rec.samples``.
+    one window more, read from the file with ``os.preadv`` rather than
+    through the map, so the map's pages stay untouched: its resident set
+    does not grow with the recording. On any other recording, or without
+    ``os.preadv``, windows are views of ``rec.samples``.
     """
     win = spec.window_samples(rec.sample_rate_hz)
     shift = spec.shift_samples(rec.sample_rate_hz)
     starts = _window_starts(rec, spec)
     last = int(starts[-1])
-    rows = _FileRows.of(rec.samples)
+    read = _file_rows(rec.samples)
     # chunk holds samples lo to end of each row
-    chunk, lo, end = rec.samples, 0, math.inf if rows is None else -1
+    chunk, lo, end = rec.samples, 0, math.inf if read is None else -1
     per_chunk = _CHUNK_BYTES // rec.samples.itemsize // shift * shift
-    try:
-        for k, start in enumerate(starts[first:stop].tolist(), first):
-            if start + win > end:
-                lo, end = start, min(start + per_chunk, last) + win
-                chunk = rows.read(lo, end)
-            yield Window(k, start / rec.sample_rate_hz, chunk[:, start - lo : start - lo + win])
-    finally:
-        if rows is not None:
-            rows.close()
+    for k, start in enumerate(starts[first:stop].tolist(), first):
+        if start + win > end:
+            lo, end = start, min(start + per_chunk, last) + win
+            chunk = read(lo, end)
+        yield Window(k, start / rec.sample_rate_hz, chunk[:, start - lo : start - lo + win])
 
 
 def window_labels(rec: Recording, labels: LabelTrack, spec: WindowSpec) -> np.ndarray:

@@ -6,17 +6,17 @@ magic line (``#EEG v1``, ``#SEIZMODEL v1``) that must match exactly,
 exactly as many values as the header declares. A ``.eeg`` payload is float32,
 channel-major. The round-trip is bit-exact.
 
-A loaded payload is a copy-on-write map of the file: pages are read when first
-touched, so loading takes the same time whatever the recording's length, and a
-write into the array never reaches the file. ``core.slice_windows`` reads a
-mapped recording's windows from the file (``PayloadMap.fd``) rather than
-through the map, and copies only the pages a write reached from the map, so
-streaming leaves the map's pages untouched. The package's writers never truncate
-or rewrite a file in place; each stages its output beside the target and
-renames it over the target (``write_outputs``), so a file that is still mapped
-keeps its bytes. A file that another process truncates after it was loaded
-makes the stream raise TruncatedPayloadError; one that it rewrites in place
-while it is loaded is outside this contract.
+A loaded payload is a read-only map of the file: pages are read when first
+touched, so loading takes the same time whatever the recording's length. Its
+arrays are read-only; to edit a recording, copy its samples into a new
+``Recording``. ``core.slice_windows`` reads a mapped recording's windows from
+the file (``PayloadMap.fd``) with ``os.preadv`` rather than through the map,
+so streaming leaves the map's pages untouched. The package's writers never
+truncate or rewrite a file in place; each stages its output beside the target
+and renames it over the target (``write_outputs``), so a file that is still
+mapped keeps its bytes. A file that another process truncates after it was
+loaded makes the stream raise TruncatedPayloadError; one that it rewrites in
+place while it is loaded is outside this contract.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def check_payload_count(path: str | Path, found: int, expected: int) -> None:
 
 
 class PayloadMap(mmap.mmap):
-    """A copy-on-write map of a file.
+    """A read-only map of a file.
 
     It keeps a duplicate descriptor of the mapped inode, closed with the map,
     from which ``core.slice_windows`` reads the payload, so what it reads
@@ -179,7 +179,7 @@ class PayloadMap(mmap.mmap):
     """
 
     def __new__(cls, fd: int, offset: int, length: int, path: str | Path):
-        self = super().__new__(cls, fd, length, access=mmap.ACCESS_COPY, offset=offset)
+        self = super().__new__(cls, fd, length, access=mmap.ACCESS_READ, offset=offset)
         self.offset, self.path = offset, path
         self.fd = os.dup(fd)
         weakref.finalize(self, os.close, self.fd)
@@ -188,12 +188,12 @@ class PayloadMap(mmap.mmap):
 
 
 def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.ndarray:
-    """Map the rest of ``fh``, exactly ``count`` values of ``dtype``, copy-on-write.
+    """Map the rest of ``fh``, exactly ``count`` values of ``dtype``, read-only.
 
     The size is checked before anything is mapped, since touching a page past
     the end of the file would kill the process. Short of ``count``, the whole
     values are counted; beyond it, a partial trailing value counts as one. The
-    array is writable, and a write never reaches the file. Its base is a
+    array is read-only, an empty one too. A non-empty one's base is a
     ``PayloadMap``, whose descriptor ``core.slice_windows`` reads windows
     from. An input that cannot be mapped, such as a pipe, raises
     UnmappablePayloadError.
@@ -204,8 +204,8 @@ def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.n
         size = fh.seek(0, os.SEEK_END) - start
         found = size // itemsize if size < count * itemsize else -(-size // itemsize)
         check_payload_count(path, found, count)
-        if count == 0:  # mmap rejects a zero length
-            return np.empty(0, dtype=dtype)
+        if count == 0:  # mmap rejects a zero length; read-only, like a map
+            return np.frombuffer(b"", dtype=dtype)
         # a map starts at a multiple of the allocation granularity
         skip = start % mmap.ALLOCATIONGRANULARITY
         payload = PayloadMap(fh.fileno(), start - skip, skip + count * itemsize, path)

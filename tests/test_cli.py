@@ -203,7 +203,7 @@ def test_extract_slices_only_the_windows_it_writes(corpus, tmp_path, monkeypatch
     assert yielded == sliced
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"), reason="reads /proc/self/pagemap")
+@pytest.mark.skipif(not hasattr(os, "preadv"), reason="reads windows with os.preadv")
 def test_recording_truncated_after_loading_is_validation_error(corpus, monkeypatch, capsys):
     # the stream reads the file, so a short read raises a typed error rather
     # than a page fault past the end of the file
@@ -760,8 +760,10 @@ def test_nan_sample_stops_the_stream_before_any_output(corpus, capsys, command):
     # extract --window-index -1 writes windows 0 and 1 before it meets the NaN,
     # and must leave neither behind
     rec = io.load_recording(corpus / "test" / "rec.eeg")
-    rec.samples[3, 1000] = np.nan  # 5.0 s: in windows 2 to 5 of 4 s every 1 s
-    io.save_recording(rec, corpus / "nan.eeg")
+    samples = rec.samples.copy()  # a loaded recording is read-only
+    samples[3, 1000] = np.nan  # 5.0 s: in windows 2 to 5 of 4 s every 1 s
+    nan = core.Recording(rec.sample_rate_hz, rec.channel_names, samples, rec.montage)
+    io.save_recording(nan, corpus / "nan.eeg")
     out = corpus / "out"
     labels = ["--labels", str(corpus / "test" / "labels.txt")]
     model = ["--model", str(corpus / "model.bin")]
