@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -265,7 +265,11 @@ def resample(rec: Recording, target_hz: int) -> Recording:
     if target_hz <= 0:
         raise InvalidArgumentError("target_hz must be positive")
     if target_hz == rec.sample_rate_hz:
-        return replace(rec, samples=rec.samples.copy())
+        samples = np.empty(rec.samples.shape, np.float32)
+        for lo, hi, chunk in _column_chunks(rec.samples, range(rec.n_channels)):
+            for x, y in zip(chunk, samples):
+                y[lo:hi] = x
+        return replace(rec, samples=samples)
     n = rec.n_samples
     n_out = int(round(n * target_hz / rec.sample_rate_hz))
     if n < 2 or n_out < 1:
@@ -309,19 +313,32 @@ def resample(rec: Recording, target_hz: int) -> Recording:
 
 
 def to_bipolar(rec: Recording, spec: MontageSpec | None = None) -> Recording:
-    """Derive a bipolar recording by samplewise anode minus cathode."""
+    """Derive a bipolar recording by samplewise anode minus cathode.
+
+    Every pair's channels are looked up before any sample is read, so a
+    missing one raises ChannelNotFoundError first. The differences go
+    straight into the float32 output rows, one column chunk at a time
+    (``_column_chunks``). Of a recording mapped by ``io.load_recording``,
+    only the channels that a pair names are read, from its file,
+    ``_CHUNK_BYTES`` of each at a time, so none of the map's pages becomes
+    resident; any other recording is one chunk of views.
+    """
     if rec.montage is not Montage.UNIPOLAR:
         raise InvalidArgumentError("to_bipolar expects a unipolar recording")
     if spec is None:
         spec = MontageSpec(DEFAULT_BIPOLAR_PAIRS)
     index = {name: i for i, name in enumerate(rec.channel_names)}
-    # each difference is written straight into its row: no list of rows to stack
-    samples = np.empty((len(spec.pairs), rec.n_samples), dtype=np.float32)
-    for (anode, cathode), row in zip(spec.pairs, samples):
-        for name in (anode, cathode):
-            if name not in index:
-                raise ChannelNotFoundError(name)
-        np.subtract(rec.samples[index[anode]], rec.samples[index[cathode]], out=row)
+    for name in (name for pair in spec.pairs for name in pair):
+        if name not in index:
+            raise ChannelNotFoundError(name)
+    # only the channels that some pair reads, in file order
+    used = sorted({index[name] for pair in spec.pairs for name in pair})
+    at = {row: i for i, row in enumerate(used)}
+    pairs = [(at[index[anode]], at[index[cathode]]) for anode, cathode in spec.pairs]
+    samples = np.empty((len(pairs), rec.n_samples), dtype=np.float32)
+    for lo, hi, chunk in _column_chunks(rec.samples, used):
+        for (anode, cathode), row in zip(pairs, samples):
+            np.subtract(chunk[anode], chunk[cathode], out=row[lo:hi])
     return Recording(
         sample_rate_hz=rec.sample_rate_hz,
         channel_names=spec.channel_names,
@@ -341,15 +358,21 @@ def _window_starts(rec: Recording, spec: WindowSpec) -> np.ndarray:
     return np.arange(0, rec.n_samples - win + 1, spec.shift_samples(rec.sample_rate_hz))
 
 
-# How far a stream of a mapped recording advances in each row between two
+# How far a pass over a mapped recording advances in each row between two
 # reads of its file: 82 windows at 200 Hz, 4 s and a 1 s shift.
 _CHUNK_BYTES = 1 << 16
 
 
-def _file_rows(samples: np.ndarray) -> Callable[[int, int], np.ndarray] | None:
-    """``read(lo, hi)``, which reads a new read-only copy of ``samples[:, lo:hi]``
-    from the file of a recording mapped by ``io.load_recording``, so a stream
-    touches none of the map's pages.
+def _file_rows(
+    samples: np.ndarray, rows: Sequence[int] | None = None
+) -> Callable[..., np.ndarray] | None:
+    """``read(lo, hi, out=None)``, which reads ``samples[rows, lo:hi]`` (all
+    rows by default) from the file of a recording mapped by
+    ``io.load_recording`` into ``out``, whose rows are contiguous, or else
+    into a new read-only array, and returns it. So a pass touches none of the
+    map's pages: ``slice_windows`` reads its windows' chunks, and
+    ``_column_chunks`` those of ``to_bipolar`` and of a same-rate
+    ``resample``, through it.
 
     None unless the rows of ``samples`` are contiguous values on an
     ``io.PayloadMap`` and ``os.preadv`` is available. A file that ends before
@@ -361,23 +384,51 @@ def _file_rows(samples: np.ndarray) -> Callable[[int, int], np.ndarray] | None:
     if not (hasattr(payload, "fd") and samples.strides[1] == samples.itemsize
             and hasattr(os, "preadv")):
         return None
+    if rows is None:
+        rows = range(samples.shape[0])
     # the file offset of each row's first sample
     offsets = [payload.offset + samples.ctypes.data - payload.address + r * samples.strides[0]
-               for r in range(samples.shape[0])]
+               for r in rows]
 
-    def read(lo: int, hi: int) -> np.ndarray:
-        out = np.empty((samples.shape[0], hi - lo), samples.dtype)
-        size = out.shape[1] * samples.itemsize
+    def read(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        new = out is None
+        if new:
+            out = np.empty((len(offsets), hi - lo), samples.dtype)
+        size = (hi - lo) * samples.itemsize
         for offset, row in zip(offsets, out):
             if os.preadv(payload.fd, [row], offset + lo * samples.itemsize) != size:
                 raise TruncatedPayloadError(
                     f"{payload.path}: the file ends before sample {hi} of a row; "
                     "it changed after it was loaded"
                 )
-        out.flags.writeable = False
+        if new:
+            out.flags.writeable = False
         return out
 
     return read
+
+
+def _column_chunks(
+    samples: np.ndarray, rows: Sequence[int]
+) -> Iterator[tuple[int, int, Sequence[np.ndarray]]]:
+    """``(lo, hi, chunk)`` over all the columns of ``samples``, where
+    ``chunk[i]`` holds ``samples[rows[i], lo:hi]``.
+
+    For an array mapped by ``io.load_recording``, a chunk holds
+    ``_CHUNK_BYTES`` of each of those rows, the last one less, read from the
+    file by ``_file_rows`` into one buffer that the next chunk overwrites;
+    for any other, one chunk of views spans the whole array.
+    """
+    n = samples.shape[1]
+    read = _file_rows(samples, rows)
+    if read is None:
+        yield 0, n, [samples[r] for r in rows]
+        return
+    step = _CHUNK_BYTES // samples.itemsize
+    buffer = np.empty((len(rows), step), samples.dtype)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield lo, hi, read(lo, hi, buffer[:, : hi - lo])
 
 
 def slice_windows(

@@ -9,22 +9,24 @@ channel-major. The round-trip is bit-exact.
 A loaded payload is a read-only map of the file: pages are read when first
 touched, so loading takes the same time whatever the recording's length. Its
 arrays are read-only; to edit a recording, copy its samples into a new
-``Recording``. ``core.slice_windows`` reads a mapped recording's windows from
-the file (``PayloadMap.fd``) with ``os.preadv`` rather than through the map,
-so streaming leaves the map's pages untouched. The package's writers never
-truncate or rewrite a file in place; each stages its output beside the target
-and renames it over the target (``write_outputs``), so a file that is still
-mapped keeps its bytes. A file that another process truncates after it was
+``Recording``. ``core.slice_windows``, ``core.to_bipolar`` and a same-rate
+``core.resample`` read a mapped recording from the file (``PayloadMap.fd``)
+with ``os.preadv`` rather than through the map, so they leave the map's pages
+untouched. The package's writers never truncate or rewrite a file in place;
+each stages its output beside the target and renames it over the target
+(``write_outputs``), so a file that is still mapped keeps its bytes. A file that another process truncates after it was
 loaded makes the stream raise TruncatedPayloadError; one that it rewrites in
 place while it is loaded is outside this contract.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import errno
 import io as stdio
+import itertools
 import math
 import mmap
 import os
@@ -33,7 +35,7 @@ import stat
 import tempfile
 import weakref
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -61,16 +63,46 @@ def open_input(path: str | Path, mode: str = "r", **kwargs):
         raise DirectoryPathError(f"{path}: is a directory, expected a file") from None
 
 
-def open_text(path: str | Path, newline: str | None = None) -> stdio.StringIO:
-    """A UTF-8 text input as a file object; bytes that are not UTF-8 raise TextEncodingError."""
-    with open_input(path, "rb") as fh:
-        raw = fh.read()
+# How much of a text input each read of open_text's UTF-8 check takes.
+_TEXT_BLOCK_BYTES = 1 << 20
+
+
+def open_text(path: str | Path, newline: str | None = None) -> stdio.TextIOWrapper:
+    """A UTF-8 text input as a file object that decodes as it is read.
+
+    The bytes are checked in one pass of ``_TEXT_BLOCK_BYTES`` reads, before
+    the file is rewound and returned; bytes that are not UTF-8 raise
+    TextEncodingError naming the line, so they win over a parse error earlier
+    in the file. An input that cannot be rewound, such as a pipe, is read into
+    memory first.
+    """
+    fh = open_input(path, "rb")
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise TextEncodingError(f"{path}: line {line_no}: not UTF-8 text ({exc.reason})") from None
-    return stdio.StringIO(text, newline=newline)
+        if not fh.seekable():
+            data = fh.read()
+            fh.close()
+            fh = stdio.BytesIO(data)
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        line_no = 1  # of the first byte of the next read
+        while True:
+            block = fh.read(_TEXT_BLOCK_BYTES)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # the error's object is this read after the undecoded tail of
+                # the last one, which holds no newline
+                line_no += exc.object.count(b"\n", 0, exc.start)
+                raise TextEncodingError(
+                    f"{path}: line {line_no}: not UTF-8 text ({exc.reason})"
+                ) from None
+            if not block:
+                break
+            line_no += block.count(b"\n")
+        fh.seek(0)
+    except BaseException:
+        fh.close()
+        raise
+    return stdio.TextIOWrapper(fh, encoding="utf-8", newline=newline)
 
 
 def write_outputs(outputs: list[tuple[str | Path, Callable[[Path], object]]]) -> None:
@@ -174,7 +206,7 @@ class PayloadMap(mmap.mmap):
     """A read-only map of a file.
 
     It keeps a duplicate descriptor of the mapped inode, closed with the map,
-    from which ``core.slice_windows`` reads the payload, so what it reads
+    from which ``core._file_rows`` reads the payload, so what it reads
     stays the file it mapped even after another file is renamed over ``path``.
     """
 
@@ -194,7 +226,7 @@ def read_payload(fh: BinaryIO, path: str | Path, dtype: str, count: int) -> np.n
     the end of the file would kill the process. Short of ``count``, the whole
     values are counted; beyond it, a partial trailing value counts as one. The
     array is read-only, an empty one too. A non-empty one's base is a
-    ``PayloadMap``, whose descriptor ``core.slice_windows`` reads windows
+    ``PayloadMap``, whose descriptor ``core._file_rows`` reads samples
     from. An input that cannot be mapped, such as a pipe, raises
     UnmappablePayloadError.
     """
@@ -250,11 +282,24 @@ def load_recording(path: str | Path) -> Recording:
     return Recording(fs, names, samples.reshape(n_channels, n_samples), montage)
 
 
+# How many CSV rows load_csv_recording parses into one float32 block.
+_CSV_BLOCK_ROWS = 1 << 12
+
+
 def load_csv_recording(path: str | Path, sample_rate_hz: int) -> Recording:
     """Import a unipolar CSV: header row = channel names, one sample per row.
 
-    Every cell must be a finite number within float32 range; the first one
-    that is not raises LabelParseError naming its line and column.
+    Every cell must be a finite number within float32 range. A row of the
+    wrong length or a cell that is not a number raises LabelParseError
+    naming its line when it is read; otherwise the first cell that is not
+    finite in float32 raises one naming its line and column. Blank rows are
+    skipped, and a CSV of only its header row gives a recording of no
+    samples.
+
+    The file is read as it is parsed (``open_text``), and each block of
+    ``_CSV_BLOCK_ROWS`` rows goes into a C-ordered float32 (channels, rows)
+    array; the samples are these blocks joined, so the peak holds about two
+    float32 payloads.
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -262,31 +307,42 @@ def load_csv_recording(path: str | Path, sample_rate_hz: int) -> Recording:
             names = [name.strip() for name in next(reader)]
         except StopIteration:
             raise MalformedHeaderError(f"{path}: empty CSV") from None
-        rows, line_nos = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
+
+        def parsed_rows() -> Iterator[tuple[int, list[float]]]:
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    raise LabelParseError(
+                        path, line_no, f"expected {len(names)} columns, got {len(row)}"
+                    )
+                try:
+                    values = list(map(float, row))
+                except ValueError as exc:
+                    raise LabelParseError(path, line_no, str(exc)) from exc
+                yield line_no, values
+
+        rows = parsed_rows()
+        blocks, bad = [np.empty((len(names), 0), np.float32)], None
+        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+            if bad is not None:  # after one, the rest is only parsed
                 continue
-            if len(row) != len(names):
-                raise LabelParseError(
-                    path, line_no, f"expected {len(names)} columns, got {len(row)}"
+            line_nos, cells = zip(*block)
+            values = np.array(cells)
+            # NaN fails the comparison too
+            flagged = np.argwhere(~(np.abs(values) <= FLOAT32_MAX))
+            if flagged.size:
+                row_no, col = flagged[0]
+                bad = LabelParseError(
+                    path, line_nos[row_no],
+                    f"column {col + 1} ({names[col]}): {float(values[row_no, col])!r} "
+                    "is not a finite float32 value",
                 )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise LabelParseError(path, line_no, str(exc)) from exc
-            line_nos.append(line_no)
-    values = np.asarray(rows)
-    # NaN fails the comparison too
-    bad = np.argwhere(~(np.abs(values) <= FLOAT32_MAX))
-    if bad.size:
-        row_no, col = bad[0]
-        raise LabelParseError(
-            path,
-            line_nos[row_no],
-            f"column {col + 1} ({names[col]}): {rows[row_no][col]!r} is not a finite "
-            "float32 value",
-        )
-    samples = values.astype(np.float32).T
+            else:
+                blocks.append(values.T.astype(np.float32, order="C"))
+    if bad is not None:
+        raise bad
+    samples = np.concatenate(blocks, axis=1)
     return Recording(sample_rate_hz=sample_rate_hz, channel_names=names, samples=samples)
 
 

@@ -112,6 +112,21 @@ def test_ingest_csv(tmp_path):
     assert rec.n_channels == 2 and rec.n_samples == 100
 
 
+@pytest.mark.parametrize("montage", [False, True])
+def test_ingest_header_only_csv_gives_a_recording_of_no_samples(tmp_path, montage):
+    csv = tmp_path / "rec.csv"
+    csv.write_text("FP1,F7\n")
+    out = tmp_path / "rec.eeg"
+    argv = ["ingest", "--csv", str(csv), "--rate", "256", "--out", str(out)]
+    if montage:
+        (tmp_path / "pairs.txt").write_text("FP1 F7\n")
+        argv += ["--montage", str(tmp_path / "pairs.txt")]
+    assert main(argv) == 0
+    rec = io.load_recording(out)
+    assert rec.sample_rate_hz == 256 and rec.samples.shape == (1 if montage else 2, 0)
+    assert rec.channel_names == (["FP1-F7"] if montage else ["FP1", "F7"])
+
+
 @pytest.mark.parametrize("rate", ["0", "-1"])
 def test_ingest_bad_resample_rate_is_validation_error(tmp_path, capsys, rate):
     csv = tmp_path / "rec.csv"

@@ -20,6 +20,7 @@ from seizeval.errors import (
     EmptyStreamError,
     FileFormatError,
     InvalidArgumentError,
+    TruncatedPayloadError,
 )
 
 import oracles
@@ -333,6 +334,76 @@ class TestMappedWindows:
         os.truncate(path, path.stat().st_size // 2)
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: "):
             window_bytes(mapped)
+
+
+@pytest.mark.skipif(not hasattr(os, "preadv"), reason="reads the file with os.preadv")
+class TestMappedMontage:
+    """``to_bipolar`` and a same-rate ``resample`` of a mapped recording read
+    its file in column chunks; they give the bytes of an in-memory copy."""
+
+    PER_CHUNK = core._CHUNK_BYTES // 4
+    # three whole chunks of each row, then a partial one
+    SAMPLES = np.random.default_rng(11).normal(scale=40, size=(22, 3 * PER_CHUNK + 777))
+
+    def mapped_and_copy(self, tmp_path, samples=SAMPLES):
+        path = tmp_path / "rec.eeg"
+        names = list(DEFAULT_UNIPOLAR_CHANNELS)
+        io.save_recording(make_rec(samples, fs=256, names=names), path)
+        return io.load_recording(path), make_rec(samples, fs=256, names=names)
+
+    def test_bytes_equal_the_in_memory_copy(self, tmp_path):
+        mapped, copy = self.mapped_and_copy(tmp_path)
+        assert core._file_rows(mapped.samples) is not None
+        for spec in (None, sv.MontageSpec((("EKG", "FP1"), ("A2", "A1"), ("FP1", "EKG")))):
+            out, want = sv.to_bipolar(mapped, spec), sv.to_bipolar(copy, spec)
+            assert out.channel_names == want.channel_names
+            assert out.samples.tobytes() == want.samples.tobytes()
+            assert out.samples.flags.c_contiguous and out.samples.flags.writeable
+
+    def test_same_rate_resample_is_a_writable_copy(self, tmp_path):
+        mapped, copy = self.mapped_and_copy(tmp_path)
+        for rec in (mapped, copy):
+            out = sv.resample(rec, 256)
+            assert out.samples.tobytes() == copy.samples.tobytes()
+            assert not np.shares_memory(out.samples, rec.samples)
+            assert out.samples.flags.c_contiguous and out.samples.flags.writeable
+            out.samples[0, -1] = 0.0
+        assert mapped.samples.tobytes() == copy.samples.tobytes()
+
+    def test_column_slice_of_a_mapped_recording(self, tmp_path):
+        mapped, copy = self.mapped_and_copy(tmp_path)
+        cols = slice(1001, 2 * self.PER_CHUNK + 5)
+        part = sv.Recording(256, mapped.channel_names, mapped.samples[:, cols])
+        want = sv.Recording(256, copy.channel_names, copy.samples[:, cols])
+        assert core._file_rows(part.samples) is not None
+        assert sv.to_bipolar(part).samples.tobytes() == sv.to_bipolar(want).samples.tobytes()
+        assert sv.resample(part, 256).samples.tobytes() == want.samples.tobytes()
+
+    def test_no_samples(self, tmp_path):
+        mapped, copy = self.mapped_and_copy(tmp_path, np.zeros((22, 0)))
+        for rec in (mapped, copy):
+            assert sv.to_bipolar(rec).samples.shape == (20, 0)
+            assert sv.resample(rec, 256).samples.shape == (22, 0)
+
+    def test_missing_channel_raises_before_any_read(self, tmp_path, monkeypatch):
+        mapped, _ = self.mapped_and_copy(tmp_path)
+
+        def no_read(*args):
+            raise AssertionError("the file was read before the montage was checked")
+
+        monkeypatch.setattr(os, "preadv", no_read)
+        # the missing channel is named by the last pair
+        spec = sv.MontageSpec((("FP1", "F7"), ("F7", "NOPE")))
+        with pytest.raises(ChannelNotFoundError, match="NOPE"):
+            sv.to_bipolar(mapped, spec)
+
+    def test_file_truncated_after_loading(self, tmp_path):
+        mapped, _ = self.mapped_and_copy(tmp_path)
+        path = tmp_path / "rec.eeg"
+        os.truncate(path, path.stat().st_size // 2)
+        for call in (sv.to_bipolar, lambda rec: sv.resample(rec, 256)):
+            with pytest.raises(TruncatedPayloadError, match=f"^{re.escape(str(path))}: "):
+                call(mapped)
 
 
 class TestWindowLabel:

@@ -22,6 +22,7 @@ from seizeval.errors import (
     MalformedHeaderError,
     NonFiniteSampleError,
     SurplusPayloadError,
+    TextEncodingError,
     TruncatedPayloadError,
     UnmappablePayloadError,
 )
@@ -391,6 +392,50 @@ def test_streaming_a_mapped_recording_keeps_few_pages_per_row(tmp_path):
     assert out.stderr == ""
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads RssFile from /proc/self/status")
+def test_montage_and_same_rate_resample_of_a_mapped_recording_map_no_page(tmp_path):
+    """to_bipolar and a same-rate resample of a 100 MB mapped recording read
+    it from the file in chunks, so the file-backed resident set stays flat."""
+    path = tmp_path / "long.eeg"
+    fs, n_channels, n_samples = 10_000, 2, 12_500_000  # 100 MB of float32
+    header = (
+        f"#EEG v1\nsample_rate_hz={fs}\nn_channels={n_channels}\nn_samples={n_samples}\n"
+        "montage=unipolar\nchannels=A,B\nend_header\n"
+    )
+    chunk = np.arange(1_250_000, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for _ in range(n_channels * n_samples // chunk.size):
+            fh.write(chunk.data)
+    code = textwrap.dedent(f"""
+        import sys
+        from seizeval import core, io
+
+        def rss_file_kib():
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("RssFile:")).split()[1])
+
+        rec = io.load_recording(sys.argv[1])
+        before = rss_file_kib()
+        bipolar = core.to_bipolar(rec, core.MontageSpec((("A", "B"),)))
+        after_montage = rss_file_kib()
+        copy = core.resample(rec, {fs})
+        after_resample = rss_file_kib()
+        assert bipolar.samples.shape == (1, {n_samples}) and not bipolar.samples.any()
+        assert copy.samples.shape == ({n_channels}, {n_samples})
+        assert (copy.samples[:, -1] == {chunk.size - 1}).all()
+        print(after_montage - before, after_resample - before)
+    """)
+    src = str(Path(io.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    montage_kib, resample_kib = map(int, out.stdout.split())
+    assert montage_kib * 1024 <= 2**20  # the pass maps 100 MB
+    assert resample_kib * 1024 <= 2**20
+
+
 class TestCsv:
     def test_two_channel_import(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -421,6 +466,129 @@ class TestCsv:
         path.write_text("FP1\n3.4028234663852886e38\n-1\n")
         rec = io.load_csv_recording(path, 200)
         assert rec.samples[0, 0] == np.finfo(np.float32).max
+
+    def test_header_only_gives_no_samples(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("FP1,F7\n\n")
+        rec = io.load_csv_recording(path, 256)
+        assert rec.channel_names == ["FP1", "F7"]
+        assert rec.samples.shape == (2, 0) and rec.samples.dtype == np.float32
+
+    # rows of blocks of 4: the row of line 10 is in the third block
+    ROWS = ["FP1,F7"] + [f"{k}.5,{-k}" for k in range(1, 12)]
+
+    def load_in_blocks(self, monkeypatch, tmp_path, rows):
+        monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", 4)
+        path = tmp_path / "rec.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return io.load_csv_recording(path, 200)
+
+    def test_blocks_join_in_order(self, monkeypatch, tmp_path):
+        rec = self.load_in_blocks(monkeypatch, tmp_path, self.ROWS[:6] + [""] + self.ROWS[6:])
+        assert rec.samples.flags.c_contiguous and rec.samples.shape == (2, 11)
+        np.testing.assert_array_equal(rec.samples[0], np.arange(1, 12) + 0.5)
+        np.testing.assert_array_equal(rec.samples[1], -np.arange(1, 12))
+
+    @pytest.mark.parametrize("cell,message", [
+        ("x", "could not convert string to float: 'x'"),
+        ("inf", r"column 2 \(F7\): inf is not a finite float32 value"),
+    ])
+    def test_bad_cell_in_a_later_block(self, monkeypatch, tmp_path, cell, message):
+        rows = list(self.ROWS)
+        rows[9] = f"9.5,{cell}"
+        with pytest.raises(LabelParseError, match=f"line 10: {message}") as exc:
+            self.load_in_blocks(monkeypatch, tmp_path, rows)
+        assert exc.value.line_no == 10
+
+    @pytest.mark.parametrize("line", [3, 10, 12])
+    def test_parse_error_wins_over_an_earlier_non_finite_cell(self, monkeypatch, tmp_path, line):
+        rows = list(self.ROWS)
+        rows[1] = "nan,1"
+        rows[line - 1] = "1,2,3"
+        with pytest.raises(LabelParseError, match="expected 2 columns, got 3") as exc:
+            self.load_in_blocks(monkeypatch, tmp_path, rows)
+        assert exc.value.line_no == line
+
+    def test_first_non_finite_cell_of_several_blocks(self, monkeypatch, tmp_path):
+        rows = list(self.ROWS)
+        rows[6], rows[10] = "1e39,1", "nan,nan"
+        with pytest.raises(LabelParseError, match=r"line 7: column 1 \(FP1\): 1e\+39 is not"):
+            self.load_in_blocks(monkeypatch, tmp_path, rows)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 16])
+@pytest.mark.parametrize("data", [
+    b"FP1,F7\n1,2\n3,\xe2\x82(\n4,5\n",  # a 3-byte sequence cut short by "("
+    b"FP1,F7\n1,2\n\n3,4\xc3",  # a 2-byte sequence cut short by the end of the file
+    b"F\xc3\xa47,F8\n\xc3\xa4\n\n\n\xff",  # valid 2-byte sequences before the bad byte
+], ids=["cut-by-a-char", "cut-by-the-end", "after-valid-sequences"])
+def test_non_utf8_byte_across_a_read_boundary(tmp_path, monkeypatch, block, data):
+    """The error names the line a whole-file decode names, wherever the reads split."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        want = f"line {line_no}: not UTF-8 text ({exc.reason})"
+    monkeypatch.setattr(io, "_TEXT_BLOCK_BYTES", block)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(TextEncodingError, match=re.escape(f"{path}: {want}")):
+        io.load_csv_recording(path, 200)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_utf8_sequences_across_read_boundaries_load(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(io, "_TEXT_BLOCK_BYTES", block)
+    path = tmp_path / "montage.txt"
+    path.write_text("F\u00e47 \u20ac1\r\nT3 T\u00e45\n", encoding="utf-8")
+    spec = io.load_montage(path)
+    assert spec.pairs == (("F\u00e47", "\u20ac1"), ("T3", "T\u00e45"))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="opens the pipe through /proc/self/fd")
+def test_text_input_from_a_pipe(tmp_path):
+    # a pipe cannot be rewound after the UTF-8 check; it is read once
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"FP1,F7\n1.5,2.5\n3.5,4.5\n")
+        os.close(write_end)
+        rec = io.load_csv_recording(f"/proc/self/fd/{read_end}", 200)
+    finally:
+        os.close(read_end)
+    np.testing.assert_array_equal(rec.samples, [[1.5, 3.5], [2.5, 4.5]])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_load_csv_recording_peak_memory_is_a_few_payloads(tmp_path):
+    """Parsing a CSV in blocks raises peak RSS by at most three float32
+    payloads: the blocks and the samples they are joined into."""
+    path = tmp_path / "big.csv"
+    n_channels, n_rows = 16, 200_000  # a 12.8 MB float32 payload
+    cells = np.random.default_rng(1).normal(scale=50, size=(1000, n_channels))
+    block = "".join(",".join(f"{v:.4f}" for v in row) + "\n" for row in cells)
+    with open(path, "w") as fh:
+        fh.write(",".join(f"C{i}" for i in range(n_channels)) + "\n")
+        for _ in range(n_rows // len(cells)):
+            fh.write(block)
+    code = textwrap.dedent(f"""
+        import sys
+        from seizeval import io
+
+        def peak_kib():
+            with open("/proc/self/status") as fh:
+                return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+        before = peak_kib()
+        rec = io.load_csv_recording(sys.argv[1], 256)
+        assert rec.samples.shape == ({n_channels}, {n_rows})
+        print(peak_kib() - before)
+    """)
+    src = str(Path(io.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert int(out.stdout) * 1024 <= 3 * 4 * n_channels * n_rows
 
 
 class TestLabels:
