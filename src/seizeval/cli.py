@@ -1,7 +1,7 @@
 """Command-line entry point wiring the full pipeline.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 real-time
-constraint violation (bench).
+constraint violation (``run``, after it has written its outputs).
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ def _fit(rec, labels, spec, feature: str, fit) -> detectors.LinearModel:
     return fit(list(zip(feats, wl.astype(int))))
 
 
-def _stream(rec, detector, spec, **stream_opts):
+def _stream(rec, detector, spec, budget_s=None):
     """Stream ``rec`` once through the extractor the model names: (track, latency)."""
     extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
-    return rtbench.run_stream(rec, extractor, detector, spec, **stream_opts)
+    return rtbench.run_stream(rec, extractor, detector, spec, budget_s)
 
 
 def _score(rec, labels, wl, detector, spec, **eval_opts):
@@ -201,13 +201,15 @@ def cmd_run(args) -> int:
         gap_merge_s=args.gap_merge_sec,
         min_event_s=args.min_event_sec,
     )
-    track, report = _stream(rec, detector, spec)
+    if args.budget_sec is not None:
+        rtbench.check_budget(args.budget_sec)
+    track, report = _stream(rec, detector, spec, args.budget_sec)
     outputs = [(args.out_hyp, functools.partial(metrics.export_hypothesis, track, opts))]
     if args.out_latency:
         outputs.append((args.out_latency, lambda p: p.write_text(report.per_window_csv())))
     io.write_outputs(outputs)
     print(f"wrote {args.out_hyp}; {report.summary()}")
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_REALTIME
 
 
 def cmd_eval(args) -> int:
@@ -241,23 +243,6 @@ def cmd_eval(args) -> int:
     print(report.to_text(), end="")
     print(f"report written to {out}")
     return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    rec = io.load_recording(args.rec)
-    spec = _window_spec(args)
-    detector = detectors.LinearDetector(detectors.load_model(args.model), args.smoothing)
-    if args.budget_sec is not None:
-        rtbench.check_budget(args.budget_sec)
-    _, report = _stream(
-        rec, detector, spec, budget_s=args.budget_sec, exclude_warmup=not args.include_warmup
-    )
-    print(report.summary())
-    outputs = [(args.out, lambda p: p.write_text(report.to_kv()))] if args.out else []
-    if args.out_csv:
-        outputs.append((args.out_csv, lambda p: p.write_text(report.per_window_csv())))
-    io.write_outputs(outputs)
-    return EXIT_OK if report.passed else EXIT_REALTIME
 
 
 def cmd_sweep(args) -> int:
@@ -385,15 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = add("run", help="stream a recording and export hypotheses")
+    p = add("run", help="stream a recording, export hypotheses, check the budget")
     p.add_argument("--rec", required=True)
     _add_detector_args(p)
     _add_window_args(p)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--gap-merge-sec", type=float, default=0.0)
     p.add_argument("--min-event-sec", type=float, default=0.0)
+    p.add_argument("--budget-sec", type=float, help="override the shift budget")
     p.add_argument("--out-hyp", required=True)
-    p.add_argument("--out-latency")
+    p.add_argument("--out-latency", help="per-window times CSV")
     p.set_defaults(func=cmd_run)
 
     p = add("eval", help="full metrics report")
@@ -407,16 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_eval)
-
-    p = add("bench", help="real-time latency benchmark")
-    p.add_argument("--rec", required=True)
-    _add_detector_args(p)
-    _add_window_args(p)
-    p.add_argument("--budget-sec", type=float, help="override the shift budget")
-    p.add_argument("--include-warmup", action="store_true")
-    p.add_argument("--out", help="key-value report path")
-    p.add_argument("--out-csv", help="per-window times CSV")
-    p.set_defaults(func=cmd_bench)
 
     p = add("sweep", help="window/shift parameter sweep on synth data")
     grid = p.add_mutually_exclusive_group(required=True)

@@ -258,9 +258,11 @@ def resample(rec: Recording, target_hz: int) -> Recording:
     the line through the first and last samples, so a DC offset or a
     linear trend passes the edges unbent. The output holds
     ``round(n * target_hz / rate)`` samples, as
-    ``scipy.signal.resample_poly(..., padtype="line")`` computes them. A
-    recording of fewer than 2 samples, or one that would give no output
-    sample, raises InvalidArgumentError.
+    ``scipy.signal.resample_poly(..., padtype="line")`` computes them. The
+    input is read through ``_column_chunks``, so a mapped recording is read
+    from its file, one row at a time at another rate. A recording of fewer
+    than 2 samples, or one that would give no output sample, raises
+    InvalidArgumentError.
     """
     if target_hz <= 0:
         raise InvalidArgumentError("target_hz must be positive")
@@ -291,8 +293,9 @@ def resample(rec: Recording, target_hz: int) -> Recording:
     chunk = np.empty((rows, span))
     full = n_out // up  # frames all of whose outputs are kept
     out = np.empty((rec.n_channels, n_out), dtype=np.float32)
-    for x, y in zip(rec.samples, out):
-        ext[reach : reach + n] = x
+    for r, y in enumerate(out):
+        for lo, hi, (x,) in _column_chunks(rec.samples, [r]):
+            ext[reach + lo : reach + hi] = x
         first, last = ext[reach], ext[reach + n - 1]
         slope = (last - first) / (n - 1)
         ext[:reach] = first + slope * before
@@ -371,8 +374,7 @@ def _file_rows(
     ``io.load_recording`` into ``out``, whose rows are contiguous, or else
     into a new read-only array, and returns it. So a pass touches none of the
     map's pages: ``slice_windows`` reads its windows' chunks, and
-    ``_column_chunks`` those of ``to_bipolar`` and of a same-rate
-    ``resample``, through it.
+    ``_column_chunks`` those of ``to_bipolar`` and ``resample``, through it.
 
     None unless the rows of ``samples`` are contiguous values on an
     ``io.PayloadMap`` and ``os.preadv`` is available. A file that ends before
@@ -412,7 +414,8 @@ def _column_chunks(
     samples: np.ndarray, rows: Sequence[int]
 ) -> Iterator[tuple[int, int, Sequence[np.ndarray]]]:
     """``(lo, hi, chunk)`` over all the columns of ``samples``, where
-    ``chunk[i]`` holds ``samples[rows[i], lo:hi]``.
+    ``chunk[i]`` holds ``samples[rows[i], lo:hi]``: the input of
+    ``to_bipolar`` and ``resample``.
 
     For an array mapped by ``io.load_recording``, a chunk holds
     ``_CHUNK_BYTES`` of each of those rows, the last one less, read from the

@@ -9,13 +9,13 @@ channel-major. The round-trip is bit-exact.
 A loaded payload is a read-only map of the file: pages are read when first
 touched, so loading takes the same time whatever the recording's length. Its
 arrays are read-only; to edit a recording, copy its samples into a new
-``Recording``. ``core.slice_windows``, ``core.to_bipolar`` and a same-rate
+``Recording``. ``core.slice_windows``, ``core.to_bipolar`` and
 ``core.resample`` read a mapped recording from the file (``PayloadMap.fd``)
 with ``os.preadv`` rather than through the map, so they leave the map's pages
 untouched. The package's writers never truncate or rewrite a file in place;
 each stages its output beside the target and renames it over the target
 (``write_outputs``), so a file that is still mapped keeps its bytes. A file that another process truncates after it was
-loaded makes the stream raise TruncatedPayloadError; one that it rewrites in
+loaded makes those reads raise TruncatedPayloadError; one that it rewrites in
 place while it is loaded is outside this contract.
 """
 

@@ -1,8 +1,9 @@
 """Streaming harness: drive windows through extractor + detector and time them.
 
-The real-time contract: every window must be processed within the window
-shift. Timing brackets exactly the extract+detect section; I/O, labeling,
-and bookkeeping are outside the measured region.
+The real-time contract: every window after the first (the warm-up) must be
+processed within the window shift; ``seizeval run`` exits 3 when one is not.
+Timing brackets exactly the extract+detect section; I/O, labeling, and
+bookkeeping are outside the measured region.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ Extractor = Callable[[np.ndarray], FeatureTensor]
 
 def check_budget(budget_s: float) -> None:
     """Reject a shift budget that is negative or not finite."""
-    # zero is allowed: no measured window meets it, so bench exits 3
+    # zero is allowed: no measured window meets it, so run exits 3
     if not 0 <= budget_s < np.inf:
         raise InvalidArgumentError(f"shift budget must be finite and >= 0, got {budget_s:g}")
 
@@ -34,7 +35,6 @@ class LatencyReport:
     extract_s: np.ndarray  # per-window feature extraction time
     detect_s: np.ndarray  # per-window detector time
     shift_budget_s: float
-    exclude_warmup: bool = True
 
     def __post_init__(self) -> None:
         if self.extract_s.size == 0:
@@ -50,10 +50,9 @@ class LatencyReport:
         return int(self.total_s.size)
 
     def _measured(self) -> np.ndarray:
+        # the first window is the warm-up; a one-window report keeps it
         t = self.total_s
-        if self.exclude_warmup and t.size > 1:
-            return t[1:]
-        return t
+        return t[1:] if t.size > 1 else t
 
     @property
     def mean_s(self) -> float:
@@ -79,18 +78,6 @@ class LatencyReport:
             f"p95={self.p95_s:.6f}s max={self.max_s:.6f}s "
             f"budget={self.shift_budget_s:g}s [{verdict}]"
         )
-
-    def to_kv(self) -> str:
-        lines = [
-            f"n_windows={self.n_windows}",
-            f"mean_s={self.mean_s:.9f}",
-            f"p95_s={self.p95_s:.9f}",
-            f"max_s={self.max_s:.9f}",
-            f"shift_budget_s={self.shift_budget_s:g}",
-            f"exclude_warmup={int(self.exclude_warmup)}",
-            f"passed={int(self.passed)}",
-        ]
-        return "\n".join(lines) + "\n"
 
     def per_window_csv(self) -> str:
         rows = ["window,extract_s,detect_s,total_s"]
@@ -125,14 +112,15 @@ def run_stream(
     detector: LinearDetector,
     spec: WindowSpec | None = None,
     budget_s: float | None = None,
-    exclude_warmup: bool = True,
 ) -> tuple[HypothesisTrack, LatencyReport]:
     """Process windows strictly in order, threading detector state through.
 
     Scores are identical to offline batch scoring of the same windows; the
-    timed section covers only extraction and detection. Only the first tensor
-    is checked against the model: all windows, so all tensors, share a shape.
-    A rejected sample names its window (``extract_window``).
+    timed section covers only extraction and detection. The report holds
+    every window after the first to ``budget_s``, the shift by default. Only
+    the first tensor is checked against the model: all windows, so all
+    tensors, share a shape. A rejected sample names its window
+    (``extract_window``).
     """
     spec = spec or WindowSpec()
     state = detector.reset_state()
@@ -153,6 +141,5 @@ def run_stream(
         extract_s=extract_s,
         detect_s=detect_s,
         shift_budget_s=spec.shift_s if budget_s is None else budget_s,
-        exclude_warmup=exclude_warmup,
     )
     return track, report

@@ -204,7 +204,7 @@ def test_criterion_07_end_to_end():
     assert time.perf_counter() - t0 < 120.0
 
 
-@criterion(8, "raw pipeline stays inside the 1 s shift budget; bench exits 3")
+@criterion(8, "raw pipeline stays inside the 1 s shift budget; run exits 3 on a miss")
 def test_criterion_08_realtime(tmp_path):
     rec, _ = sv.synth_recording(sv.SynthConfig(duration_s=30, events=[(10, 20)], seed=7))
     rng = np.random.default_rng(0)
@@ -224,9 +224,11 @@ def test_criterion_08_realtime(tmp_path):
     model_path = tmp_path / "model.bin"
     sio.save_recording(rec, rec_path)
     dt.save_model(model, model_path)
-    args = ["bench", "--rec", str(rec_path), "--model", str(model_path)]
-    assert cli_main(args) == 0
-    assert cli_main(args + ["--budget-sec", "0"]) == 3
+    args = ["run", "--rec", str(rec_path), "--model", str(model_path)]
+    assert cli_main(args + ["--out-hyp", str(tmp_path / "pass.txt")]) == 0
+    missed = tmp_path / "missed.txt"
+    assert cli_main(args + ["--out-hyp", str(missed), "--budget-sec", "0"]) == 3
+    assert missed.read_text() == (tmp_path / "pass.txt").read_text()
 
 
 @criterion(9, "streamed scores bit-identical to batch on 20 recordings")

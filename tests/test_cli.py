@@ -316,25 +316,41 @@ def test_run_smoothing_and_latency_match_the_stream(corpus):
 
 
 def test_bench_pass_and_fail(corpus):
+    # run's exit code is the real-time benchmark's verdict
     base = [
-        "bench", "--rec", str(corpus / "test" / "rec.eeg"),
+        "run", "--rec", str(corpus / "test" / "rec.eeg"),
         "--model", str(corpus / "model.bin"),
     ]
-    assert main(base) == 0
-    # zero budget cannot be met: exit code 3
-    assert main(base + ["--budget-sec", "0"]) == 3
+    assert main(base + ["--out-hyp", str(corpus / "pass.txt")]) == 0
+    # zero budget cannot be met: exit code 3, after the hypothesis is written
+    assert main(base + ["--out-hyp", str(corpus / "fail.txt"), "--budget-sec", "0"]) == 3
+    assert (corpus / "fail.txt").read_text() == (corpus / "pass.txt").read_text()
 
 
-def test_bench_writes_reports(corpus, tmp_path):
-    kv = tmp_path / "bench.kv"
-    csv = tmp_path / "bench.csv"
-    assert main([
-        "bench", "--rec", str(corpus / "test" / "rec.eeg"),
-        "--model", str(corpus / "model.bin"),
-        "--out", str(kv), "--out-csv", str(csv),
-    ]) == 0
-    assert "passed=1" in kv.read_text()
-    assert csv.read_text().startswith("window,")
+def test_bench_writes_reports(corpus, tmp_path, capsys):
+    # run writes the latency CSV, and it carries every figure of the summary:
+    # from the rows after the warm-up window, mean, p95 and max of total_s;
+    # a missed budget (exit 3) writes both files too
+    argv = ["run", "--rec", str(corpus / "test" / "rec.eeg"), "--model", str(corpus / "model.bin")]
+    # no --budget-sec: the budget is the 1 s shift
+    for extra, budget, code in (([], "1s", 0), (["--budget-sec", "0"], "0s", 3)):
+        hyp, lat = tmp_path / f"hyp-{code}.txt", tmp_path / f"lat-{code}.csv"
+        capsys.readouterr()
+        assert main(argv + ["--out-hyp", str(hyp), "--out-latency", str(lat), *extra]) == code
+        assert hyp.exists()
+        line = capsys.readouterr().out
+        assert line.endswith("[PASS]\n" if code == 0 else "[FAIL]\n")
+        summary = dict(field.split("=") for field in line.split("; ")[1].split()[:-1])
+        with open(lat, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["window"] for row in rows] == [str(k) for k in range(len(rows))]
+        assert summary["windows"] == str(len(rows))
+        assert summary["budget"] == budget
+        total = np.array([float(row["total_s"]) for row in rows[1:]])
+        # the CSV holds 9 decimals and the summary 6: they agree to rounding
+        for name, value in (("mean", total.mean()), ("p95", np.percentile(total, 95)),
+                            ("max", total.max())):
+            assert abs(value - float(summary[name].rstrip("s"))) <= 5e-7 + 1e-9, name
 
 
 def test_sweep_windows(tmp_path, capsys):
@@ -486,7 +502,6 @@ def small(tmp_path_factory):
 @pytest.mark.parametrize("argv", [
     "run --rec REC --model MODEL --out-hyp DIR",
     "run --rec REC --model MODEL --out-hyp HYP --out-latency DIR",
-    "bench --rec REC --model MODEL --out DIR",
     "train --rec REC --labels LABELS --feature raw --epochs 1 --out DIR",
     "sweep --windows 4 --duration 30 --n-events 1 --out DIR",
     "eval --rec REC --labels LABELS --model MODEL --out-dir FILE",
@@ -513,8 +528,7 @@ def test_output_path_of_the_wrong_kind_is_validation_error(small, tmp_path, caps
     "run --rec REC --model MODEL --out-hyp OUT --out-latency DIR",
     "run --rec REC --model MODEL --out-hyp DIR --out-latency OUT",
     "run --rec REC --model MODEL --out-hyp OUT --out-latency MISSING",
-    "bench --rec REC --model MODEL --out OUT --out-csv DIR",
-    "bench --rec REC --model MODEL --out MISSING --out-csv OUT",
+    "run --rec REC --model MODEL --out-hyp MISSING --out-latency OUT",
 ])
 def test_two_outputs_are_written_both_or_neither(small, tmp_path, capsys, argv):
     # one output path is a directory or lies in none: the other output is
@@ -567,7 +581,7 @@ def test_outputs_write_through_symlinks_and_into_devices(small, tmp_path):
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert [p.name for p in target.parent.iterdir()] == ["hyp.txt"]
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
-    assert main(["bench", "--rec", rec, "--model", model, "--out", os.devnull]) in (0, 3)
+    assert main(["run", "--rec", rec, "--model", model, "--out-hyp", os.devnull]) == 0
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
@@ -646,7 +660,7 @@ def test_bad_training_and_smoothing_values_are_validation_errors(
     corpus, capsys, monkeypatch, extra
 ):
     # the last value of ``extra`` is the offending one, and the error shows it;
-    # --threshold selects run, --budget-sec bench, a training flag train, else eval
+    # --threshold or --budget-sec selects run, a training flag train, else eval
     def no_stream(*args, **kwargs):
         raise AssertionError("the recording was streamed before the options were checked")
 
@@ -656,9 +670,7 @@ def test_bad_training_and_smoothing_values_are_validation_errors(
         argv = ["train", "--rec", str(corpus / "train" / "rec.eeg"),
                 "--labels", str(corpus / "train" / "labels.txt"),
                 "--out", str(corpus / "bad-model.bin")]
-    elif extra[0] == "--budget-sec":
-        argv = ["bench", "--rec", str(corpus / "test" / "rec.eeg"), "--model", model]
-    elif extra[0] == "--threshold":
+    elif extra[0] in ("--threshold", "--budget-sec"):
         argv = ["run", "--rec", str(corpus / "test" / "rec.eeg"), "--model", model,
                 "--out-hyp", str(corpus / "hyp-bad.txt")]
     else:
@@ -673,7 +685,7 @@ def test_bad_training_and_smoothing_values_are_validation_errors(
     assert not (corpus / "hyp-bad.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["extract", "train", "run", "eval", "bench"])
+@pytest.mark.parametrize("command", ["extract", "train", "run", "eval"])
 def test_non_finite_window_is_validation_error(corpus, capsys, command):
     rec, labels = str(corpus / "test" / "rec.eeg"), str(corpus / "test" / "labels.txt")
     out = corpus / "out"
@@ -683,7 +695,6 @@ def test_non_finite_window_is_validation_error(corpus, capsys, command):
         "run": ["--rec", rec, "--model", str(corpus / "model.bin"), "--out-hyp", str(out)],
         "eval": ["--rec", rec, "--labels", labels, "--model", str(corpus / "model.bin"),
                  "--out-dir", str(out)],
-        "bench": ["--rec", rec, "--model", str(corpus / "model.bin"), "--out", str(out)],
     }[command]
     assert main([command, *argv, "--window-sec", "inf"]) == 1
     assert capsys.readouterr().err.startswith("error: need finite window_s")
@@ -734,7 +745,7 @@ def test_model_rejects_tensor_of_another_shape_and_equal_size(corpus, capsys):
 
 
 @pytest.mark.parametrize("detector", ["model", "energy"])
-@pytest.mark.parametrize("command", ["eval", "run", "bench"])
+@pytest.mark.parametrize("command", ["eval", "run"])
 def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
     model = corpus / "model.bin"
     if detector == "energy":
@@ -759,7 +770,6 @@ def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
     argv += {
         "eval": ["--out-dir", str(corpus / "eval-once")],
         "run": ["--out-hyp", str(corpus / "hyp.txt")],
-        "bench": [],
     }[command]
     assert main(argv) == 0
     assert calls == {
@@ -770,7 +780,7 @@ def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
     }
 
 
-@pytest.mark.parametrize("command", ["run", "eval", "bench", "train", "extract"])
+@pytest.mark.parametrize("command", ["run", "eval", "train", "extract"])
 def test_nan_sample_stops_the_stream_before_any_output(corpus, capsys, command):
     # extract --window-index -1 writes windows 0 and 1 before it meets the NaN,
     # and must leave neither behind
@@ -783,9 +793,10 @@ def test_nan_sample_stops_the_stream_before_any_output(corpus, capsys, command):
     labels = ["--labels", str(corpus / "test" / "labels.txt")]
     model = ["--model", str(corpus / "model.bin")]
     args = ["--rec", str(corpus / "nan.eeg")] + {
-        "run": [*model, "--out-hyp", str(out), "--out-latency", f"{out}-latency"],
+        # a zero budget fails every window, but the stream stops first: exit 1
+        "run": [*model, "--out-hyp", str(out), "--out-latency", f"{out}-latency",
+                "--budget-sec", "0"],
         "eval": [*model, *labels, "--out-dir", str(out)],
-        "bench": [*model, "--out", str(out), "--out-csv", f"{out}-csv"],
         "train": [*labels, "--out", str(out)],
         "extract": ["--feature", "bands", "--window-index", "-1", "--out", str(out)],
     }[command]

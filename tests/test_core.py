@@ -370,6 +370,12 @@ class TestMappedMontage:
             out.samples[0, -1] = 0.0
         assert mapped.samples.tobytes() == copy.samples.tobytes()
 
+    @pytest.mark.parametrize("target_hz", [200, 512])
+    def test_resample_to_another_rate_equals_the_in_memory_copy(self, tmp_path, target_hz):
+        mapped, copy = self.mapped_and_copy(tmp_path)
+        out, want = sv.resample(mapped, target_hz), sv.resample(copy, target_hz)
+        assert out.samples.tobytes() == want.samples.tobytes()
+
     def test_column_slice_of_a_mapped_recording(self, tmp_path):
         mapped, copy = self.mapped_and_copy(tmp_path)
         cols = slice(1001, 2 * self.PER_CHUNK + 5)
@@ -404,6 +410,30 @@ class TestMappedMontage:
         for call in (sv.to_bipolar, lambda rec: sv.resample(rec, 256)):
             with pytest.raises(TruncatedPayloadError, match=f"^{re.escape(str(path))}: "):
                 call(mapped)
+
+    def test_resample_to_another_rate_of_a_truncated_file(self, tmp_path):
+        # in a fresh interpreter: a read through the map past the file's new
+        # end would kill it with SIGBUS
+        path = tmp_path / "rec.eeg"
+        io.save_recording(make_rec(self.SAMPLES, fs=256), path)
+        code = (
+            "import os, sys\n"
+            "from seizeval import io, resample\n"
+            "from seizeval.errors import TruncatedPayloadError\n"
+            "rec = io.load_recording(sys.argv[1])\n"
+            "os.truncate(sys.argv[1], 1000)\n"
+            "try:\n"
+            "    resample(rec, 200)\n"
+            "except TruncatedPayloadError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"{path}: the file ends before sample ")
 
 
 class TestWindowLabel:

@@ -99,12 +99,10 @@ class TestRunStream:
 
 
 class TestCheckRealtime:
-    def report(self, times, budget=1.0):
-        t = np.asarray(times, dtype=float)
-        return LatencyReport(
-            extract_s=t / 2, detect_s=t / 2, shift_budget_s=budget,
-            exclude_warmup=False,
-        )
+    def report(self, times, budget=1.0, warmup=0.0):
+        # the first window is the warm-up, left out of every figure
+        t = np.array([warmup, *times], dtype=float)
+        return LatencyReport(extract_s=t / 2, detect_s=t / 2, shift_budget_s=budget)
 
     def test_pass(self):
         report = self.report([0.05, 0.08, 0.06])
@@ -119,32 +117,35 @@ class TestCheckRealtime:
 
     def test_empty_report(self):
         with pytest.raises(InvalidArgumentError, match="empty"):
-            self.report([])
+            LatencyReport(extract_s=np.array([]), detect_s=np.array([]), shift_budget_s=1.0)
 
     def test_warmup_exclusion(self):
-        t = np.array([5.0, 0.01, 0.01])
-        rep = LatencyReport(
-            extract_s=t / 2, detect_s=t / 2, shift_budget_s=1.0, exclude_warmup=True
-        )
-        assert rep.passed
-        rep_incl = LatencyReport(
-            extract_s=t / 2, detect_s=t / 2, shift_budget_s=1.0, exclude_warmup=False
-        )
-        assert not rep_incl.passed
+        # a slow first window is the warm-up; a slow second window fails
+        assert self.report([0.01, 0.01], warmup=5.0).passed
+        assert not self.report([5.0, 0.01], warmup=0.01).passed
+        # a one-window report has no other window to measure
+        assert not self.report([], warmup=5.0).passed
 
     def test_stats_exact(self):
-        t = np.array([0.0, 0.2, 0.4])
-        rep = LatencyReport(
-            extract_s=t, detect_s=np.zeros(3), shift_budget_s=1.0, exclude_warmup=False
-        )
+        rep = self.report([0.0, 0.2, 0.4], warmup=9.0)
+        assert rep.n_windows == 4
         assert rep.mean_s == pytest.approx(0.2)
+        assert rep.p95_s == pytest.approx(0.38)
         assert rep.max_s == pytest.approx(0.4)
 
     def test_csv_and_kv(self):
-        rep = self.report([0.1, 0.2])
-        csv = rep.per_window_csv()
-        assert csv.startswith("window,extract_s,detect_s,total_s")
-        assert "passed=1" in rep.to_kv()
+        # the per-window CSV carries every figure of the key-value report it
+        # replaced: the figures are those of its rows after the warm-up
+        rep = self.report([0.1, 0.2, 0.7], budget=0.5, warmup=3.0)
+        lines = rep.per_window_csv().splitlines()
+        assert lines[0] == "window,extract_s,detect_s,total_s"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+        total = np.array([float(line.split(",")[3]) for line in lines[2:]])
+        assert total.tolist() == [0.1, 0.2, 0.7]
+        assert (rep.mean_s, rep.p95_s, rep.max_s) == pytest.approx(
+            (total.mean(), np.percentile(total, 95), total.max())
+        )
+        assert not rep.passed
 
 
 @pytest.mark.parametrize(
