@@ -65,9 +65,9 @@ def _window_spec(args) -> core.WindowSpec:
 
 
 def _fit(rec, labels, spec, feature: str, fit) -> detectors.LinearModel:
-    """Fit a model with ``fit(dataset)`` on every window of ``rec`` (train and sweep)."""
+    """Fit ``fit(dataset)`` on every window of ``rec`` from ``rtbench.stream`` (train, sweep)."""
     extractor = features.get_extractor(feature, rec.sample_rate_hz)
-    feats = [rtbench.extract_window(extractor, w) for w in core.slice_windows(rec, spec)]
+    feats = [tensor for _, tensor, _ in rtbench.stream(rec, extractor, spec)]
     wl = core.window_labels(rec, labels, spec)
     return fit(list(zip(feats, wl.astype(int))))
 
@@ -76,12 +76,6 @@ def _stream(rec, detector, spec, budget_s=None):
     """Stream ``rec`` once through the extractor the model names: (track, latency)."""
     extractor = features.get_extractor(detector.extractor_id, rec.sample_rate_hz)
     return rtbench.run_stream(rec, extractor, detector, spec, budget_s)
-
-
-def _score(rec, labels, wl, detector, spec, **eval_opts):
-    """Stream ``rec`` once and score it with every metric: (track, latency, report)."""
-    track, latency = _stream(rec, detector, spec)
-    return track, latency, metrics.evaluate_track(labels, wl, track, **eval_opts)
 
 
 def _add_window_args(p: argparse.ArgumentParser) -> None:
@@ -149,12 +143,12 @@ def cmd_extract(args) -> int:
     out = Path(args.out)
     if not out.parent.is_dir():
         raise InvalidArgumentError(f"--out {args.out}: no directory {out.parent}")
-    windows = core.slice_windows(rec, spec, first, first + len(paths))
+    tensors = (t for _, t, _ in rtbench.stream(rec, extractor, spec, first, first + len(paths)))
     written = []
 
     def save(path: Path) -> None:
         # one window at a time: each is sliced and extracted as its file is written
-        tensor = rtbench.extract_window(extractor, next(windows))
+        tensor = next(tensors)
         with open(path, "wb") as f:
             np.save(f, tensor.data, allow_pickle=False)
         written.append(f"{tensor.extractor_id}, shape={tensor.shape}")
@@ -221,8 +215,9 @@ def cmd_eval(args) -> int:
     opts = metrics.EventizeOpts(gap_merge_s=args.gap_merge_sec, min_event_s=args.min_event_sec)
     for m in args.margins:
         metrics.margin(labels, [], m)
-    track, _, report = _score(
-        rec, labels, wl, detector, spec, margins_s=tuple(args.margins),
+    track, _ = _stream(rec, detector, spec)
+    report = metrics.evaluate_track(
+        labels, wl, track, margins_s=tuple(args.margins),
         gap_merge_s=args.gap_merge_sec, min_event_s=args.min_event_sec,
     )
     # only a scored stream creates --out-dir: a model that does not fit the
@@ -273,9 +268,8 @@ def cmd_sweep(args) -> int:
             fit = functools.partial(detectors.train_linear, cfg=cfg)
             model = _fit(train_rec, train_labels, spec, args.feature, fit)
             wl = core.window_labels(test_rec, test_labels, spec)
-            _, latency, report = _score(
-                test_rec, test_labels, wl, detectors.LinearDetector(model), spec
-            )
+            track, latency = _stream(test_rec, detectors.LinearDetector(model), spec)
+            report = metrics.evaluate_track(test_labels, wl, track)
         except SeizevalError as exc:
             row["status"] = f"rejected: {exc}"
         else:

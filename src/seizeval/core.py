@@ -437,8 +437,8 @@ def _column_chunks(
 def slice_windows(
     rec: Recording, spec: WindowSpec, first: int = 0, stop: int | None = None
 ) -> Iterator[Window]:
-    """Yield sliding windows ``first`` to ``stop - 1`` (all by default); window
-    k starts at k * shift_s.
+    """Yield sliding windows ``first`` to ``stop - 1``, taken as a slice (all by
+    default); window k starts at k * shift_s, for a negative ``first`` too.
 
     On a recording mapped by ``io.load_recording``, each window is a
     read-only view of a chunk that holds ``_CHUNK_BYTES`` of each row and
@@ -455,7 +455,8 @@ def slice_windows(
     # chunk holds samples lo to end of each row
     chunk, lo, end = rec.samples, 0, math.inf if read is None else -1
     per_chunk = _CHUNK_BYTES // rec.samples.itemsize // shift * shift
-    for k, start in enumerate(starts[first:stop].tolist(), first):
+    for k in range(*slice(first, stop).indices(starts.size)):
+        start = k * shift
         if start + win > end:
             lo, end = start, min(start + per_chunk, last) + win
             chunk = read(lo, end)

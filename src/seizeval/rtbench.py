@@ -1,4 +1,4 @@
-"""Streaming harness: drive windows through extractor + detector and time them.
+"""Streaming harness: every command walks its windows through ``stream``.
 
 The real-time contract: every window after the first (the warm-up) must be
 processed within the window shift; ``seizeval run`` exits 3 when one is not.
@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import Recording, Window, WindowSpec, _window_starts, slice_windows
+from . import core
+from .core import Recording, Window, WindowSpec, _window_starts
 from .detectors import LinearDetector, LinearModel
 from .errors import IncompatibleFeatureError, InvalidArgumentError, NonFiniteSampleError
 from .features import FeatureTensor
@@ -86,13 +87,19 @@ class LatencyReport:
         return "\n".join(rows) + "\n"
 
 
-def extract_window(extractor: Extractor, window: Window) -> FeatureTensor:
-    """``extractor(window.samples)``; a rejected sample names the window's
-    index and start time."""
-    try:
-        return extractor(window.samples)
-    except NonFiniteSampleError as exc:
-        raise NonFiniteSampleError(f"window {window.index} at {window.start_s:g} s: {exc}")
+def stream(
+    rec: Recording, extractor: Extractor, spec: WindowSpec, first: int = 0, stop: int | None = None
+) -> Iterator[tuple[Window, FeatureTensor, float]]:
+    """Yield ``(window, extractor(window.samples), extract_s)`` for windows
+    ``first`` to ``stop - 1``, in order; ``extract_s`` times the extractor call
+    alone. A rejected sample names the window's index and start time."""
+    for window in core.slice_windows(rec, spec, first, stop):
+        t0 = time.perf_counter()
+        try:
+            tensor = extractor(window.samples)
+        except NonFiniteSampleError as exc:
+            raise NonFiniteSampleError(f"window {window.index} at {window.start_s:g} s: {exc}")
+        yield window, tensor, time.perf_counter() - t0
 
 
 def _check_fits(features: FeatureTensor, model: LinearModel) -> None:
@@ -113,29 +120,25 @@ def run_stream(
     spec: WindowSpec | None = None,
     budget_s: float | None = None,
 ) -> tuple[HypothesisTrack, LatencyReport]:
-    """Process windows strictly in order, threading detector state through.
+    """Process the windows of ``stream`` in order, threading detector state through.
 
     Scores are identical to offline batch scoring of the same windows; the
     timed section covers only extraction and detection. The report holds
     every window after the first to ``budget_s``, the shift by default. Only
     the first tensor is checked against the model: all windows, so all
-    tensors, share a shape. A rejected sample names its window
-    (``extract_window``).
+    tensors, share a shape. A rejected sample names its window (``stream``).
     """
     spec = spec or WindowSpec()
     state = detector.reset_state()
     # one float64 per window for each record, filled as the stream goes
     scores, extract_s, detect_s = np.empty((3, _window_starts(rec, spec).size))
-    for window in slice_windows(rec, spec):
-        k = window.index
-        t0 = time.perf_counter()
-        features = extract_window(extractor, window)
+    for k, (_, features, seconds) in enumerate(stream(rec, extractor, spec)):
         t1 = time.perf_counter()
         if k == 0:
             _check_fits(features, detector.model)
         score, state = detector.detect(state, features)
         t2 = time.perf_counter()
-        scores[k], extract_s[k], detect_s[k] = score, t1 - t0, t2 - t1
+        scores[k], extract_s[k], detect_s[k] = score, seconds, t2 - t1
     track = HypothesisTrack(scores=scores, window=spec, total_duration_s=rec.duration_s)
     report = LatencyReport(
         extract_s=extract_s,

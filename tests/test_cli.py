@@ -744,40 +744,49 @@ def test_model_rejects_tensor_of_another_shape_and_equal_size(corpus, capsys):
     assert not (corpus / "narrow-eval").exists()
 
 
-@pytest.mark.parametrize("detector", ["model", "energy"])
-@pytest.mark.parametrize("command", ["eval", "run"])
+# each command's calls of rtbench.stream and of core.slice_windows (equal:
+# every window walk is a stream), then of run_stream, load_model, window_labels
+# and curve_metrics; sweep streams its training and its test recording per row
+STREAM_CALLS = {
+    "eval": (1, 1, 1, 1, 1), "run": (1, 1, 1, 0, 0), "train": (1, 0, 0, 1, 0),
+    "extract": (1, 0, 0, 0, 0), "sweep": (4, 2, 0, 4, 2),
+}
+
+
+@pytest.mark.parametrize("command,detector", [
+    ("eval", "energy"), ("eval", "model"), ("run", "energy"), ("run", "model"),
+    ("train", "energy"), ("train", "model"), ("extract", None), ("sweep", None),
+])
 def test_one_stream_pass_per_command(corpus, monkeypatch, command, detector):
     model = corpus / "model.bin"
-    if detector == "energy":
+    if detector == "energy" and command != "train":
         model = corpus / "energy.bin"
         assert main([
             "train", "--detector", "energy", "--rec", str(corpus / "train" / "rec.eeg"),
             "--labels", str(corpus / "train" / "labels.txt"), "--out", str(model),
         ]) == 0
-    calls = {"run_stream": 0, "load_model": 0, "window_labels": 0, "curve_metrics": 0}
-    for module, name in (
-        (rtbench, "run_stream"), (detectors, "load_model"), (core, "window_labels"),
-        (metrics, "curve_metrics"),
-    ):
+    names = ["stream", "slice_windows", "run_stream", "load_model", "window_labels",
+             "curve_metrics"]
+    calls = dict.fromkeys(names, 0)
+    for module, name in zip((rtbench, core, rtbench, detectors, core, metrics), names):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    argv = [command, "--rec", str(corpus / "test" / "rec.eeg"), "--model", str(model)]
-    if command == "eval":
-        argv += ["--labels", str(corpus / "test" / "labels.txt")]
-    argv += {
-        "eval": ["--out-dir", str(corpus / "eval-once")],
-        "run": ["--out-hyp", str(corpus / "hyp.txt")],
-    }[command]
+    rec, labels = str(corpus / "test" / "rec.eeg"), str(corpus / "test" / "labels.txt")
+    argv = [command, *{
+        "eval": ["--rec", rec, "--labels", labels, "--model", str(model),
+                 "--out-dir", str(corpus / "eval-once")],
+        "run": ["--rec", rec, "--model", str(model), "--out-hyp", str(corpus / "hyp.txt")],
+        "train": ["--rec", rec, "--labels", labels, "--out", str(corpus / "once.bin"),
+                  "--detector", "energy" if detector == "energy" else "linear"],
+        "extract": ["--rec", rec, "--window-index", "7", "--out", str(corpus / "t")],
+        "sweep": ["--windows", "2,4", "--duration", "60", "--n-events", "2"],
+    }[command]]
     assert main(argv) == 0
-    assert calls == {
-        "run_stream": 1,
-        "load_model": 1,
-        "window_labels": int(command == "eval"),
-        "curve_metrics": int(command == "eval"),
-    }
+    counts = STREAM_CALLS[command]
+    assert calls == dict(zip(names, (counts[0], *counts)))
 
 
 @pytest.mark.parametrize("command", ["run", "eval", "train", "extract"])

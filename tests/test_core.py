@@ -235,6 +235,19 @@ class TestWindows:
         last = wins[-1]
         assert last.start_s + window <= duration + 1e-9
 
+    @pytest.mark.parametrize("first,stop", [(-3, None), (-3, -1), (-1, None), (0, -4), (5, 100)])
+    def test_part_of_the_stream_keeps_each_window_at_its_position(self, tmp_path, first, stop):
+        # 10 s: seven windows of 4 s every 1 s, taken as the slice [first:stop]
+        samples = np.random.default_rng(3).normal(scale=30, size=(2, 2000))
+        spec = sv.WindowSpec(4, 1)
+        for rec in mapped_and_copy(tmp_path, samples):
+            full = list(sv.slice_windows(rec, spec))
+            part = list(sv.slice_windows(rec, spec, first, stop))
+            assert [w.index for w in part] == list(range(len(full)))[first:stop]
+            assert all(w.start_s == w.index * spec.shift_s for w in part)
+            want = [full[w.index].samples.tobytes() for w in part]
+            assert [w.samples.tobytes() for w in part] == want
+
     def test_closed_stream_leaves_a_mapped_recording_whole(self, tmp_path):
         """A stream closed early leaves the recording as it was: a second
         pass, and a pass over a column slice, equal the copy's."""

@@ -7,7 +7,7 @@ import seizeval as sv
 from seizeval import features
 from seizeval.errors import IncompatibleFeatureError, InvalidArgumentError
 from seizeval.features import get_extractor
-from seizeval.rtbench import LatencyReport, run_stream
+from seizeval.rtbench import LatencyReport, run_stream, stream
 
 from oracles import batch_replay_scores
 
@@ -96,6 +96,32 @@ class TestRunStream:
         rec.samples[3, 1000] = np.nan  # sample 1000 is in windows 2 to 5 only
         with pytest.raises(InvalidArgumentError, match=r"^window 2 at 2 s: .*non-finite"):
             run_stream(rec, get_extractor("bands"), energy_detector())
+
+
+@pytest.mark.parametrize("first,stop", [(0, None), (7, 12)])
+@pytest.mark.parametrize("name", ["bands", "sincnet", "raw"])
+class TestStream:
+    def test_tensors_equal_a_fresh_extractor_on_the_same_windows(self, name, first, stop):
+        rec, _ = synth_rec(seed=6)
+        spec = sv.WindowSpec()
+        got = list(stream(rec, get_extractor(name), spec, first, stop))
+        fresh = get_extractor(name)
+        want = [fresh(w.samples) for w in sv.slice_windows(rec, spec, first, stop)]
+        assert [w.index for w, _, _ in got] == list(range(27))[first:stop]
+        for (_, tensor, _), expected in zip(got, want, strict=True):
+            assert tensor.extractor_id == expected.extractor_id
+            assert tensor.data.dtype == expected.data.dtype
+            assert tensor.data.tobytes() == expected.data.tobytes()
+        assert all(np.isfinite(t) and t >= 0 for _, _, t in got)
+
+    def test_nan_sample_stops_the_stream_at_its_first_window(self, name, first, stop):
+        rec, _ = synth_rec(seed=7)
+        rec.samples[5, 2500] = np.nan  # 12.5 s: in windows 9 to 12 only
+        yielded = []
+        with pytest.raises(InvalidArgumentError, match=r"^window 9 at 9 s: .*non-finite"):
+            for window, _, _ in stream(rec, get_extractor(name), sv.WindowSpec(), first, stop):
+                yielded.append(window.index)
+        assert yielded == list(range(first, 9))
 
 
 class TestCheckRealtime:
